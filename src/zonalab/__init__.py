@@ -1,13 +1,12 @@
 """Norm experiments for zonal spectral projectors and resolvents on S^n."""
 
-from ._core import BACKEND
 from .dyadic import (DyadicPiece, dyadic_bump, dyadic_decompose,
                      envelope_check, piece_count, piece_norm_slopes)
 from .exponents import (ExponentPoint, admissible, predicted_exponents,
                         segment_endpoints, special_points, stein_point)
 from .grids import ZonalFunction, ZonalGrid, cap, load_grid, make_grid, save_grid
 from .interpolation import (InterpolationData, certify_restricted_weak,
-                            interp_from_fit, make_interp, optimal_split)
+                            interp_from_fit, optimal_split)
 from .norms import lorentz_p1, lp_norm, weak_lq
 from .operators import (NormCertificate, ZonalOperator, apply_kernel,
                         azimuthal_matrix, norm_certificate, norm_lower,
@@ -22,3 +21,5 @@ from .specfun import (SphereSpec, ZonalKernel, eigenvalue, gegenbauer,
                       zonal_table, zonal_value)
 
 __version__ = "0.1.0"
+# the one Gegenbauer implementation, reported in run records
+BACKEND = "python"

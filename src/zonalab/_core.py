@@ -1,8 +1,10 @@
-"""Numpy fallback for the Gegenbauer recurrence kernels.
+"""Gegenbauer recurrence kernels over 1-D float64 point arrays.
 
-Same contract as the compiled module: forward three-term recurrence
+Forward three-term recurrence
     m C_m = 2 (m + a - 1) t C_{m-1} - (m + 2a - 2) C_{m-2},
-C_0 = 1, C_1 = 2 a t, evaluated over 1-D float64 point arrays.
+C_0 = 1, C_1 = 2 a t.  geg_eval and geg_table run the same operations in the
+same order, so geg_eval(k, a, t) equals row k of geg_table(kmax, a, t) bit for
+bit.
 """
 
 import numpy as np

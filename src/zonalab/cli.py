@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import dyadic_decompose, envelope_check, piece_norm_slopes
+from .dyadic import envelope_check, fit_line, piece_norm_slopes
 from .errors import NumericalError
 from .exponents import (ExponentPoint, admissible, predicted_exponents,
                         segment_endpoints, special_points, stein_point)
@@ -50,10 +49,7 @@ def fit_slope(rows):
         raise ValueError("slope fit needs positive parameters and values")
     if np.unique(params).size < 2:
         raise ValueError("slope fit is degenerate: parameters coincide")
-    x, y = np.log(params), np.log(vals)
-    coeff, res = np.polyfit(x, y, 1, full=True)[:2]
-    rms = math.sqrt(res[0] / len(rows)) if len(res) else 0.0
-    return float(coeff[0]), float(coeff[1]), rms
+    return fit_line(np.log(params), np.log(vals))
 
 
 def default_r(n, sigma):
@@ -182,7 +178,9 @@ def _run_dyadic_certify(cfg, sink):
                                         restarts=cfg.restarts, seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
-        caps = [cap(grid, th)[0] for th in (1.0 / lam, 1.0 / 8.0, 0.5)]
+        caps = [c for c in (cap(grid, th)[0]
+                            for th in (1.0 / lam, 1.0 / 8.0, 0.5))
+                if c.values.any()]
         ops = [p.operator() for p in pieces]
         report = certify_restricted_weak(ops, data, caps, piece_fit=fit)
         sink.emit((k, fit.slope_growth, fit.slope_decay, data.theta,

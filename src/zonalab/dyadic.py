@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericalError
 from .exponents import stein_point
 from .operators import norm_lower, operator_from_profile
-from .specfun import eigenvalue, zonal_table
+from .specfun import eigenvalue, zonal_value
 
 
 def dyadic_bump(t):
@@ -50,8 +50,8 @@ class DyadicPiece:
 
     def profile(self, gamma, cos_gamma):
         lo, hi = self.support
-        tab = zonal_table(self.grid.sphere.n, self.base, cos_gamma)
-        return tab[self.base] * ((gamma > lo) & (gamma <= hi))
+        zk = zonal_value(self.grid.sphere.n, self.base, cos_gamma)
+        return zk * ((gamma > lo) & (gamma <= hi))
 
     def operator(self, nodes=64):
         lam = eigenvalue(self.grid.sphere.n, self.base)
@@ -68,7 +68,7 @@ def dyadic_decompose(sphere, k, grid):
             f"degree {k} exceeds grid exactness {grid.kexact}")
     lam = eigenvalue(sphere.n, k)
     J = piece_count(sphere.n, k)
-    zvals = zonal_table(sphere.n, k, grid.cosines)[k]
+    zvals = zonal_value(sphere.n, k, grid.cosines)
     pieces = []
     for j in range(J + 1):
         if j == 0:
@@ -112,10 +112,14 @@ class PieceNormFit:
     residual_decay: float
 
 
-def _fit_line(js, lognorms):
-    coeff, res = np.polyfit(js, lognorms, 1, full=True)[:2]
-    rms = math.sqrt(res[0] / len(js)) if len(res) else 0.0
-    return coeff[0], coeff[1], rms
+def fit_line(x, y):
+    """Least-squares line y = slope x + intercept.
+
+    Returns (slope, intercept, rms residual).
+    """
+    coeff, res = np.polyfit(x, y, 1, full=True)[:2]
+    rms = math.sqrt(res[0] / len(x)) if len(res) else 0.0
+    return float(coeff[0]), float(coeff[1]), rms
 
 
 def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
@@ -143,8 +147,8 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
     npp = np.asarray(npp)
     if np.any(nq <= 0) or np.any(npp <= 0):
         raise NumericalError("vanishing piece norm; cannot fit slopes")
-    sg, ig, rg = _fit_line(js, np.log2(nq))
-    sd, idc, rd = _fit_line(js, np.log2(npp))
+    sg, ig, rg = fit_line(js, np.log2(nq))
+    sd, idc, rd = fit_line(js, np.log2(npp))
     return PieceNormFit(js, nq, npp, sg, sd, ig, idc, rg, rd), pieces
 
 
@@ -167,7 +171,7 @@ def envelope_check(sphere, k, samples=4096):
     half = (n - 1) / 2
 
     def zk(theta):
-        return zonal_table(n, k, np.cos(theta))[k]
+        return zonal_value(n, k, np.cos(theta))
 
     th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
     c_flat = np.abs(zk(th_flat)).max() / k ** (n - 1)

@@ -48,7 +48,7 @@ class ZonalGrid:
         """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)), shape (kmax+1, points)."""
         if kmax not in self._basis_cache:
             tab = zonal_table(self.sphere.n, kmax, self.cosines)
-            z1 = np.array([self.sphere.zonal_value(k, 1.0) for k in range(kmax + 1)])
+            z1 = zonal_table(self.sphere.n, kmax, np.ones(1))[:, 0]
             self._basis_cache[kmax] = tab / np.sqrt(z1)[:, None]
         return self._basis_cache[kmax]
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ExponentPoint
-from .norms import lp_norm
+from .norms import lp_norm, superlevels
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class InterpolationData:
         return ExponentPoint(
             th * self.growth.x + (1.0 - th) * self.decay.x,
             th * self.growth.y + (1.0 - th) * self.decay.y)
-
-
-def make_interp(growth, decay, m_growth, m_decay, beta_growth, beta_decay):
-    return InterpolationData(growth, decay, m_growth, m_decay,
-                             beta_growth, beta_decay)
 
 
 def interp_from_fit(sigma_points, fit):
@@ -105,14 +100,10 @@ def optimal_split(data, mu_e, mu_a):
 
 def _weak_sweep(grid, values, q):
     """(weak norm, attaining threshold, superlevel measure) of |values|."""
-    absval = np.abs(values)
-    order = np.argsort(absval)[::-1]
-    v = absval[order]
-    cumw = np.cumsum(grid.weights[order])
-    last = np.nonzero(np.diff(v, append=-1.0))[0]
-    scores = v[last] * cumw[last] ** (1.0 / q)
+    levels, mass = superlevels(grid.weights, values)
+    scores = levels * mass ** (1.0 / q)
     i = int(np.argmax(scores))
-    return float(scores[i]), float(v[last][i]), float(cumw[last][i])
+    return float(scores[i]), float(levels[i]), float(mass[i])
 
 
 @dataclass
@@ -134,6 +125,7 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
     the optimal rho is reported to expose the finite-part/tail-part balance.
     piece_fit, when given, is scanned for pieces whose measured norms sit
     above the fitted exponential envelopes by more than envelope_factor.
+    A cap that holds no grid node has zero measure and raises ValueError.
     """
     target = data.target
     q = target.s
@@ -146,6 +138,8 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
     for capfn in caps:
         grid = capfn.grid
         mu_e = lp_norm(capfn, 1)
+        if mu_e == 0:
+            raise ValueError("cap holds no grid node; its measure is zero")
         image = np.sum([op.apply(capfn.values) for op in piece_ops], axis=0)
         weak, t_star, mu_a = _weak_sweep(grid, image, q)
         entry = {"mu_e": mu_e, "weak": weak,

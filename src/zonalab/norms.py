@@ -9,14 +9,31 @@ measure of E.
 import numpy as np
 
 
+def weighted_lp(w, v, p):
+    """L^p norm of node values v against node weights w; p may be inf."""
+    a = np.abs(v)
+    if np.isinf(p):
+        return float(a.max())
+    return float(np.sum(w * a ** p) ** (1.0 / p))
+
+
 def lp_norm(f, p):
     """L^p norm against the grid measure; p may be inf."""
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
-    absval = np.abs(f.values)
-    if np.isinf(p):
-        return float(absval.max())
-    return float(np.sum(f.grid.weights * absval ** p) ** (1.0 / p))
+    return weighted_lp(f.grid.weights, f.values, p)
+
+
+def superlevels(w, v):
+    """Distinct values of |v| in descending order, and for each level the
+    measure mu(|v| >= level) under node weights w."""
+    absval = np.abs(v)
+    order = np.argsort(absval)[::-1]
+    desc = absval[order]
+    cumw = np.cumsum(w[order])
+    # last index of each run of equal values gives mu(|v| >= value)
+    last = np.nonzero(np.diff(desc, append=-1.0))[0]
+    return desc[last], cumw[last]
 
 
 def weak_lq(f, q):
@@ -28,14 +45,8 @@ def weak_lq(f, q):
     """
     if q < 1:
         raise ValueError(f"exponent must be >= 1, got {q}")
-    absval = np.abs(f.values)
-    order = np.argsort(absval)[::-1]
-    v = absval[order]
-    cumw = np.cumsum(f.grid.weights[order])
-    # last index of each run of equal values gives mu(|f| >= v)
-    last = np.nonzero(np.diff(v, append=-1.0))[0]
-    best = np.max(v[last] * cumw[last] ** (1.0 / q))
-    return float(best)
+    levels, mass = superlevels(f.grid.weights, f.values)
+    return float(np.max(levels * mass ** (1.0 / q)))
 
 
 def lorentz_p1(f, p):
@@ -45,13 +56,7 @@ def lorentz_p1(f, p):
     """
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
-    absval = np.abs(f.values)
-    order = np.argsort(absval)[::-1]
-    v = absval[order]
-    cumw = np.cumsum(f.grid.weights[order])
-    last = np.nonzero(np.diff(v, append=-1.0))[0]
-    levels = v[last]                    # descending distinct values
-    mass = cumw[last]                   # mu(|f| >= level)
+    levels, mass = superlevels(f.grid.weights, f.values)
     below = np.append(levels[1:], 0.0)  # next level down
     # on (below_i, level_i], mu(|f| > t) = mass of strictly larger values... the
     # strict superlevel measure on that open interval is mass up to and

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
+from .norms import weighted_lp
 from .specfun import zonal_table, zonal_value
 
 _STAGNATION = 1e-9
@@ -154,13 +155,6 @@ def apply_kernel(kernel, f):
 # ---------------------------------------------------------------------------
 # lower bounds: nonlinear power ascent
 
-def _lp(w, v, p):
-    a = np.abs(v)
-    if np.isinf(p):
-        return a.max()
-    return float(np.sum(w * a ** p) ** (1.0 / p))
-
-
 def _dual_power(g, p):
     """|g|^{p-1} sgn(conj g); the duality map used by the ascent."""
     a = np.abs(g)
@@ -188,7 +182,7 @@ def _ascent(op, r, s, f0):
     """Boyd-style alternating dual ascent from one start; returns best ratio."""
     w = op.grid.weights
     rp = r / (r - 1.0)
-    nrm = _lp(w, f0, r)
+    nrm = weighted_lp(w, f0, r)
     if nrm == 0:
         return 0.0, f0, 0
     f = f0 / nrm
@@ -197,7 +191,7 @@ def _ascent(op, r, s, f0):
     steps = 0
     for steps in range(1, _MAX_STEPS + 1):
         g = op.apply(f)
-        ratio = _lp(w, g, s)
+        ratio = weighted_lp(w, g, s)
         if ratio > best:
             best, bestf = ratio, f
         if ratio == 0.0 or ratio <= prev * (1.0 + _STAGNATION):
@@ -209,7 +203,7 @@ def _ascent(op, r, s, f0):
             break
         u = op.apply_adjoint(h / scale)
         fnew = _dual_power(u, rp)
-        nrm = _lp(w, fnew, r)
+        nrm = weighted_lp(w, fnew, r)
         if nrm == 0:
             break
         f = fnew / nrm
@@ -230,10 +224,11 @@ def _exact_endpoint_lower(op, r, s):
         rownorm = np.sum(w[None, :] * np.abs(A) ** rp, axis=1) ** (1.0 / rp)
         i = int(np.argmax(rownorm))
         f = _dual_power(A[i, :].astype(np.result_type(A, np.float64)), rp)
-        nrm = _lp(w, f, r)
+        nrm = weighted_lp(w, f, r)
         return (float(rownorm[i]), f / nrm) if nrm > 0 else (0.0, f)
     # r == 1, s finite
-    colnorm = np.array([_lp(w, A[:, j], s) for j in range(A.shape[1])])
+    colnorm = np.array([weighted_lp(w, A[:, j], s)
+                        for j in range(A.shape[1])])
     j = int(np.argmax(colnorm))
     f = np.zeros(op.grid.points, dtype=A.dtype)
     f[j] = 1.0 / w[j]
@@ -246,9 +241,8 @@ def _start_values(op, restarts, seed):
     grid = op.grid
     starts = []
     if op.natural_degree is not None:
-        zk = zonal_table(grid.sphere.n, op.natural_degree,
-                         grid.cosines)[op.natural_degree]
-        starts.append(zk)
+        starts.append(zonal_value(grid.sphere.n, op.natural_degree,
+                                  grid.cosines))
     lam = op.scale if op.scale else 1.0
     for theta0 in (1.0 / lam, min(8.0 / lam, 0.5 * np.pi), np.pi / 3):
         ind = (grid.nodes <= theta0).astype(np.float64)
@@ -288,7 +282,7 @@ def norm_lower(op, r, s, restarts=8, seed=1):
             best = (value, supp, f)
     value, _, f = best
     # re-evaluate the witness from scratch so the recorded pair is consistent
-    value = _lp(w, op.apply(f), s) / _lp(w, f, r)
+    value = weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r)
     return LowerBound(float(value), ZonalFunction(op.grid, f),
                       total_steps, restarts)
 
@@ -327,9 +321,9 @@ def _anchor_norms(op):
     else:
         # Funk-Hecke multipliers from the node profile, up to quadrature
         kmax = op.grid.kexact
-        tab = zonal_table(op.grid.sphere.n, kmax, op.grid.cosines)
-        z1 = np.array([zonal_value(op.grid.sphere.n, k, 1.0)
-                       for k in range(kmax + 1)])
+        n = op.grid.sphere.n
+        tab = zonal_table(n, kmax, op.grid.cosines)
+        z1 = zonal_table(n, kmax, np.ones(1))[:, 0]
         mults = (tab / z1[:, None]) @ (w * op.kernel_values)
         n22 = min(float(np.abs(mults).max()), n11)
     n1inf = float(op.kernel_sup)

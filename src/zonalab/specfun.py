@@ -40,20 +40,15 @@ def gegenbauer(k, alpha, t):
 def harmonic_dim(n, k):
     """Dimension N(n,k) of degree-k spherical harmonics on S^n, exactly.
 
-    N(n,k) = (2k+n-1)(k+n-2)! / (k!(n-1)!), an integer; Python integers are
-    exact at any size so no overflow guard is needed.
+    N(n,k) = C(k+n, n) - C(k+n-2, n), the dimension of degree-k homogeneous
+    polynomials in n+1 variables minus that of degree k-2.  Python integers
+    are exact at any size so no overflow guard is needed.
     """
     if n < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {n}")
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    if k == 0:
-        return 1
-    num = (2 * k + n - 1) * math.factorial(k + n - 2)
-    den = math.factorial(k) * math.factorial(n - 1)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    return math.comb(k + n, n) - math.comb(k + n - 2, n)
 
 
 def eigenvalue(n, k):

@@ -119,7 +119,8 @@ def test_criterion_5_split_and_certify(grid144, sphere3, fit16, fit32):
     for _ in range(1000):
         lm1, lm2 = rng.uniform(-12, 12, 2)
         b1, b2 = rng.uniform(0.05, 2.5, 2)
-        data = zl.make_interp(q_pt, p_pt, 2.0 ** lm1, 2.0 ** lm2, b1, b2)
+        data = zl.InterpolationData(q_pt, p_pt, 2.0 ** lm1, 2.0 ** lm2,
+                                    b1, b2)
         mu_e, mu_a = 2.0 ** rng.uniform(-8, 2, 2)
         choice = zl.optimal_split(data, mu_e, mu_a)
         if choice.branch == "tail-only":

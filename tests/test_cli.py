@@ -161,6 +161,21 @@ class TestProjScaling:
         assert summary["residual"] >= 0
 
 
+class TestDyadicCertify:
+    def test_caps_without_nodes_are_skipped(self, tmp_path):
+        # at n=5, k=32 the cap theta <= 1/lambda_k holds no grid node
+        code, out, js = _run(tmp_path, "dy5", "dyadic-certify", "--n", "5",
+                             "--k", "16,32", "--sigma", "0.36")
+        assert code == 0
+        rows = json.loads(js.read_text())["rows"]
+        assert [row["k"] for row in rows] == [16, 32]
+        for row in rows:
+            assert math.isfinite(row["c_obs"])
+            assert row["caps"]
+            for entry in row["caps"]:
+                assert entry["mu_e"] > 0 and math.isfinite(entry["c_obs"])
+
+
 class TestFailureModes:
     def test_inadmissible_sigma(self, tmp_path, capsys):
         code, _, _ = _run(tmp_path, "bad", "proj-scaling",

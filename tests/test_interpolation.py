@@ -13,7 +13,7 @@ from zonalab.operators import ZonalOperator
 class TestMakeInterp:
     def test_balanced_rates_give_midpoint(self):
         p, q = zl.stein_point(3, 0.6)
-        data = zl.make_interp(q, p, 1.0, 1.0, 0.2, 0.2)
+        data = zl.InterpolationData(q, p, 1.0, 1.0, 0.2, 0.2)
         assert data.theta == pytest.approx(0.5, abs=1e-15)
         assert data.target.x == pytest.approx(2 / 3, abs=1e-12)
         assert data.target.y == pytest.approx(1 / 15, abs=1e-12)
@@ -21,14 +21,14 @@ class TestMakeInterp:
     def test_unbalanced_rates(self):
         # rates 1/2 and 1 put theta at 2/3 and the target on the corner C
         pts = zl.special_points(3)
-        data = zl.make_interp(pts["A"], pts["B"], 2.0, 3.0, 0.5, 1.0)
+        data = zl.InterpolationData(pts["A"], pts["B"], 2.0, 3.0, 0.5, 1.0)
         assert data.theta == pytest.approx(2 / 3, abs=1e-14)
         assert data.target.x == pytest.approx(2 / 3, abs=1e-12)
         assert data.target.y == pytest.approx(1 / 6, abs=1e-12)
 
     def test_target_interpolates_endpoints(self):
         p, q = zl.stein_point(3, 0.55)
-        data = zl.make_interp(q, p, 4.0, 0.5, 0.31, 0.17)
+        data = zl.InterpolationData(q, p, 4.0, 0.5, 0.31, 0.17)
         th = data.theta
         assert data.target.x == pytest.approx(
             th * q.x + (1 - th) * p.x, abs=1e-14)
@@ -36,9 +36,9 @@ class TestMakeInterp:
     def test_validation(self):
         p, q = zl.stein_point(3, 0.6)
         with pytest.raises(ValueError):
-            zl.make_interp(q, p, 0.0, 1.0, 0.2, 0.2)
+            zl.InterpolationData(q, p, 0.0, 1.0, 0.2, 0.2)
         with pytest.raises(ValueError):
-            zl.make_interp(q, p, 1.0, 1.0, -0.1, 0.2)
+            zl.InterpolationData(q, p, 1.0, 1.0, -0.1, 0.2)
 
 
 class TestInterpFromFit:
@@ -69,7 +69,7 @@ class TestInterpFromFit:
 class TestOptimalSplit:
     def _data(self, m1=1.0, m2=1.0, b1=1.0, b2=1.0):
         p, q = zl.stein_point(3, 0.6)
-        return zl.make_interp(q, p, m1, m2, b1, b2)
+        return zl.InterpolationData(q, p, m1, m2, b1, b2)
 
     def test_balanced_is_tail_only(self):
         choice = optimal_split(self._data(), 1.0, 1.0)
@@ -127,7 +127,7 @@ class TestCertify:
         p_pt, q_pt = zl.stein_point(3, 0.6)
         m1 = zl.norm_lower(op, q_pt.r, q_pt.s).value
         m2 = zl.norm_lower(op, p_pt.r, p_pt.s).value
-        data = zl.make_interp(q_pt, p_pt, m1, m2, 1.0, 1.0)
+        data = zl.InterpolationData(q_pt, p_pt, m1, m2, 1.0, 1.0)
         caps = [zl.cap(grid144, th)[0] for th in (1 / 17, 1 / 8, 0.5)]
         report = zl.certify_restricted_weak([op], data, caps)
         assert report.c_obs <= 1.02
@@ -136,14 +136,14 @@ class TestCertify:
     def test_full_sphere_annihilated(self, ops16, grid144):
         # the reassembled projector kills constants for k >= 1
         p_pt, q_pt = zl.stein_point(3, 0.6)
-        data = zl.make_interp(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
+        data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         full, _ = zl.cap(grid144, math.pi)
         report = zl.certify_restricted_weak(ops16, data, [full])
         assert report.c_obs < 1e-6
 
     def test_absolute_kernel_dominates(self, ops16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
-        data = zl.make_interp(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
+        data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         caps = [zl.cap(grid144, th)[0] for th in (1 / 8, 0.5)]
         signed = zl.certify_restricted_weak(ops16, data, caps)
         abs_ops = [ZonalOperator(grid144, np.abs(op.matrix))
@@ -151,9 +151,18 @@ class TestCertify:
         rectified = zl.certify_restricted_weak(abs_ops, data, caps)
         assert rectified.c_obs >= signed.c_obs * (1 - 1e-12)
 
+    def test_empty_cap_rejected(self, ops16, grid144):
+        # no node lies this close to the pole: mu(E) = 0 has no constant
+        p_pt, q_pt = zl.stein_point(3, 0.6)
+        data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
+        empty, _ = zl.cap(grid144, 1e-4)
+        assert not empty.values.any()
+        with pytest.raises(ValueError):
+            zl.certify_restricted_weak(ops16, data, [empty])
+
     def test_report_structure(self, ops16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
-        data = zl.make_interp(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
+        data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
         caps = [zl.cap(grid144, 0.5)[0]]
         report = zl.certify_restricted_weak(ops16, data, caps)
         entry = report.cap_reports[0]

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 import zonalab as zl
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
-from zonalab.operators import (NormCertificate, _dual_power, _lp,
+from zonalab.norms import weighted_lp
+from zonalab.operators import (NormCertificate, _dual_power,
                                operator_from_kernel)
 
 VOL3 = 19.739208802178716
@@ -132,8 +133,8 @@ class TestNormLower:
     def test_witness_consistency(self, h8):
         low = zl.norm_lower(h8, 1.25, 5.0, restarts=4)
         w = h8.grid.weights
-        ratio = _lp(w, h8.apply(low.witness.values), 5.0) / _lp(
-            w, low.witness.values, 1.25)
+        ratio = (weighted_lp(w, h8.apply(low.witness.values), 5.0)
+                 / weighted_lp(w, low.witness.values, 1.25))
         assert ratio == pytest.approx(low.value, rel=1e-12)
 
     def test_more_restarts_never_worse(self, h8):
@@ -146,17 +147,17 @@ class TestNormLower:
         w = h8.grid.weights
         r, s = 1.25, 5.0
         f = rng.standard_normal(h8.grid.points)
-        f = f / _lp(w, f, r)
+        f = f / weighted_lp(w, f, r)
         prev = 0.0
         for _ in range(20):
             g = h8.apply(f)
-            ratio = _lp(w, g, s)
+            ratio = weighted_lp(w, g, s)
             assert ratio >= prev * (1 - 1e-12)
             prev = ratio
             h = _dual_power(g, s)
             u = h8.apply_adjoint(h / np.abs(h).max())
             f = _dual_power(u, r / (r - 1.0))
-            f = f / _lp(w, f, r)
+            f = f / weighted_lp(w, f, r)
 
     def test_rejects_bad_exponents(self, h8):
         with pytest.raises(ValueError):

@@ -130,13 +130,16 @@ class TestZonalValue:
             peak = zl.zonal_value(n, k, 1.0)
             assert np.abs(zl.zonal_value(n, k, t)).max() <= peak * (1 + 1e-12)
 
-    def test_table_matches_pointwise(self):
+    @pytest.mark.parametrize("k", [0, 1, 5, 12, 32, 128])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_table_matches_pointwise(self, n, k):
+        # bit-for-bit: callers needing one degree use zonal_value in place
+        # of a table row, and CSV output must not change with that choice
         t = np.linspace(-1.0, 1.0, 33)
-        tab = zl.zonal_table(3, 12, t)
-        assert tab.shape == (13, 33)
-        for k in (0, 5, 12):
-            np.testing.assert_allclose(tab[k], zl.zonal_value(3, k, t),
-                                       rtol=0, atol=1e-13 * (k + 1) ** 2)
+        assert t[0] == -1.0 and t[-1] == 1.0
+        tab = zl.zonal_table(n, k, t)
+        assert tab.shape == (k + 1, 33)
+        assert np.array_equal(tab[k], zl.zonal_value(n, k, t))
 
 
 def test_sphere_spec():
