@@ -174,14 +174,14 @@ def _run_dyadic_certify(cfg, sink):
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     json_rows = []
     for k in sorted(cfg.ks):
-        fit, pieces = piece_norm_slopes(sphere, k, cfg.sigma, grid,
-                                        restarts=cfg.restarts, seed=cfg.seed)
+        fit, pieces, built = piece_norm_slopes(
+            sphere, k, cfg.sigma, grid, restarts=cfg.restarts, seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
         caps = [c for c in (cap(grid, th)[0]
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
-        ops = [p.operator() for p in pieces]
+        ops = [built[p.j] if p.j in built else p.operator() for p in pieces]
         report = certify_restricted_weak(ops, data, caps, piece_fit=fit)
         sink.emit((k, fit.slope_growth, fit.slope_decay, data.theta,
                    data.m_growth, data.m_decay, report.c_obs))

@@ -128,6 +128,10 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
     Needs at least four pieces so that a middle range remains after the
     pre-asymptotic annuli near the pole and the clipped ones at the far
     pole are dropped; in practice this means k of order 16 or larger.
+
+    Returns (fit, pieces, operators): all pieces j = 0..J, and the operators
+    built for the fitted pieces keyed by j, so callers that need every piece
+    operator build only the missing ones.
     """
     pieces = dyadic_decompose(sphere, k, grid)
     if len(pieces) < 4:
@@ -135,8 +139,9 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
     fitted = fit_pieces(pieces)
     p_pt, q_pt = stein_point(sphere.n, sigma)
     js, nq, npp = [], [], []
+    operators = {}
     for piece in fitted:
-        op = piece.operator(nodes=nodes)
+        op = operators[piece.j] = piece.operator(nodes=nodes)
         lower_q = norm_lower(op, q_pt.r, q_pt.s, restarts=restarts, seed=seed)
         lower_p = norm_lower(op, p_pt.r, p_pt.s, restarts=restarts, seed=seed)
         js.append(piece.j)
@@ -149,7 +154,8 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
         raise NumericalError("vanishing piece norm; cannot fit slopes")
     sg, ig, rg = fit_line(js, np.log2(nq))
     sd, idc, rd = fit_line(js, np.log2(npp))
-    return PieceNormFit(js, nq, npp, sg, sd, ig, idc, rg, rd), pieces
+    fit = PieceNormFit(js, nq, npp, sg, sd, ig, idc, rg, rd)
+    return fit, pieces, operators
 
 
 # ---------------------------------------------------------------------------

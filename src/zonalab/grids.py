@@ -34,15 +34,14 @@ class ZonalGrid:
             raise ValueError("nodes and weights must be matching 1-D arrays")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
+        # shared by every caller, so read-only
+        self.cosines = np.cos(self.nodes)
+        self.cosines.flags.writeable = False
         self._basis_cache = {}
 
     @property
     def points(self):
         return self.nodes.shape[0]
-
-    @property
-    def cosines(self):
-        return np.cos(self.nodes)
 
     def basis(self, kmax):
         """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)), shape (kmax+1, points)."""

@@ -54,9 +54,11 @@ class ZonalOperator:
         return self.matrix @ (self.grid.weights * values)
 
     def apply_adjoint(self, values):
-        # matrix is symmetric, so the adjoint only conjugates
+        # matrix is symmetric, so the adjoint only conjugates; conjugating
+        # the input and the product gives the same bits as conj(matrix) @ x
+        # without copying the matrix
         if np.iscomplexobj(self.matrix):
-            return np.conj(self.matrix) @ (self.grid.weights * values)
+            return np.conj(self.matrix @ np.conj(self.grid.weights * values))
         return self.matrix @ (self.grid.weights * values)
 
     def __repr__(self):

@@ -97,8 +97,8 @@ def test_criterion_3_envelope_constants(sphere3):
 
 def test_criterion_4_piece_slopes(sphere3, grid144, fit32):
     """Measured dyadic piece-norm slopes land in the predicted windows."""
-    fit06, _ = fit32
-    fit05, _ = zl.piece_norm_slopes(sphere3, 32, 0.5, grid144)
+    fit06, _, _ = fit32
+    fit05, _, _ = zl.piece_norm_slopes(sphere3, 32, 0.5, grid144)
     checks = [
         ("growth@3/5", fit06.slope_growth, 0.2, 0.2),
         ("decay@3/5", fit06.slope_decay, -0.2, 0.2),
@@ -130,11 +130,11 @@ def test_criterion_5_split_and_certify(grid144, sphere3, fit16, fit32):
                     <= choice.rho + 1 + 1e-12 and choice.rho >= 0)
         bad += 0 if good else 1
     c_obs = {}
-    for k, (fit, pieces) in ((16, fit16), (32, fit32)):
+    for k, (fit, pieces, built) in ((16, fit16), (32, fit32)):
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         lam = zl.eigenvalue(3, k)
         caps = [zl.cap(grid144, th)[0] for th in (1 / lam, 1 / 8, 0.5)]
-        ops = [p.operator() for p in pieces]
+        ops = [built[p.j] if p.j in built else p.operator() for p in pieces]
         report = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
         c_obs[k] = report.c_obs
     ratio = c_obs[32] / c_obs[16]

@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import zonalab as zl
 from zonalab.cli import default_r, fit_slope, main
+from zonalab.dyadic import DyadicPiece
 
 
 def _run(tmp_path, name, *args):
@@ -174,6 +176,23 @@ class TestDyadicCertify:
             assert row["caps"]
             for entry in row["caps"]:
                 assert entry["mu_e"] > 0 and math.isfinite(entry["c_obs"])
+
+    def test_each_piece_operator_built_once(self, tmp_path, monkeypatch):
+        builds = Counter()
+        build = DyadicPiece.operator
+
+        def counted(piece, *args, **kwargs):
+            builds[piece.base, piece.j] += 1
+            return build(piece, *args, **kwargs)
+
+        monkeypatch.setattr(DyadicPiece, "operator", counted)
+        code, _, _ = _run(tmp_path, "once", "dyadic-certify", "--n", "3",
+                          "--k", "16,32", "--sigma", "3/5")
+        assert code == 0
+        expected = {(k, j) for k in (16, 32)
+                    for j in range(zl.piece_count(3, k) + 1)}
+        assert set(builds) == expected
+        assert set(builds.values()) == {1}
 
 
 class TestFailureModes:

@@ -83,9 +83,14 @@ class TestFitWindow:
 
 
 def test_piece_norm_slopes_smoke(sphere3, grid80):
-    fit, pieces = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80, restarts=4)
+    fit, pieces, ops = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
+                                            restarts=4)
     assert len(pieces) == 8
     np.testing.assert_array_equal(fit.js, [3, 4, 5])
+    # the operators built for the fit, keyed by j, as a fresh build gives them
+    assert sorted(ops) == [3, 4, 5]
+    for j, op in ops.items():
+        assert np.array_equal(op.matrix, pieces[j].operator().matrix)
     assert fit.slope_growth > 0
     assert fit.slope_decay < 0
     assert np.all(fit.norms_growth > 0) and np.all(fit.norms_decay > 0)

@@ -173,8 +173,8 @@ class TestCertify:
         assert report.hypothesis_violations == []
 
     def test_envelope_screening(self, sphere3, grid80):
-        fit, pieces = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
-                                           restarts=4)
+        fit, pieces, _ = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
+                                              restarts=4)
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         caps = [zl.cap(grid80, 0.5)[0]]

@@ -67,6 +67,8 @@ class TestOperatorConstruction:
         lhs = np.sum(w * op.apply(f) * np.conj(g))
         rhs = np.sum(w * f * np.conj(op.apply_adjoint(g)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+        # conjugating the product instead of the matrix changes no bit
+        assert np.array_equal(op.apply_adjoint(g), np.conj(op.matrix) @ (w * g))
 
 
 class TestApplyKernel:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer
 
 import zonalab as zl
+from zonalab._core import BLOCK
 from zonalab.specfun import SphereSpec, ZonalKernel
 
 VOL3 = 19.739208802178716  # 2 pi^2
@@ -140,6 +141,11 @@ class TestZonalValue:
         tab = zl.zonal_table(n, k, t)
         assert tab.shape == (k + 1, 33)
         assert np.array_equal(tab[k], zl.zonal_value(n, k, t))
+        # geg_eval runs in blocks: two full ones and a ragged final one
+        long = np.linspace(-1.0, 1.0, 2 * BLOCK + 5)
+        assert long[0] == -1.0 and long[-1] == 1.0
+        assert np.array_equal(zl.zonal_table(n, k, long)[k],
+                              zl.zonal_value(n, k, long))
 
 
 def test_sphere_spec():
