@@ -37,19 +37,26 @@ class ZonalGrid:
         # shared by every caller, so read-only
         self.cosines = np.cos(self.nodes)
         self.cosines.flags.writeable = False
-        self._basis_cache = {}
+        self._basis = None
 
     @property
     def points(self):
         return self.nodes.shape[0]
 
     def basis(self, kmax):
-        """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)), shape (kmax+1, points)."""
-        if kmax not in self._basis_cache:
-            tab = zonal_table(self.sphere.n, kmax, self.cosines)
-            z1 = zonal_table(self.sphere.n, kmax, np.ones(1))[:, 0]
-            self._basis_cache[kmax] = tab / np.sqrt(z1)[:, None]
-        return self._basis_cache[kmax]
+        """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)), shape (kmax+1, points).
+
+        Every call slices one table, computed through max(kmax, kexact) the
+        first time; the recurrence runs row by row, so a slice has the same
+        bits as a table computed through kmax.  The rows are read-only.
+        """
+        if self._basis is None or self._basis.shape[0] <= kmax:
+            top = max(kmax, self.kexact)
+            tab = zonal_table(self.sphere.n, top, self.cosines)
+            z1 = zonal_table(self.sphere.n, top, np.ones(1))[:, 0]
+            self._basis = tab / np.sqrt(z1)[:, None]
+            self._basis.flags.writeable = False
+        return self._basis[:kmax + 1]
 
     def integrate(self, values):
         return np.sum(self.weights * values)

@@ -6,10 +6,13 @@ A[i,j] = azimuthal average of K over the relative angle between nodes i and j:
     (T f)_i = sum_j w_j A[i,j] f_j.
 
 For a multiplier kernel the reduced matrix has the closed form
-A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows, so application is
-spectral.  For kernels given only by an angular profile (e.g. dyadic pieces)
-the average is integrated numerically, splitting at the profile's support
-edges so every sub-integrand is smooth.
+A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
+keeps only the rows with m_k != 0 and their multipliers and applies them
+spectrally, so the degree-k projector (rank one) costs O(points) per
+application; the dense matrix is built only when a caller reads it.  For
+kernels given only by an angular profile (e.g. dyadic pieces) the average is
+integrated numerically into a dense matrix, splitting at the profile's
+support edges so every sub-integrand is smooth.
 
 Norms:
   * norm_lower runs a nonlinear power ascent over zonal inputs; the reported
@@ -20,6 +23,7 @@ Norms:
     N_{2->2} log-convexly; valid up to quadrature in the anchors.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,12 +41,21 @@ _MAX_STEPS = 500
 
 
 class ZonalOperator:
-    """A zonal kernel bound to a grid through its reduced matrix."""
+    """A zonal kernel bound to a grid.
 
-    def __init__(self, grid, matrix, multipliers=None, kernel_values=None,
-                 kernel_sup=None, natural_degree=None, scale=None, label=""):
+    Either the dense reduced matrix is given (profile kernels), or the
+    spectral factors (rows, kept) with A = rows.T @ diag(kept) @ rows
+    (multiplier kernels); the latter apply through the factors and build
+    `matrix` from them on first read.
+    """
+
+    def __init__(self, grid, matrix=None, multipliers=None, kernel_values=None,
+                 kernel_sup=None, natural_degree=None, scale=None, label="",
+                 factors=None):
         self.grid = grid
-        self.matrix = matrix
+        if matrix is not None:
+            self.matrix = matrix
+        self.factors = factors
         self.multipliers = multipliers
         self.kernel_values = kernel_values
         self.kernel_sup = kernel_sup
@@ -50,37 +63,60 @@ class ZonalOperator:
         self.scale = scale
         self.label = label
 
+    @functools.cached_property
+    def matrix(self):
+        rows, kept = self.factors
+        return (rows.T * kept) @ rows
+
     def apply(self, values):
-        return self.matrix @ (self.grid.weights * values)
+        x = self.grid.weights * values
+        if self.factors is None:
+            return self.matrix @ x
+        rows, kept = self.factors
+        return _real_matmul(rows.T, kept * _real_matmul(rows, x))
 
     def apply_adjoint(self, values):
-        # matrix is symmetric, so the adjoint only conjugates; conjugating
-        # the input and the product gives the same bits as conj(matrix) @ x
-        # without copying the matrix
+        # A is symmetric, so the adjoint only conjugates
+        x = self.grid.weights * values
+        if self.factors is not None:
+            rows, kept = self.factors
+            return _real_matmul(rows.T, np.conj(kept) * _real_matmul(rows, x))
+        # conjugating the input and the product gives the same bits as
+        # conj(matrix) @ x without copying the matrix
         if np.iscomplexobj(self.matrix):
-            return np.conj(self.matrix @ np.conj(self.grid.weights * values))
-        return self.matrix @ (self.grid.weights * values)
+            return np.conj(self.matrix @ np.conj(x))
+        return self.matrix @ x
 
     def __repr__(self):
         return f"ZonalOperator({self.label!r}, points={self.grid.points})"
 
 
+def _real_matmul(m, v):
+    """m @ v for a real matrix m; a complex v runs as a real (len, 2) view,
+    so m is never copied to complex."""
+    if not np.iscomplexobj(v):
+        return m @ v
+    pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    return (m @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
+
+
 def operator_from_kernel(kernel, grid):
-    """Reduced matrix of a multiplier kernel, A = sum_k m_k e_k e_k^T."""
+    """Spectral factors of a multiplier kernel, A = sum_k m_k e_k e_k^T over
+    the degrees with m_k != 0."""
     kmax = kernel.max_degree
     if kmax > grid.kexact:
         raise ValueError(
             f"kernel degree {kmax} exceeds grid exactness {grid.kexact}")
-    basis = grid.basis(kmax)
     coeffs = kernel.coeffs
-    matrix = (basis.T * coeffs) @ basis
+    nz = np.flatnonzero(coeffs)
+    factors = (grid.basis(kmax)[nz], coeffs[nz])
     node_vals = kernel.values(grid.cosines)
     # kernel sup sampled densely; node values alone can miss oscillation peaks
     tdense = np.cos(np.linspace(0.0, np.pi, 8 * kmax + 64))
     sup = max(np.abs(kernel.values(tdense)).max(), np.abs(node_vals).max())
     peak = int(np.argmax(np.abs(coeffs)))
     lam = kernel.sphere.eigenvalue(peak)
-    return ZonalOperator(grid, matrix, multipliers=coeffs,
+    return ZonalOperator(grid, factors=factors, multipliers=coeffs,
                          kernel_values=node_vals, kernel_sup=sup,
                          natural_degree=peak, scale=lam,
                          label=kernel.description or f"multiplier kmax={kmax}")
@@ -317,7 +353,13 @@ def _barycentric(point):
 
 def _anchor_norms(op):
     w = op.grid.weights
-    n11 = float(np.max(np.sum(w[:, None] * np.abs(op.matrix), axis=0)))
+    if op.factors is not None and op.factors[1].size == 1:
+        # rank one: |A_ij| = |m| |e_i| |e_j| separates
+        (row,), (m,) = op.factors
+        e = np.abs(row)
+        n11 = float(abs(m) * np.sum(w * e) * e.max())
+    else:
+        n11 = float(np.max(np.sum(w[:, None] * np.abs(op.matrix), axis=0)))
     if op.multipliers is not None:
         n22 = float(np.abs(op.multipliers).max())
     else:

@@ -57,6 +57,17 @@ class TestQuadratureExactness:
         gram = (B * grid80.weights) @ B.T
         np.testing.assert_allclose(gram, np.eye(17), atol=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_basis_slices_one_table(self, n):
+        grid = zl.make_grid(zl.SphereSpec(n), 130, kexact=64)
+        for k in (0, 1, 5, 17, 64, 80):
+            tab = zl.zonal_table(n, k, grid.cosines)
+            z1 = zl.zonal_table(n, k, np.ones(1))[:, 0]
+            B = grid.basis(k)
+            assert np.array_equal(B, tab / np.sqrt(z1)[:, None])
+            assert not B.flags.writeable
+        assert np.shares_memory(grid.basis(3), grid.basis(64))
+
     def test_refinement_stable(self, sphere3, grid80, grid144):
         # doubling the rule does not move an exactly integrable product
         v1 = grid80.integrate(zl.zonal_value(3, 8, grid80.cosines) ** 2)

@@ -6,8 +6,8 @@ import zonalab as zl
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
 from zonalab.norms import weighted_lp
-from zonalab.operators import (NormCertificate, _dual_power,
-                               operator_from_kernel)
+from zonalab.operators import (NormCertificate, ZonalOperator, _anchor_norms,
+                               _dual_power, operator_from_kernel)
 
 VOL3 = 19.739208802178716
 
@@ -67,8 +67,83 @@ class TestOperatorConstruction:
         lhs = np.sum(w * op.apply(f) * np.conj(g))
         rhs = np.sum(w * f * np.conj(op.apply_adjoint(g)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
-        # conjugating the product instead of the matrix changes no bit
-        assert np.array_equal(op.apply_adjoint(g), np.conj(op.matrix) @ (w * g))
+        # on a dense operator, conjugating the product instead of the matrix
+        # changes no bit
+        dense = ZonalOperator(grid144, op.matrix)
+        assert np.array_equal(dense.apply_adjoint(g),
+                              np.conj(op.matrix) @ (w * g))
+
+
+def _kernel(n, kind):
+    sphere = zl.SphereSpec(n)
+    if kind == "projector":
+        return zl.projector_kernel(sphere, 7)
+    return zl.resolvent_kernel(sphere, zl.ResolventParams(3, 1),
+                               kmax=24).kernel
+
+
+class TestFactoredRoute:
+    """Multiplier operators apply through their spectral factors; the dense
+    matrix built from the same factors is the reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["projector", "resolvent"])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_matches_dense(self, n, kind, complex_input):
+        grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
+        op = operator_from_kernel(_kernel(n, kind), grid)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(grid.points)
+        if complex_input:
+            x = x + 1j * rng.standard_normal(grid.points)
+        wx = grid.weights * x
+        for got, want in ((op.apply(x), op.matrix @ wx),
+                          (op.apply_adjoint(x), np.conj(op.matrix) @ wx)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1, 9, 24])
+    def test_rank_one_n11_matches_dense(self, n, k):
+        grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
+        op = operator_from_kernel(zl.projector_kernel(zl.SphereSpec(n), k),
+                                  grid)
+        dense = float(np.max(np.sum(grid.weights[:, None]
+                                    * np.abs(op.matrix), axis=0)))
+        assert _anchor_norms(op)["n11"] == pytest.approx(dense, rel=1e-13)
+
+    def test_projector_never_builds_matrix(self, grid144, sphere3):
+        op = operator_from_kernel(zl.projector_kernel(sphere3, 8), grid144)
+        zl.norm_certificate(op, ExponentPoint(0.8, 0.2))
+        assert "matrix" not in vars(op)
+
+    def test_resolvent_builds_matrix_once(self, grid144, sphere3,
+                                          monkeypatch):
+        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
+                                   kmax=32).kernel
+        op = operator_from_kernel(kern, grid144)
+        build = ZonalOperator.matrix.func
+        builds = []
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(ZonalOperator.matrix, "func", counted)
+        zl.norm_certificate(op, ExponentPoint(0.8, 0.2))
+        zl.norm_certificate(op, ExponentPoint(1.0, 0.2))
+        assert len(builds) == 1
+
+    @given(k=st.integers(0, 16), r=st.floats(1.05, 20.0),
+           s=st.floats(1.0, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_closed_form(self, grid80, sphere3, k, r, s):
+        # H_k f = <f, e_k> e_k, so ||H_k||_{r->s} = ||e_k||_{r'} ||e_k||_s
+        op = operator_from_kernel(zl.projector_kernel(sphere3, k), grid80)
+        w = grid80.weights
+        e = grid80.basis(k)[k]
+        exact = weighted_lp(w, e, r / (r - 1.0)) * weighted_lp(w, e, s)
+        assert zl.norm_lower(op, r, s).value == pytest.approx(exact,
+                                                              rel=1e-12)
 
 
 class TestApplyKernel:
