@@ -9,8 +9,11 @@ dyadic block cannot sum to 1 over dilates; the indicator is the profile that
 satisfies the support and partition requirements simultaneously.)  The flat
 piece j = 0 keeps everything at theta <= 1/lambda_k.
 
-Piece operators integrate the azimuthal average only over the annulus, so the
-indicator never enters a quadrature panel interior.
+Piece operators integrate the azimuthal average only over the annulus.  All
+pieces of one degree share one azimuthal spectrum of Z_k, sampled k + n - 1
+times per node pair on first use; each piece integrates it exactly between
+the azimuths of its annulus edges, so the piece matrices sum to the spectral
+e_k e_k^T up to rounding.
 """
 
 import math
@@ -20,8 +23,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .exponents import stein_point
-from .operators import norm_lower, operator_from_profile
-from .specfun import eigenvalue, zonal_value
+from .operators import AzimuthalSpectrum, norm_lower, operator_from_profile
+from .specfun import eigenvalue, projector_kernel, zonal_value
 
 
 def dyadic_bump(t):
@@ -47,16 +50,17 @@ class DyadicPiece:
     values: np.ndarray        # node values on the grid it was built for
     grid: object
     clipped: bool             # annulus truncated by theta = pi
+    spectrum: AzimuthalSpectrum   # of Z_k on the grid, shared by all pieces
 
     def profile(self, gamma, cos_gamma):
         lo, hi = self.support
         zk = zonal_value(self.grid.sphere.n, self.base, cos_gamma)
         return zk * ((gamma > lo) & (gamma <= hi))
 
-    def operator(self, nodes=64):
+    def operator(self):
         lam = eigenvalue(self.grid.sphere.n, self.base)
         return operator_from_profile(
-            self.grid, self.profile, support=self.support, nodes=nodes,
+            self.spectrum, self.profile, support=self.support,
             natural_degree=self.base, scale=lam,
             label=f"piece k={self.base} j={self.j}")
 
@@ -69,6 +73,7 @@ def dyadic_decompose(sphere, k, grid):
     lam = eigenvalue(sphere.n, k)
     J = piece_count(sphere.n, k)
     zvals = zonal_value(sphere.n, k, grid.cosines)
+    spectrum = AzimuthalSpectrum(grid, projector_kernel(sphere, k))
     pieces = []
     for j in range(J + 1):
         if j == 0:
@@ -78,7 +83,7 @@ def dyadic_decompose(sphere, k, grid):
         mask = (grid.nodes > lo) & (grid.nodes <= hi)
         pieces.append(DyadicPiece(
             base=k, j=j, support=(lo, hi), values=zvals * mask,
-            grid=grid, clipped=hi > np.pi))
+            grid=grid, clipped=hi > np.pi, spectrum=spectrum))
     return pieces
 
 
@@ -122,7 +127,7 @@ def fit_line(x, y):
     return float(coeff[0]), float(coeff[1]), rms
 
 
-def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
+def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
     """Measure ||T_j|| at the two segment anchors and fit log2-slopes in j.
 
     Needs at least four pieces so that a middle range remains after the
@@ -141,7 +146,7 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1, nodes=64):
     js, nq, npp = [], [], []
     operators = {}
     for piece in fitted:
-        op = operators[piece.j] = piece.operator(nodes=nodes)
+        op = operators[piece.j] = piece.operator()
         lower_q = norm_lower(op, q_pt.r, q_pt.s, restarts=restarts, seed=seed)
         lower_p = norm_lower(op, p_pt.r, p_pt.s, restarts=restarts, seed=seed)
         js.append(piece.j)

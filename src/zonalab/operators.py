@@ -9,10 +9,12 @@ For a multiplier kernel the reduced matrix has the closed form
 A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
 keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
-application; the dense matrix is built only when a caller reads it.  For
-kernels given only by an angular profile (e.g. dyadic pieces) the average is
-integrated numerically into a dense matrix, splitting at the profile's
-support edges so every sub-integrand is smooth.
+application; the dense matrix is built only when a caller reads it.  For a
+band-limited kernel restricted to a window of relative angles (e.g. a dyadic
+piece) the average is integrated into a dense matrix in closed form: the
+azimuthal integrand of each node pair is a trigonometric polynomial, sampled
+once per kernel (AzimuthalSpectrum) and integrated exactly between the
+azimuths of the window's edges.
 
 Norms:
   * norm_lower runs a nonlinear power ascent over zonal inputs; the reported
@@ -38,6 +40,9 @@ from .specfun import zonal_table, zonal_value
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
+# node pairs per block of azimuthal samples or edge evaluations, so that
+# the temporaries grow with the degree but not with the grid
+_PAIR_BLOCK = 4096
 
 
 class ZonalOperator:
@@ -122,50 +127,112 @@ def operator_from_kernel(kernel, grid):
                          label=kernel.description or f"multiplier kmax={kmax}")
 
 
-def azimuthal_matrix(grid, profile, support=(0.0, np.pi), nodes=64):
-    """Reduced matrix of an angular-profile kernel by azimuthal quadrature.
+class AzimuthalSpectrum:
+    """Azimuthal Fourier coefficients of one real band-limited kernel for
+    every node pair i <= j of a grid, computed on first use.
 
-    profile(gamma, cos_gamma) -> values; support is the (lo, hi] angle window
-    outside which the profile vanishes.  The relative angle between points at
-    polar angles (ti, tj) sweeps [|ti-tj|, ti+tj] as the azimuth turns, with
-    density (1-c^2)^{(n-3)/2} dc in c = cos(azimuth); the c-interval is clipped
-    to the support so the integrand stays smooth on the panel.
+    For nodes at polar angles (ti, tj) the relative angle gamma obeys
+    cos gamma = cos ti cos tj + sin ti sin tj cos phi as the azimuth phi runs
+    over [0, pi] with density sin^{n-2} phi.  For a kernel of degree kmax,
+    F(phi) = K(cos gamma) sin^{n-2} phi is a trigonometric polynomial of
+    degree D = kmax + n - 2: cosines only for even n, sines only for odd n.
+    Its samples at the N = D + 1 midpoints phi_l = pi (l + 1/2) / N give its
+    coefficients exactly through a DCT-II (even n) or DST-II (odd n), so every
+    window of azimuths integrates in closed form.  One spectrum serves every
+    window of its kernel; `coeffs` holds, per pair, the coefficients of the
+    normalised antiderivative
+
+        G(phi) = c_0 phi + sum_{m=1}^{N-1} c_m trig(m phi),
+
+    with trig = sin for even n and cos for odd n (where c_0 = 0).
     """
-    n = grid.sphere.n
+
+    def __init__(self, grid, kernel):
+        self.grid = grid
+        self.kernel = kernel
+        self.odd = grid.sphere.n % 2 == 1
+        self.pairs = np.triu_indices(grid.points)
+
+    @functools.cached_property
+    def coeffs(self):
+        n = self.grid.sphere.n
+        size = self.kernel.max_degree + n - 1
+        phi = np.pi * (np.arange(size) + 0.5) / size
+        m = np.arange(size)
+        # samples -> c: the DCT-II / DST-II rows times the density
+        # sin^{n-2} phi_l, divided by m (antiderivative) and by the total
+        # density (average)
+        if self.odd:
+            trans = -np.sin(np.outer(phi, m))
+        else:
+            trans = np.cos(np.outer(phi, m))
+            trans[:, 0] = 0.5
+        total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
+        trans *= (np.sin(phi) ** (n - 2))[:, None] * (
+            2.0 / (size * total * np.maximum(m, 1)))
+        ct, st = np.cos(self.grid.nodes), np.sin(self.grid.nodes)
+        i, j = self.pairs
+        coeffs = np.empty((i.size, size))
+        for start in range(0, i.size, _PAIR_BLOCK):
+            b = slice(start, start + _PAIR_BLOCK)
+            cosg = (ct[i[b]] * ct[j[b]])[:, None] + (
+                st[i[b]] * st[j[b]])[:, None] * np.cos(phi)
+            coeffs[b] = self.kernel.values(cosg.ravel()).reshape(
+                cosg.shape) @ trans
+        return coeffs
+
+    def antiderivative(self, rows, phi):
+        """G(phi) for the pairs `rows`; phi has shape (edges, len(rows))."""
+        trig = np.cos if self.odd else np.sin
+        m = np.arange(1, self.coeffs.shape[1])
+        out = np.empty_like(phi)
+        for start in range(0, rows.size, _PAIR_BLOCK):
+            b = slice(start, start + _PAIR_BLOCK)
+            c = self.coeffs[rows[b]]
+            out[:, b] = c[:, 0] * phi[:, b] + np.einsum(
+                "epm,pm->ep", trig(phi[:, b, None] * m), c[:, 1:])
+        return out
+
+
+def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
+    """Reduced matrix of the spectrum's kernel restricted to the window
+    support = (lo, hi] of relative angles.
+
+    The relative angle between nodes (ti, tj) sweeps [d, s] with
+    d = |ti - tj| and s = min(ti + tj, 2 pi - ti - tj) as the azimuth turns;
+    the window's edges inside that range map to azimuths through the
+    half-angle form tan^2(phi/2) = (cos d - cos gamma) / (cos gamma - cos s),
+    factored into sines so that no edge loses digits near d or s.  The
+    matrix is filled from the pairs i <= j, so it is exactly symmetric.
+    """
+    grid = spectrum.grid
+    i, j = spectrum.pairs
     th = grid.nodes
-    C = np.cos(th)[:, None] * np.cos(th)[None, :]
-    S = np.sin(th)[:, None] * np.sin(th)[None, :]
-    g_min = np.abs(th[:, None] - th[None, :])
-    g_max = np.minimum(th[:, None] + th[None, :], np.pi)
-    lo = np.maximum(g_min, support[0])
-    hi = np.minimum(g_max, support[1])
+    d = np.abs(th[i] - th[j])
+    s = np.minimum(th[i] + th[j], 2.0 * np.pi - (th[i] + th[j]))
+    lo = np.maximum(d, support[0])
+    hi = np.minimum(s, support[1])
     mask = lo < hi
     A = np.zeros((grid.points, grid.points))
     if not mask.any():
         return A
-    # c decreases as gamma grows
-    c_hi = np.clip((np.cos(lo[mask]) - C[mask]) / S[mask], -1.0, 1.0)
-    c_lo = np.clip((np.cos(hi[mask]) - C[mask]) / S[mask], -1.0, 1.0)
-    mid = 0.5 * (c_hi + c_lo)
-    half = 0.5 * (c_hi - c_lo)
-    x, u = np.polynomial.legendre.leggauss(nodes)
-    cs = mid[:, None] + half[:, None] * x[None, :]
-    cosg = np.clip(C[mask][:, None] + S[mask][:, None] * cs, -1.0, 1.0)
-    gamma = np.arccos(cosg)
-    vals = profile(gamma.ravel(), cosg.ravel()).reshape(cosg.shape)
-    if n > 3:
-        vals = vals * (1.0 - cs ** 2) ** ((n - 3) / 2)
-    elif n == 2:
-        # integrable inverse-sqrt density; clip keeps panel endpoints finite
-        vals = vals * np.maximum(1.0 - cs ** 2, 1e-14) ** (-0.5)
-    total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
-    A[mask] = (vals @ u) * half / total
-    return 0.5 * (A + A.T)
+    d, s = d[mask], s[mask]
+    gamma = np.stack([lo[mask], hi[mask]])
+    phi = 2.0 * np.arctan2(
+        np.sqrt(np.sin(0.5 * (gamma - d)) * np.sin(0.5 * (gamma + d))),
+        np.sqrt(np.sin(0.5 * (s - gamma)) * np.sin(0.5 * (s + gamma))))
+    G = spectrum.antiderivative(np.flatnonzero(mask), phi)
+    A[i[mask], j[mask]] = A[j[mask], i[mask]] = G[1] - G[0]
+    return A
 
 
-def operator_from_profile(grid, profile, support=(0.0, np.pi), nodes=64,
+def operator_from_profile(spectrum, profile, support=(0.0, np.pi),
                           natural_degree=None, scale=None, label=""):
-    matrix = azimuthal_matrix(grid, profile, support, nodes)
+    """Operator of the spectrum's kernel restricted to the window
+    support = (lo, hi]; profile(gamma, cos_gamma) gives the restricted
+    kernel's values, read at the nodes and for the sampled kernel sup."""
+    grid = spectrum.grid
+    matrix = azimuthal_matrix(spectrum, support)
     node_vals = np.where(
         (grid.nodes > support[0]) & (grid.nodes <= support[1]),
         profile(grid.nodes, grid.cosines), 0.0)

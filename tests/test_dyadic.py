@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.special import eval_gegenbauer
 
 import zonalab as zl
 from zonalab.dyadic import fit_pieces
@@ -60,11 +63,85 @@ class TestDecompose:
         spectral = zl.operator_from_kernel(
             zl.projector_kernel(sphere3, 16), grid144).matrix
         scale = np.abs(spectral).max()
-        np.testing.assert_allclose(summed, spectral, atol=1e-8 * scale)
+        np.testing.assert_allclose(summed, spectral, atol=1e-12 * scale)
 
     def test_degree_budget(self, sphere3, grid80):
         with pytest.raises(ValueError):
             zl.dyadic_decompose(sphere3, 40, grid80)
+
+
+@pytest.fixture(scope="module")
+def built():
+    """(grid, pieces, piece matrices) of Z_k on S^n, on a grid exact
+    through degree k, built once per (n, k)."""
+    cache = {}
+
+    def get(n, k):
+        if (n, k) not in cache:
+            sphere = zl.SphereSpec(n)
+            grid = zl.make_grid(sphere, 2 * k + 1)
+            pieces = zl.dyadic_decompose(sphere, k, grid)
+            cache[n, k] = grid, pieces, [p.operator().matrix for p in pieces]
+        return cache[n, k]
+
+    return get
+
+
+def _quad_entry(n, k, ti, tj, window, tol):
+    """Entry (i, j) of the window's reduced matrix by adaptive quadrature in
+    the azimuth phi to absolute error tol, with the window edges mapped to
+    phi in 40 digits."""
+    lo, hi = window
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    C = mp.cos(ti) * mp.cos(tj)
+    S = mp.sin(ti) * mp.sin(tj)
+
+    def edge(gamma):
+        c = (mp.cos(gamma) - C) / S
+        return float(mp.acos(max(min(c, 1), -1)))
+
+    alpha = (n - 1) / 2
+    z = (2 * k + n - 1) / ((n - 1) * zl.sphere_volume(n))
+    Cf, Sf = float(C), float(S)
+
+    def integrand(phi):
+        return (z * eval_gegenbauer(k, alpha, Cf + Sf * math.cos(phi))
+                * math.sin(phi) ** (n - 2))
+
+    a, b = edge(min(lo, math.pi)), edge(min(hi, math.pi))
+    if not a < b:
+        return 0.0
+    total = quad(lambda phi: math.sin(phi) ** (n - 2), 0.0, math.pi,
+                 epsabs=1e-15)[0]
+    return quad(integrand, a, b, epsabs=tol, epsrel=0.0, limit=400)[0] / total
+
+
+@pytest.mark.parametrize("k", [8, 32, 64])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+class TestPieceExactness:
+    def test_pieces_sum_to_projector(self, built, n, k):
+        grid, _, matrices = built(n, k)
+        e = grid.basis(k)[k]
+        spectral = np.outer(e, e)
+        scale = np.abs(spectral).max()
+        np.testing.assert_allclose(np.sum(matrices, axis=0), spectral,
+                                   rtol=0, atol=1e-12 * scale)
+
+    def test_pieces_match_quadrature(self, built, n, k):
+        grid, pieces, matrices = built(n, k)
+        e = grid.basis(k)[k]
+        scale = np.abs(e).max() ** 2
+        th = grid.nodes
+        P = grid.points
+        rng = np.random.default_rng(100 * n + k)
+        # a random pair, a near-antipodal pair and a diagonal pair per piece
+        for piece, A in zip(pieces, matrices):
+            i = int(rng.integers(P))
+            for a, b in ((i, int(rng.integers(P))), (i, P - 1 - i), (i, i)):
+                ref = _quad_entry(n, k, th[a], th[b], piece.support,
+                                  1e-13 * scale)
+                assert abs(A[a, b] - ref) <= 1e-12 * scale, (piece.j, a, b)
 
 
 class TestFitWindow:
@@ -96,6 +173,32 @@ def test_piece_norm_slopes_smoke(sphere3, grid80):
     assert np.all(fit.norms_growth > 0) and np.all(fit.norms_decay > 0)
     # fitted lines should track the measured norms closely
     assert fit.residual_growth < 0.5 and fit.residual_decay < 0.5
+
+
+def test_one_spectrum_per_degree(monkeypatch):
+    # every piece of one degree reads one azimuthal spectrum: the kernel is
+    # sampled k + n - 1 times per node pair i <= j, however many pieces and
+    # builds there are, and each piece matrix is exactly symmetric
+    sampled = []
+    values = zl.ZonalKernel.values
+
+    def counting(kernel, t):
+        sampled.append(np.size(t))
+        return values(kernel, t)
+
+    monkeypatch.setattr(zl.ZonalKernel, "values", counting)
+    k = 16
+    for n in (2, 3, 4, 5):
+        sphere = zl.SphereSpec(n)
+        grid = zl.make_grid(sphere, 40, kexact=k)
+        P = grid.points
+        sampled.clear()
+        pieces = zl.dyadic_decompose(sphere, k, grid)
+        for _ in range(2):
+            for piece in pieces:
+                A = piece.operator().matrix
+                assert np.array_equal(A, A.T)
+        assert sum(sampled) == P * (P + 1) // 2 * (k + n - 1)
 
 
 def test_piece_norm_slopes_rejects_low_degree(sphere3, grid80):

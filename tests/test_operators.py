@@ -40,19 +40,25 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             operator_from_kernel(zl.projector_kernel(sphere3, 40), grid80)
 
-    def test_profile_route_matches_spectral(self, grid80, sphere3):
+    def test_profile_route_matches_spectral(self):
         # the azimuthal average of Z_8 over the full support must reproduce
-        # the spectral reduced matrix
-        spectral = operator_from_kernel(zl.projector_kernel(sphere3, 8),
-                                        grid80)
+        # the spectral reduced matrix on every sphere
+        for n in (2, 3, 4, 5):
+            sphere = zl.SphereSpec(n)
+            grid = zl.make_grid(sphere, 80, kexact=16)
+            kern = zl.projector_kernel(sphere, 8)
+            spectral = operator_from_kernel(kern, grid)
 
-        def profile(gamma, cosg):
-            return zl.zonal_value(3, 8, cosg)
+            def profile(gamma, cosg):
+                return kern.values(cosg)
 
-        averaged = zl.operator_from_profile(grid80, profile)
-        scale = np.abs(spectral.matrix).max()
-        np.testing.assert_allclose(averaged.matrix, spectral.matrix,
-                                   atol=1e-9 * scale)
+            averaged = zl.operator_from_profile(
+                zl.AzimuthalSpectrum(grid, kern), profile)
+            scale = np.abs(spectral.matrix).max()
+            np.testing.assert_allclose(averaged.matrix, spectral.matrix,
+                                       atol=1e-12 * scale)
+            np.testing.assert_array_equal(averaged.kernel_values,
+                                          spectral.kernel_values)
 
     def test_adjoint_identity_complex(self, grid144, sphere3):
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
