@@ -35,9 +35,10 @@ def dyadic_bump(t):
 
 
 def piece_count(n, k):
-    """Top dyadic index J = ceil(log2(pi lambda_k)) + 1; pieces run 0..J."""
+    """Top dyadic index J = ceil(log2(pi lambda_k)); pieces run 0..J, the
+    last one the first whose annulus reaches theta = pi."""
     lam = eigenvalue(n, k)
-    return math.ceil(math.log2(math.pi * lam)) + 1
+    return math.ceil(math.log2(math.pi * lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +54,7 @@ class DyadicPiece:
     spectrum: AzimuthalSpectrum   # of Z_k on the grid, shared by all pieces
 
     def profile(self, gamma, cos_gamma):
+        """The piece's kernel at relative angles gamma."""
         lo, hi = self.support
         zk = zonal_value(self.grid.sphere.n, self.base, cos_gamma)
         return zk * ((gamma > lo) & (gamma <= hi))
@@ -60,7 +62,7 @@ class DyadicPiece:
     def operator(self):
         lam = eigenvalue(self.grid.sphere.n, self.base)
         return operator_from_profile(
-            self.spectrum, self.profile, support=self.support,
+            self.spectrum, support=self.support,
             natural_degree=self.base, scale=lam,
             label=f"piece k={self.base} j={self.j}")
 
@@ -93,12 +95,11 @@ def fit_pieces(pieces):
     The fit is restricted to the middle dyadic range.  An annulus enters the
     fit only when it is wide enough to contain a full half oscillation of the
     kernel, lam * width = 2^(j-1) >= pi; narrower annuli near the pole sit in
-    a pre-asymptotic regime and would bias the slope.  Clipped annuli at the
-    far pole are dropped along with the final usable piece.
+    a pre-asymptotic regime and would bias the slope.  The top annulus,
+    clipped at the far pole, is dropped.
     """
     min_j = math.ceil(math.log2(math.pi)) + 1
-    usable = [p for p in pieces
-              if p.j >= min_j and p.support[0] < np.pi and not p.clipped]
+    usable = [p for p in pieces if p.j >= min_j and not p.clipped]
     if len(usable) < 2:
         raise NumericalError("not enough dyadic pieces to fit a slope")
     return usable

@@ -22,7 +22,10 @@ Norms:
     operator.  s = inf (and r = 1) are handled by exact max-row / max-column
     dual formulas.
   * norm_upper interpolates the three anchor bounds N_{1->inf}, N_{1->1},
-    N_{2->2} log-convexly; valid up to quadrature in the anchors.
+    N_{2->2} log-convexly (Riesz-Thorin), with exact anchors for the
+    discrete operator: max |A_ij|, the max weighted column sum, and the
+    spectral norm of W^{1/2} A W^{1/2} (max |m_k| for a multiplier kernel,
+    whose rows are orthonormal in L^2(w)).
 """
 
 import functools
@@ -36,7 +39,7 @@ from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp
-from .specfun import zonal_table, zonal_value
+from .specfun import zonal_value
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
@@ -49,21 +52,19 @@ class ZonalOperator:
     """A zonal kernel bound to a grid.
 
     Either the dense reduced matrix is given (profile kernels), or the
-    spectral factors (rows, kept) with A = rows.T @ diag(kept) @ rows
-    (multiplier kernels); the latter apply through the factors and build
-    `matrix` from them on first read.
+    spectral factors (rows, kept) with A = rows.T @ diag(kept) @ rows, the
+    rows orthonormal in L^2(w) and kept the nonzero multipliers (multiplier
+    kernels); the latter apply through the factors and build `matrix` from
+    them on first read.  Every norm bound reads only the matrix or the
+    factors, so it is a bound for this discrete operator.
     """
 
-    def __init__(self, grid, matrix=None, multipliers=None, kernel_values=None,
-                 kernel_sup=None, natural_degree=None, scale=None, label="",
-                 factors=None):
+    def __init__(self, grid, matrix=None, natural_degree=None, scale=None,
+                 label="", factors=None):
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
         self.factors = factors
-        self.multipliers = multipliers
-        self.kernel_values = kernel_values
-        self.kernel_sup = kernel_sup
         self.natural_degree = natural_degree
         self.scale = scale
         self.label = label
@@ -115,15 +116,9 @@ def operator_from_kernel(kernel, grid):
     coeffs = kernel.coeffs
     nz = np.flatnonzero(coeffs)
     factors = (grid.basis(kmax)[nz], coeffs[nz])
-    node_vals = kernel.values(grid.cosines)
-    # kernel sup sampled densely; node values alone can miss oscillation peaks
-    tdense = np.cos(np.linspace(0.0, np.pi, 8 * kmax + 64))
-    sup = max(np.abs(kernel.values(tdense)).max(), np.abs(node_vals).max())
     peak = int(np.argmax(np.abs(coeffs)))
     lam = kernel.sphere.eigenvalue(peak)
-    return ZonalOperator(grid, factors=factors, multipliers=coeffs,
-                         kernel_values=node_vals, kernel_sup=sup,
-                         natural_degree=peak, scale=lam,
+    return ZonalOperator(grid, factors=factors, natural_degree=peak, scale=lam,
                          label=kernel.description or f"multiplier kmax={kmax}")
 
 
@@ -226,21 +221,11 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     return A
 
 
-def operator_from_profile(spectrum, profile, support=(0.0, np.pi),
-                          natural_degree=None, scale=None, label=""):
-    """Operator of the spectrum's kernel restricted to the window
-    support = (lo, hi]; profile(gamma, cos_gamma) gives the restricted
-    kernel's values, read at the nodes and for the sampled kernel sup."""
-    grid = spectrum.grid
-    matrix = azimuthal_matrix(spectrum, support)
-    node_vals = np.where(
-        (grid.nodes > support[0]) & (grid.nodes <= support[1]),
-        profile(grid.nodes, grid.cosines), 0.0)
-    dense = np.linspace(support[0], min(support[1], np.pi), 4096)
-    dense = dense[(dense > support[0])]
-    sup = np.abs(profile(dense, np.cos(dense))).max() if dense.size else 0.0
-    return ZonalOperator(grid, matrix, kernel_values=node_vals,
-                         kernel_sup=max(sup, np.abs(node_vals).max()),
+def operator_from_profile(spectrum, support=(0.0, np.pi), natural_degree=None,
+                          scale=None, label=""):
+    """Dense operator of the spectrum's kernel restricted to the window
+    support = (lo, hi] of relative angles."""
+    return ZonalOperator(spectrum.grid, azimuthal_matrix(spectrum, support),
                          natural_degree=natural_degree, scale=scale,
                          label=label)
 
@@ -419,25 +404,25 @@ def _barycentric(point):
 
 
 def _anchor_norms(op):
+    """N_{1->inf} = max |A_ij|, N_{1->1} = max_j sum_i w_i |A_ij| and
+    N_{2->2} = ||W^{1/2} A W^{1/2}||_2 of the discrete operator."""
     w = op.grid.weights
     if op.factors is not None and op.factors[1].size == 1:
         # rank one: |A_ij| = |m| |e_i| |e_j| separates
         (row,), (m,) = op.factors
         e = np.abs(row)
+        n1inf = float(abs(m) * e.max() ** 2)
         n11 = float(abs(m) * np.sum(w * e) * e.max())
     else:
-        n11 = float(np.max(np.sum(w[:, None] * np.abs(op.matrix), axis=0)))
-    if op.multipliers is not None:
-        n22 = float(np.abs(op.multipliers).max())
+        a = np.abs(op.matrix)
+        n1inf = float(a.max())
+        n11 = float(np.max(np.sum(w[:, None] * a, axis=0)))
+    if op.factors is not None:
+        # W^{1/2} rows.T has orthonormal columns
+        n22 = float(np.abs(op.factors[1]).max(initial=0.0))
     else:
-        # Funk-Hecke multipliers from the node profile, up to quadrature
-        kmax = op.grid.kexact
-        n = op.grid.sphere.n
-        tab = zonal_table(n, kmax, op.grid.cosines)
-        z1 = zonal_table(n, kmax, np.ones(1))[:, 0]
-        mults = (tab / z1[:, None]) @ (w * op.kernel_values)
-        n22 = min(float(np.abs(mults).max()), n11)
-    n1inf = float(op.kernel_sup)
+        sw = np.sqrt(w)
+        n22 = float(np.linalg.norm(sw[:, None] * op.matrix * sw, 2))
     return {"n1inf": n1inf, "n11": n11, "n22": n22}
 
 
@@ -495,6 +480,9 @@ class NormCertificate:
             "witness_grid": self.grid_ref,
             "seed": self.seed,
             "iterations": self.iterations,
+            "gap": self.upper / self.lower if self.lower > 0 else None,
+            "anchors": (self.upper_detail.anchors
+                        if self.upper_detail is not None else None),
         }
 
 

@@ -26,10 +26,22 @@ class TestBump:
 
 
 def test_piece_count():
-    # lam = 17: ceil(log2(17 pi)) + 1
-    assert zl.piece_count(3, 16) == 7
-    assert zl.piece_count(3, 32) == 8
-    assert zl.piece_count(3, 8) == 6
+    # lam = 17: ceil(log2(17 pi))
+    assert zl.piece_count(3, 16) == 6
+    assert zl.piece_count(3, 32) == 7
+    assert zl.piece_count(3, 8) == 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_piece_meets_the_sphere(n):
+    # each annulus starts below theta = pi, and only the top one reaches it
+    sphere = zl.SphereSpec(n)
+    for k in (0, 1, 8, 16, 33, 128):
+        grid = zl.make_grid(sphere, 2 * k + 1)
+        pieces = zl.dyadic_decompose(sphere, k, grid)
+        assert all(p.support[0] < np.pi for p in pieces), k
+        assert pieces[-1].clipped, k
+        assert not any(p.clipped for p in pieces[:-1]), k
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +51,8 @@ def pieces16(sphere3, grid144):
 
 class TestDecompose:
     def test_piece_roster(self, pieces16):
-        assert len(pieces16) == 8
-        assert [p.j for p in pieces16] == list(range(8))
+        assert len(pieces16) == 7
+        assert [p.j for p in pieces16] == list(range(7))
 
     def test_supports(self, pieces16):
         assert pieces16[0].support == (0.0, 1 / 17)
@@ -162,7 +174,7 @@ class TestFitWindow:
 def test_piece_norm_slopes_smoke(sphere3, grid80):
     fit, pieces, ops = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
                                             restarts=4)
-    assert len(pieces) == 8
+    assert len(pieces) == 7
     np.testing.assert_array_equal(fit.js, [3, 4, 5])
     # the operators built for the fit, keyed by j, as a fresh build gives them
     assert sorted(ops) == [3, 4, 5]

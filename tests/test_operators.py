@@ -33,8 +33,11 @@ class TestOperatorConstruction:
         prod = a.matrix @ (grid80.weights[:, None] * b.matrix)
         assert np.abs(prod).max() < 1e-8
 
-    def test_kernel_sup_attained_at_pole(self, h8):
-        assert h8.kernel_sup == pytest.approx(81 / VOL3, rel=1e-12)
+    def test_sup_anchor_is_matrix_max(self, h8):
+        n1inf = _anchor_norms(h8)["n1inf"]
+        assert n1inf == pytest.approx(np.abs(h8.matrix).max(), rel=1e-12)
+        # the azimuthal average never exceeds the kernel's sup Z_8(1)
+        assert n1inf <= 81 / VOL3
 
     def test_degree_budget_enforced(self, grid80, sphere3):
         with pytest.raises(ValueError):
@@ -42,23 +45,22 @@ class TestOperatorConstruction:
 
     def test_profile_route_matches_spectral(self):
         # the azimuthal average of Z_8 over the full support must reproduce
-        # the spectral reduced matrix on every sphere
+        # the spectral reduced matrix, and its upper-bound anchors, on every
+        # sphere
         for n in (2, 3, 4, 5):
             sphere = zl.SphereSpec(n)
             grid = zl.make_grid(sphere, 80, kexact=16)
             kern = zl.projector_kernel(sphere, 8)
             spectral = operator_from_kernel(kern, grid)
-
-            def profile(gamma, cosg):
-                return kern.values(cosg)
-
             averaged = zl.operator_from_profile(
-                zl.AzimuthalSpectrum(grid, kern), profile)
+                zl.AzimuthalSpectrum(grid, kern))
             scale = np.abs(spectral.matrix).max()
             np.testing.assert_allclose(averaged.matrix, spectral.matrix,
                                        atol=1e-12 * scale)
-            np.testing.assert_array_equal(averaged.kernel_values,
-                                          spectral.kernel_values)
+            dense, factored = _anchor_norms(averaged), _anchor_norms(spectral)
+            for name in factored:
+                assert dense[name] == pytest.approx(factored[name],
+                                                    rel=1e-12), (n, name)
 
     def test_adjoint_identity_complex(self, grid144, sphere3):
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
@@ -116,6 +118,15 @@ class TestFactoredRoute:
         dense = float(np.max(np.sum(grid.weights[:, None]
                                     * np.abs(op.matrix), axis=0)))
         assert _anchor_norms(op)["n11"] == pytest.approx(dense, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["projector", "resolvent"])
+    def test_dense_anchors_match_factored(self, n, kind):
+        grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
+        op = operator_from_kernel(_kernel(n, kind), grid)
+        dense = _anchor_norms(ZonalOperator(grid, op.matrix))
+        for name, value in _anchor_norms(op).items():
+            assert dense[name] == pytest.approx(value, rel=1e-12), name
 
     def test_projector_never_builds_matrix(self, grid144, sphere3):
         op = operator_from_kernel(zl.projector_kernel(sphere3, 8), grid144)
@@ -251,28 +262,85 @@ class TestNormLower:
             zl.norm_lower(h8, 2.0, 2.0, restarts=0)
 
 
+# exponent pairs 1 <= r <= s <= inf: the exact endpoints r = 1 and s = inf,
+# and finite r, r' and s up to about 20, as in the ascent's closed-form
+# oracle; far larger ones overflow |v|^p inside the lower bound's norms
+_PAIRS = st.tuples(
+    st.one_of(st.just(1.0), st.floats(1.05, 20.0)),
+    st.one_of(st.just(np.inf), st.floats(1.0, 20.0))).map(sorted)
+
+
 class TestNormUpper:
     def test_l2_anchor_for_projector(self, h8):
         up = zl.norm_upper(h8, ExponentPoint(0.5, 0.5))
         assert up.value == pytest.approx(1.0, abs=1e-12)
         assert up.weights[2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_l2_anchor_for_dense_projector(self, h8, grid144):
+        # W^{1/2} A W^{1/2} of a projector is an orthogonal projection
+        dense = ZonalOperator(grid144, h8.matrix)
+        assert _anchor_norms(dense)["n22"] == pytest.approx(1.0, abs=1e-12)
+
+    @given(k=st.integers(0, 16), pair=_PAIRS)
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_upper_covers_closed_form(self, grid80, sphere3, k,
+                                               pair):
+        # ||H_k||_{r->s} = ||e_k||_{r'} ||e_k||_s
+        op = operator_from_kernel(zl.projector_kernel(sphere3, k), grid80)
+        r, s = pair
+        w, e = grid80.weights, grid80.basis(k)[k]
+        rp = r / (r - 1.0) if r > 1 else np.inf
+        exact = weighted_lp(w, e, rp) * weighted_lp(w, e, s)
+        upper = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)).value
+        assert upper >= exact * (1.0 - 1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
+           pair=_PAIRS)
+    @settings(max_examples=80, deadline=None)
+    def test_dense_upper_is_rigorous(self, seed, complex_, pair):
+        # any attained ratio ||Tf||_s / ||f||_r, from the ascent or from a
+        # batch of random and point-mass inputs, sits below the upper bound
+        grid = zl.make_grid(zl.SphereSpec(3), 9)
+        P, w = grid.points, grid.weights
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((P, P))
+        inputs = list(rng.standard_normal((32, P)))
+        if complex_:
+            A = A + 1j * rng.standard_normal((P, P))
+            inputs = [f + 1j * g for f, g in
+                      zip(inputs, rng.standard_normal((32, P)))]
+        op = ZonalOperator(grid, A + A.T)
+        r, s = pair
+        bound = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)).value * (
+            1.0 + 1e-12)
+        assert zl.norm_lower(op, r, s, restarts=2).value <= bound
+        inputs += list(np.diag(1.0 / w))
+        best = max(weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r)
+                   for f in inputs)
+        assert best <= bound
+
     def test_mean_projector_sup_anchor(self, grid80, sphere3):
         op = operator_from_kernel(zl.projector_kernel(sphere3, 0), grid80)
         up = zl.norm_upper(op, ExponentPoint(1.0, 0.0))
         assert up.value == pytest.approx(1 / VOL3, rel=1e-12)
 
-    def test_critical_point_through_dual(self, h8):
+    def test_critical_point_through_dual(self, h8, grid144):
         """Interpolated bound at the critical pair, reached via the adjoint.
 
-        Oracle: Z_8(1)^{3/5} ||Z_8||_{L^1}^{4/15} from adaptive quadrature;
-        the grid value differs only through the L^1 anchor's quadrature.
+        Oracle: the hull formula over the anchors of the same operator given
+        densely, and the rank-one closed form ||e_8||_{r'} ||e_8||_s below.
         """
         up = zl.norm_upper(h8, ExponentPoint(2 / 3, 1 / 15))
         assert up.dual_used
         np.testing.assert_allclose(up.weights, (0.6, 4 / 15, 2 / 15),
                                    atol=1e-9)
-        assert up.value == pytest.approx(3.9654231216909532, rel=3e-3)
+        a, b, c = up.weights
+        anchors = _anchor_norms(ZonalOperator(grid144, h8.matrix))
+        hull = (anchors["n1inf"] ** a * anchors["n11"] ** b
+                * anchors["n22"] ** c)
+        assert up.value == pytest.approx(hull, rel=1e-12)
+        w, e = grid144.weights, grid144.basis(8)[8]
+        assert up.value >= weighted_lp(w, e, 3.0) * weighted_lp(w, e, 15.0)
 
     def test_interior_point_direct(self, h8):
         up = zl.norm_upper(h8, ExponentPoint(0.9, 0.1))
@@ -282,7 +350,8 @@ class TestNormUpper:
     def test_anchor_values(self, h8):
         up = zl.norm_upper(h8, ExponentPoint(0.5, 0.5))
         assert up.anchors["n22"] == pytest.approx(1.0, abs=1e-12)
-        assert up.anchors["n1inf"] == pytest.approx(81 / VOL3, rel=1e-12)
+        assert up.anchors["n1inf"] == pytest.approx(np.abs(h8.matrix).max(),
+                                                    rel=1e-12)
         # ||Z_8||_{L^1} sup|Z_8| / Z_8(1) = ||Z_8||_{L^1} on the grid
         assert up.anchors["n11"] == pytest.approx(7.311161535600787, rel=1e-2)
 
@@ -306,9 +375,12 @@ class TestCertificates:
         cert = zl.norm_certificate(h8, ExponentPoint(1 / 1.2, 1 / 6))
         rec = cert.to_record()
         assert set(rec) == {"n", "label", "r", "s", "lower", "upper",
-                            "witness_grid", "seed", "iterations"}
+                            "witness_grid", "seed", "iterations", "gap",
+                            "anchors"}
         assert rec["r"] == pytest.approx(1.2)
         assert rec["s"] == pytest.approx(6.0)
+        assert rec["gap"] == rec["upper"] / rec["lower"]
+        assert rec["anchors"] == _anchor_norms(h8)
 
     def test_ordering_enforced(self, grid80):
         with pytest.raises(CertificateError):
