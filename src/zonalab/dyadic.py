@@ -129,7 +129,7 @@ def fit_line(x, y):
 
 
 def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
-    """Measure ||T_j|| at the two segment anchors and fit log2-slopes in j.
+    """Measure ||T_j|| at the Stein points P and Q and fit log2-slopes in j.
 
     Needs at least four pieces so that a middle range remains after the
     pre-asymptotic annuli near the pole and the clipped ones at the far

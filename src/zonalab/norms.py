@@ -6,15 +6,36 @@ weak-L^q norm mu(E)^{1/q} and L^{p,1} norm mu(E)^{1/p} with mu the grid
 measure of E.
 """
 
+import math
+
 import numpy as np
 
 
 def weighted_lp(w, v, p):
-    """L^p norm of node values v against node weights w; p may be inf."""
+    """L^p norm of node values v against node weights w; p may be inf.
+
+    |v| is divided by its max before the power, so no exponent overflows.
+    """
     a = np.abs(v)
-    if np.isinf(p):
-        return float(a.max())
-    return float(np.sum(w * a ** p) ** (1.0 / p))
+    peak = a.max()
+    if math.isinf(p) or peak == 0:
+        return float(peak)
+    return float(peak * (w @ (a / peak) ** p) ** (1.0 / p))
+
+
+def weighted_row_lp(w, A, p):
+    """weighted_lp of every row of A.
+
+    Each row of |A| is divided by its max and raised to p in place, so no
+    second copy of the matrix is made.
+    """
+    a = np.abs(A)
+    peak = a.max(axis=1)
+    if math.isinf(p):
+        return peak
+    a /= np.where(peak > 0, peak, 1.0)[:, None]
+    np.power(a, p, out=a)
+    return peak * (a @ w) ** (1.0 / p)
 
 
 def lp_norm(f, p):

@@ -21,24 +21,22 @@ Norms:
     value is an attained ratio, hence a valid lower bound for the discrete
     operator.  s = inf (and r = 1) are handled by exact max-row / max-column
     dual formulas.
-  * norm_upper interpolates the three anchor bounds N_{1->inf}, N_{1->1},
-    N_{2->2} log-convexly (Riesz-Thorin), with exact anchors for the
-    discrete operator: max |A_ij|, the max weighted column sum, and the
-    spectral norm of W^{1/2} A W^{1/2} (max |m_k| for a multiplier kernel,
-    whose rows are orthonormal in L^2(w)).
+  * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
+    bound) on |A|, taken in whichever of the point and its dual is the
+    smaller by Minkowski's inequality; it is exact for rank one (the
+    degree-k projector, in O(points)) and wherever r = 1 or s = inf.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
-from .norms import weighted_lp
+from .norms import weighted_lp, weighted_row_lp
 from .specfun import zonal_value
 
 _STAGNATION = 1e-9
@@ -246,11 +244,12 @@ def apply_kernel(kernel, f):
 # lower bounds: nonlinear power ascent
 
 def _dual_power(g, p):
-    """|g|^{p-1} sgn(conj g); the duality map used by the ascent."""
+    """|g|^{p-1} sgn(conj g), the duality map used by the ascent, divided by
+    max|g|^{p-1} so that no exponent overflows; only its direction is used."""
     a = np.abs(g)
     out = np.zeros_like(g)
     nz = a > 0
-    out[nz] = a[nz] ** (p - 1.0) * (np.conj(g[nz]) / a[nz])
+    out[nz] = (a[nz] / a.max()) ** (p - 1.0) * (np.conj(g[nz]) / a[nz])
     return out
 
 
@@ -287,11 +286,7 @@ def _ascent(op, r, s, f0):
         if ratio == 0.0 or ratio <= prev * (1.0 + _STAGNATION):
             break
         prev = ratio
-        h = _dual_power(g, s)
-        scale = np.abs(h).max()
-        if scale == 0:
-            break
-        u = op.apply_adjoint(h / scale)
+        u = op.apply_adjoint(_dual_power(g, s))
         fnew = _dual_power(u, rp)
         nrm = weighted_lp(w, fnew, r)
         if nrm == 0:
@@ -301,28 +296,24 @@ def _ascent(op, r, s, f0):
 
 
 def _exact_endpoint_lower(op, r, s):
-    """Attained lower bounds when s = inf or r = 1 (max row / column duals)."""
+    """Attained lower bounds when s = inf (the largest L^{r'} row norm) or
+    r = 1 (the largest L^s column norm; |A| is symmetric, so that is a row
+    norm too)."""
     w = op.grid.weights
     A = op.matrix
-    if np.isinf(s) and r == 1.0:
-        i, j = np.unravel_index(np.argmax(np.abs(A)), A.shape)
+    p = s if r == 1.0 else r / (r - 1.0)
+    rows = weighted_row_lp(w, A, p)
+    i = int(np.argmax(rows))
+    if r == 1.0:
+        # a point mass at column j attains column j's norm; at the corner
+        # (s = inf), j is where row i reaches max |A_ij|
+        j = int(np.argmax(np.abs(A[i]))) if np.isinf(s) else i
         f = np.zeros(op.grid.points, dtype=A.dtype)
         f[j] = 1.0 / w[j]
-        return float(np.abs(A[i, j])), f
-    if np.isinf(s):
-        rp = r / (r - 1.0)
-        rownorm = np.sum(w[None, :] * np.abs(A) ** rp, axis=1) ** (1.0 / rp)
-        i = int(np.argmax(rownorm))
-        f = _dual_power(A[i, :].astype(np.result_type(A, np.float64)), rp)
-        nrm = weighted_lp(w, f, r)
-        return (float(rownorm[i]), f / nrm) if nrm > 0 else (0.0, f)
-    # r == 1, s finite
-    colnorm = np.array([weighted_lp(w, A[:, j], s)
-                        for j in range(A.shape[1])])
-    j = int(np.argmax(colnorm))
-    f = np.zeros(op.grid.points, dtype=A.dtype)
-    f[j] = 1.0 / w[j]
-    return float(colnorm[j]), f
+        return float(rows[i]), f
+    f = _dual_power(A[i, :].astype(np.result_type(A, np.float64)), p)
+    nrm = weighted_lp(w, f, r)
+    return (float(rows[i]), f / nrm) if nrm > 0 else (0.0, f)
 
 
 def _start_values(op, restarts, seed):
@@ -378,70 +369,27 @@ def norm_lower(op, r, s, restarts=8, seed=1):
 
 
 # ---------------------------------------------------------------------------
-# upper bounds: log-convex interpolation of anchor norms
-
-_ANCHOR_TOL = 1e-12
-
-
-@dataclass
-class UpperBound:
-    value: float
-    weights: tuple            # barycentric (a, b, c) on (1->inf, 1->1, 2->2)
-    anchors: dict
-    dual_used: bool = False
-
-
-def _barycentric(point):
-    """Weights of (1/r,1/s) on the anchors (1,0), (1,1), (1/2,1/2); None if
-    outside their hull."""
-    a = point.sigma
-    b = 2.0 * point.y + point.sigma - 1.0
-    c = 2.0 * (1.0 - point.sigma - point.y)
-    if min(a, b, c) < -_ANCHOR_TOL:
-        return None
-    w = np.maximum([a, b, c], 0.0)
-    return tuple(w / w.sum())
-
-
-def _anchor_norms(op):
-    """N_{1->inf} = max |A_ij|, N_{1->1} = max_j sum_i w_i |A_ij| and
-    N_{2->2} = ||W^{1/2} A W^{1/2}||_2 of the discrete operator."""
-    w = op.grid.weights
-    if op.factors is not None and op.factors[1].size == 1:
-        # rank one: |A_ij| = |m| |e_i| |e_j| separates
-        (row,), (m,) = op.factors
-        e = np.abs(row)
-        n1inf = float(abs(m) * e.max() ** 2)
-        n11 = float(abs(m) * np.sum(w * e) * e.max())
-    else:
-        a = np.abs(op.matrix)
-        n1inf = float(a.max())
-        n11 = float(np.max(np.sum(w[:, None] * a, axis=0)))
-    if op.factors is not None:
-        # W^{1/2} rows.T has orthonormal columns
-        n22 = float(np.abs(op.factors[1]).max(initial=0.0))
-    else:
-        sw = np.sqrt(w)
-        n22 = float(np.linalg.norm(sw[:, None] * op.matrix * sw, 2))
-    return {"n1inf": n1inf, "n11": n11, "n22": n22}
-
+# upper bounds: Hoelder row by row
 
 def norm_upper(op, point):
-    """Riesz-Thorin style upper bound at the exponent point (or its dual;
-    the kernels here are symmetric so both norms agree)."""
-    weights = _barycentric(point)
-    dual_used = False
-    if weights is None:
-        weights = _barycentric(point.dual())
-        dual_used = True
-        if weights is None:
-            raise ValueError(
-                f"exponent point ({point.x}, {point.y}) and its dual both "
-                "lie outside the anchor hull")
-    anchors = _anchor_norms(op)
-    a, b, c = weights
-    value = anchors["n1inf"] ** a * anchors["n11"] ** b * anchors["n22"] ** c
-    return UpperBound(float(value), weights, anchors, dual_used)
+    """Mixed-norm Hoelder (Hille-Tamarkin) bound for the discrete operator,
+
+        HT(r, s) = || i -> ||A_i.||_{L^{r'}(w)} ||_{L^s(w)},
+
+    at the point or its dual, whichever has 1/r + 1/s <= 1: there s >= r',
+    and |A| is symmetric, so by Minkowski's integral inequality that
+    orientation is the smaller.  It is the exact norm of a rank-one
+    operator, |m| ||e||_{r'} ||e||_s, and of any operator when r = 1 or
+    s = inf.
+    """
+    if point.x + point.y > 1.0:
+        point = point.dual()
+    rp, s = point.dual().s, point.s
+    w = op.grid.weights
+    if op.factors is not None and op.factors[1].size == 1:
+        (row,), (m,) = op.factors
+        return float(abs(m) * weighted_lp(w, row, rp) * weighted_lp(w, row, s))
+    return weighted_lp(w, weighted_row_lp(w, op.matrix, rp), s)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +409,6 @@ class NormCertificate:
     seed: int
     iterations: int
     restarts: int
-    upper_detail: Optional[UpperBound] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lower > self.upper * (1.0 + 1e-6):
@@ -481,24 +428,20 @@ class NormCertificate:
             "seed": self.seed,
             "iterations": self.iterations,
             "gap": self.upper / self.lower if self.lower > 0 else None,
-            "anchors": (self.upper_detail.anchors
-                        if self.upper_detail is not None else None),
         }
 
 
 def norm_certificate(op, point, restarts=8, seed=1, label=None):
     low = norm_lower(op, point.r, point.s, restarts=restarts, seed=seed)
-    up = norm_upper(op, point)
     return NormCertificate(
         n=op.grid.sphere.n,
         label=label if label is not None else op.label,
         point=point,
         lower=low.value,
-        upper=up.value,
+        upper=norm_upper(op, point),
         witness=low.witness,
         grid_ref=f"{op.grid.rule}/kexact={op.grid.kexact}",
         seed=seed,
         iterations=low.iterations,
         restarts=low.restarts,
-        upper_detail=up,
     )

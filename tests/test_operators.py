@@ -5,11 +5,17 @@ from hypothesis import given, settings, strategies as st
 import zonalab as zl
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
-from zonalab.norms import weighted_lp
-from zonalab.operators import (NormCertificate, ZonalOperator, _anchor_norms,
-                               _dual_power, operator_from_kernel)
+from zonalab.norms import weighted_lp, weighted_row_lp
+from zonalab.operators import (NormCertificate, ZonalOperator, _dual_power,
+                               operator_from_kernel)
 
 VOL3 = 19.739208802178716
+
+# the corners (1, inf), (1, 1) and (2, 2), and one interior point on each
+# side of the line 1/r + 1/s = 1
+_UPPER_POINTS = (ExponentPoint(1.0, 0.0), ExponentPoint(1.0, 1.0),
+                 ExponentPoint(0.5, 0.5), ExponentPoint(0.8, 0.1),
+                 ExponentPoint(0.9, 0.3))
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +40,8 @@ class TestOperatorConstruction:
         assert np.abs(prod).max() < 1e-8
 
     def test_sup_anchor_is_matrix_max(self, h8):
-        n1inf = _anchor_norms(h8)["n1inf"]
+        # the (1, inf) corner of the upper bound is max |A_ij|
+        n1inf = zl.norm_upper(h8, ExponentPoint(1.0, 0.0))
         assert n1inf == pytest.approx(np.abs(h8.matrix).max(), rel=1e-12)
         # the azimuthal average never exceeds the kernel's sup Z_8(1)
         assert n1inf <= 81 / VOL3
@@ -45,8 +52,7 @@ class TestOperatorConstruction:
 
     def test_profile_route_matches_spectral(self):
         # the azimuthal average of Z_8 over the full support must reproduce
-        # the spectral reduced matrix, and its upper-bound anchors, on every
-        # sphere
+        # the spectral reduced matrix, and its upper bounds, on every sphere
         for n in (2, 3, 4, 5):
             sphere = zl.SphereSpec(n)
             grid = zl.make_grid(sphere, 80, kexact=16)
@@ -57,10 +63,9 @@ class TestOperatorConstruction:
             scale = np.abs(spectral.matrix).max()
             np.testing.assert_allclose(averaged.matrix, spectral.matrix,
                                        atol=1e-12 * scale)
-            dense, factored = _anchor_norms(averaged), _anchor_norms(spectral)
-            for name in factored:
-                assert dense[name] == pytest.approx(factored[name],
-                                                    rel=1e-12), (n, name)
+            for point in _UPPER_POINTS:
+                assert zl.norm_upper(averaged, point) == pytest.approx(
+                    zl.norm_upper(spectral, point), rel=1e-12), (n, point)
 
     def test_adjoint_identity_complex(self, grid144, sphere3):
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
@@ -117,16 +122,19 @@ class TestFactoredRoute:
                                   grid)
         dense = float(np.max(np.sum(grid.weights[:, None]
                                     * np.abs(op.matrix), axis=0)))
-        assert _anchor_norms(op)["n11"] == pytest.approx(dense, rel=1e-13)
+        # at (1, 1) the upper bound is the largest weighted column sum
+        n11 = zl.norm_upper(op, ExponentPoint(1.0, 1.0))
+        assert n11 == pytest.approx(dense, rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["projector", "resolvent"])
     def test_dense_anchors_match_factored(self, n, kind):
         grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
         op = operator_from_kernel(_kernel(n, kind), grid)
-        dense = _anchor_norms(ZonalOperator(grid, op.matrix))
-        for name, value in _anchor_norms(op).items():
-            assert dense[name] == pytest.approx(value, rel=1e-12), name
+        dense = ZonalOperator(grid, op.matrix)
+        for point in _UPPER_POINTS:
+            assert zl.norm_upper(dense, point) == pytest.approx(
+                zl.norm_upper(op, point), rel=1e-12), point
 
     def test_projector_never_builds_matrix(self, grid144, sphere3):
         op = operator_from_kernel(zl.projector_kernel(sphere3, 8), grid144)
@@ -263,23 +271,35 @@ class TestNormLower:
 
 
 # exponent pairs 1 <= r <= s <= inf: the exact endpoints r = 1 and s = inf,
-# and finite r, r' and s up to about 20, as in the ascent's closed-form
-# oracle; far larger ones overflow |v|^p inside the lower bound's norms
+# their nearest neighbours r = 1 + 2^-52 (r' = 2^52) and s = 1e300, and
+# finite r, r' and s up to about 20, as in the ascent's closed-form oracle
 _PAIRS = st.tuples(
-    st.one_of(st.just(1.0), st.floats(1.05, 20.0)),
-    st.one_of(st.just(np.inf), st.floats(1.0, 20.0))).map(sorted)
+    st.one_of(st.just(1.0), st.just(1.0 + 2.0 ** -52), st.floats(1.05, 20.0)),
+    st.one_of(st.just(np.inf), st.just(1e300),
+              st.floats(1.0, 20.0))).map(sorted)
+
+
+def _random_symmetric(seed, complex_):
+    """A dense operator with a random symmetric matrix on a 9-point grid."""
+    grid = zl.make_grid(zl.SphereSpec(3), 9)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((grid.points, grid.points))
+    if complex_:
+        A = A + 1j * rng.standard_normal(A.shape)
+    return ZonalOperator(grid, A + A.T)
 
 
 class TestNormUpper:
     def test_l2_anchor_for_projector(self, h8):
         up = zl.norm_upper(h8, ExponentPoint(0.5, 0.5))
-        assert up.value == pytest.approx(1.0, abs=1e-12)
-        assert up.weights[2] == pytest.approx(1.0, abs=1e-12)
+        assert up == pytest.approx(1.0, abs=1e-12)
 
     def test_l2_anchor_for_dense_projector(self, h8, grid144):
-        # W^{1/2} A W^{1/2} of a projector is an orthogonal projection
+        # at (2, 2) the bound is the Hilbert-Schmidt norm of W^{1/2} A W^{1/2},
+        # an orthogonal projection of rank one
         dense = ZonalOperator(grid144, h8.matrix)
-        assert _anchor_norms(dense)["n22"] == pytest.approx(1.0, abs=1e-12)
+        up = zl.norm_upper(dense, ExponentPoint(0.5, 0.5))
+        assert up == pytest.approx(1.0, abs=1e-12)
 
     @given(k=st.integers(0, 16), pair=_PAIRS)
     @settings(max_examples=60, deadline=None)
@@ -291,8 +311,8 @@ class TestNormUpper:
         w, e = grid80.weights, grid80.basis(k)[k]
         rp = r / (r - 1.0) if r > 1 else np.inf
         exact = weighted_lp(w, e, rp) * weighted_lp(w, e, s)
-        upper = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)).value
-        assert upper >= exact * (1.0 - 1e-12)
+        upper = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s))
+        assert upper == pytest.approx(exact, rel=1e-12)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
            pair=_PAIRS)
@@ -311,7 +331,7 @@ class TestNormUpper:
                       zip(inputs, rng.standard_normal((32, P)))]
         op = ZonalOperator(grid, A + A.T)
         r, s = pair
-        bound = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)).value * (
+        bound = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)) * (
             1.0 + 1e-12)
         assert zl.norm_lower(op, r, s, restarts=2).value <= bound
         inputs += list(np.diag(1.0 / w))
@@ -319,48 +339,70 @@ class TestNormUpper:
                    for f in inputs)
         assert best <= bound
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
+           pair=_PAIRS)
+    @settings(max_examples=80, deadline=None)
+    def test_chosen_orientation_is_smaller(self, seed, complex_, pair):
+        # Minkowski: where s >= r', the L^s norm of the L^{r'} row norms is
+        # at most the L^{r'} norm of the L^s row norms (|A| is symmetric);
+        # norm_upper evaluates the first at the point or its dual
+        op = _random_symmetric(seed, complex_)
+        w, A = op.grid.weights, op.matrix
+        r, s = pair
+        point = ExponentPoint(1 / r, 1 / s)
+        rp = point.dual().s
+        direct = weighted_lp(w, weighted_row_lp(w, A, rp), s)
+        dual = weighted_lp(w, weighted_row_lp(w, A, s), rp)
+        chosen, other = ((direct, dual) if point.x + point.y <= 1.0
+                         else (dual, direct))
+        assert zl.norm_upper(op, point) == pytest.approx(chosen, rel=1e-12)
+        assert chosen <= other * (1.0 + 1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_overflow_near_endpoints(self):
+        # r' = 2^52 and s = 1e300 used to overflow |v|^p to inf
+        op = _random_symmetric(0, False)
+        for r, s in ((1.0000000000000002, np.inf), (1.05, 1e300)):
+            low = zl.norm_lower(op, r, s).value
+            up = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s))
+            assert np.isfinite(low)
+            assert low <= up * (1.0 + 1e-12)
+
     def test_mean_projector_sup_anchor(self, grid80, sphere3):
         op = operator_from_kernel(zl.projector_kernel(sphere3, 0), grid80)
         up = zl.norm_upper(op, ExponentPoint(1.0, 0.0))
-        assert up.value == pytest.approx(1 / VOL3, rel=1e-12)
+        assert up == pytest.approx(1 / VOL3, rel=1e-12)
 
     def test_critical_point_through_dual(self, h8, grid144):
-        """Interpolated bound at the critical pair, reached via the adjoint.
-
-        Oracle: the hull formula over the anchors of the same operator given
-        densely, and the rank-one closed form ||e_8||_{r'} ||e_8||_s below.
-        """
-        up = zl.norm_upper(h8, ExponentPoint(2 / 3, 1 / 15))
-        assert up.dual_used
-        np.testing.assert_allclose(up.weights, (0.6, 4 / 15, 2 / 15),
-                                   atol=1e-9)
-        a, b, c = up.weights
-        anchors = _anchor_norms(ZonalOperator(grid144, h8.matrix))
-        hull = (anchors["n1inf"] ** a * anchors["n11"] ** b
-                * anchors["n22"] ** c)
-        assert up.value == pytest.approx(hull, rel=1e-12)
+        """The bound at the critical pair is the rank-one closed form
+        ||e_8||_{r'} ||e_8||_s, and so is the bound at its dual."""
         w, e = grid144.weights, grid144.basis(8)[8]
-        assert up.value >= weighted_lp(w, e, 3.0) * weighted_lp(w, e, 15.0)
+        exact = weighted_lp(w, e, 3.0) * weighted_lp(w, e, 15.0)
+        point = ExponentPoint(2 / 3, 1 / 15)
+        for p in (point, point.dual()):
+            assert zl.norm_upper(h8, p) == pytest.approx(exact, rel=1e-12)
 
-    def test_interior_point_direct(self, h8):
+    def test_interior_point_direct(self, h8, grid144):
+        # on the line 1/r + 1/s = 1 both orientations coincide; r' = s = 10
+        w, e = grid144.weights, grid144.basis(8)[8]
         up = zl.norm_upper(h8, ExponentPoint(0.9, 0.1))
-        assert not up.dual_used
-        assert up.value > 0
+        assert up == pytest.approx(weighted_lp(w, e, 10.0) ** 2, rel=1e-12)
 
     def test_anchor_values(self, h8):
-        up = zl.norm_upper(h8, ExponentPoint(0.5, 0.5))
-        assert up.anchors["n22"] == pytest.approx(1.0, abs=1e-12)
-        assert up.anchors["n1inf"] == pytest.approx(np.abs(h8.matrix).max(),
-                                                    rel=1e-12)
+        # the bound at the corners (2, 2), (1, inf) and (1, 1)
+        assert zl.norm_upper(h8, ExponentPoint(0.5, 0.5)) == pytest.approx(
+            1.0, abs=1e-12)
+        assert zl.norm_upper(h8, ExponentPoint(1.0, 0.0)) == pytest.approx(
+            np.abs(h8.matrix).max(), rel=1e-12)
         # ||Z_8||_{L^1} sup|Z_8| / Z_8(1) = ||Z_8||_{L^1} on the grid
-        assert up.anchors["n11"] == pytest.approx(7.311161535600787, rel=1e-2)
+        assert zl.norm_upper(h8, ExponentPoint(1.0, 1.0)) == pytest.approx(
+            7.311161535600787, rel=1e-2)
 
     @given(x=st.floats(0.01, 1.0), frac=st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_every_point_covered(self, h8, x, frac):
-        # the anchor hull and its dual tile the whole exponent triangle
         up = zl.norm_upper(h8, ExponentPoint(x, x * frac))
-        assert up.value > 0
+        assert np.isfinite(up) and up > 0
 
 
 class TestCertificates:
@@ -375,12 +417,10 @@ class TestCertificates:
         cert = zl.norm_certificate(h8, ExponentPoint(1 / 1.2, 1 / 6))
         rec = cert.to_record()
         assert set(rec) == {"n", "label", "r", "s", "lower", "upper",
-                            "witness_grid", "seed", "iterations", "gap",
-                            "anchors"}
+                            "witness_grid", "seed", "iterations", "gap"}
         assert rec["r"] == pytest.approx(1.2)
         assert rec["s"] == pytest.approx(6.0)
         assert rec["gap"] == rec["upper"] / rec["lower"]
-        assert rec["anchors"] == _anchor_norms(h8)
 
     def test_ordering_enforced(self, grid80):
         with pytest.raises(CertificateError):

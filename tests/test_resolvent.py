@@ -70,6 +70,13 @@ class TestWaveIntegral:
         with pytest.raises(QuadratureError):
             _refined_integral(lambda t: np.sign(t - 0.37), 0.0, 1.0, 0.0)
 
+    def test_refinement_check_per_part(self):
+        # the jump sits in the imaginary part only; measured against the
+        # whole value's scale its error would pass
+        with pytest.raises(QuadratureError):
+            _refined_integral(lambda t: 1e6 + 1j * np.sign(t - 0.37),
+                              0.0, 1.0, 0.0)
+
 
 class TestCutoff:
     def test_plateaus(self):
