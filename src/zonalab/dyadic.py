@@ -181,14 +181,15 @@ def envelope_check(sphere, k, samples=4096):
     n = sphere.n
     lam = eigenvalue(n, k)
     half = (n - 1) / 2
-
-    def zk(theta):
-        return zonal_value(n, k, np.cos(theta))
-
     th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
-    c_flat = np.abs(zk(th_flat)).max() / k ** (n - 1)
     th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
-    c_osc = np.abs(zk(th_osc) * th_osc ** half).max() / lam ** half
     th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
-    c_anti = np.abs(zk(th_anti) * (np.pi - th_anti) ** half).max() / lam ** half
+    # one recurrence over the three windows; it runs elementwise, so each
+    # window gets the bits of a recurrence over that window alone
+    th = np.concatenate((th_flat, th_osc, th_anti))
+    z_flat, z_osc, z_anti = np.split(zonal_value(n, k, np.cos(th)),
+                                     (th_flat.size, th_flat.size + samples))
+    c_flat = np.abs(z_flat).max() / k ** (n - 1)
+    c_osc = np.abs(z_osc * th_osc ** half).max() / lam ** half
+    c_anti = np.abs(z_anti * (np.pi - th_anti) ** half).max() / lam ** half
     return EnvelopeConstants(float(c_flat), float(c_osc), float(c_anti))

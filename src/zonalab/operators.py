@@ -17,10 +17,12 @@ once per kernel (AzimuthalSpectrum) and integrated exactly between the
 azimuths of the window's edges.
 
 Norms:
-  * norm_lower runs a nonlinear power ascent over zonal inputs; the reported
-    value is an attained ratio, hence a valid lower bound for the discrete
-    operator.  s = inf (and r = 1) are handled by exact max-row / max-column
-    dual formulas.
+  * norm_lower reports an attained ratio ||Tf||_s / ||f||_r, hence a valid
+    lower bound for the discrete operator.  A rank-one operator m e e^T (one
+    multiplier, e.g. the degree-k projector) is attained in closed form by
+    the duality map of e, in O(points) and without the dense matrix; s = inf
+    and r = 1 by exact max-row / max-column dual formulas; everything else
+    by a nonlinear power ascent over zonal inputs.
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -316,6 +318,25 @@ def _exact_endpoint_lower(op, r, s):
     return (float(rows[i]), f / nrm) if nrm > 0 else (0.0, f)
 
 
+def _rank_one_lower(op, r, s):
+    """Exact norm of A = m e e^T, attained through its factors.
+
+    T f = m <e, f>_w e, and by Hoelder |<e, f>_w| <= ||e||_{r'} ||f||_r with
+    equality at the duality map f = |e|^{r'-1} sgn e (a point mass at
+    argmax |e| when r = 1), so its ratio is |m| ||e||_{r'} ||e||_s.
+    """
+    w = op.grid.weights
+    (row,), _ = op.factors
+    if r == 1.0:
+        j = int(np.argmax(np.abs(row)))
+        f = np.zeros(op.grid.points)
+        f[j] = 1.0 / w[j]
+    else:
+        f = _dual_power(row, r / (r - 1.0))
+    f = f / weighted_lp(w, f, r)
+    return weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r), f
+
+
 def _start_values(op, restarts, seed):
     """Deterministic starts (characteristic caps, the kernel's own harmonic)
     padded with seeded random draws."""
@@ -337,21 +358,26 @@ def _start_values(op, restarts, seed):
 
 
 def norm_lower(op, r, s, restarts=8, seed=1):
-    """Best attained ratio ||Tf||_s / ||f||_r over the restart protocol.
+    """Best attained ratio ||Tf||_s / ||f||_r.
 
-    Monotone within each restart; ties across restarts go to the witness with
-    the smallest support measure.
+    Exact, with no ascent step, for a rank-one operator and wherever s = inf
+    or r = 1.  Otherwise the best over the restart protocol: monotone within
+    each restart; ties across restarts go to the witness with the smallest
+    support measure.
     """
     if r < 1 or s < 1:
         raise ValueError(f"exponents must be >= 1, got r={r}, s={s}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    w = op.grid.weights
+    if np.isinf(r):
+        raise ValueError("r = inf is not supported")
+    if op.factors is not None and op.factors[1].size == 1:
+        value, f = _rank_one_lower(op, r, s)
+        return LowerBound(value, ZonalFunction(op.grid, f), 0, 1, exact=True)
     if np.isinf(s) or r == 1.0:
         value, f = _exact_endpoint_lower(op, r, s)
         return LowerBound(value, ZonalFunction(op.grid, f), 0, 1, exact=True)
-    if np.isinf(r):
-        raise ValueError("r = inf is not supported by the ascent")
+    w = op.grid.weights
     best = None           # (value, support_measure, witness)
     total_steps = 0
     for f0 in _start_values(op, restarts, seed):

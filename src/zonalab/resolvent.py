@@ -19,6 +19,8 @@ from .errors import QuadratureError, TailDominanceError
 from .specfun import ZonalKernel, eigenvalue
 
 _TAIL_RATIO_MAX = 1e-2
+# nodes and weights of the Gauss-Legendre rule on [-1, 1] used per panel
+_PANEL_RULE = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,14 @@ def smooth_cutoff(t):
     return hx / (hx + h1)
 
 
-def _panel_integral(fn, a, b, panels, order=12):
-    x, u = np.polynomial.legendre.leggauss(order)
+def _panel_integral(fn, a, b, panels):
+    """The 12-point Gauss-Legendre rule on each of `panels` equal panels."""
+    x, u = _PANEL_RULE
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1] - edges[0])
     t = (mid[:, None] + half * x[None, :]).ravel()
-    return half * np.sum(fn(t) * np.tile(u, panels))
+    return half * np.sum(fn(t).reshape(panels, -1) * u)
 
 
 def _refined_integral(fn, a, b, freq, rel_tol=1e-8):

@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,8 @@ class TestProjScaling:
         assert summary["config"]["r"] == pytest.approx(1.2)
         assert summary["config"]["grid_points"] == 40
         assert summary["slope"] is None
+        # the rank-one projector's lower bound is exact: no ascent step
+        assert [rec["iterations"] for rec in summary["rows"]] == [0, 0]
 
     def test_deterministic_output(self, tmp_path):
         args = ("proj-scaling", "--sigma", "2/3", "--k", "2,4",
@@ -226,9 +230,14 @@ class TestFailureModes:
 
 def test_console_script_smoke(tmp_path):
     out = tmp_path / "smoke.csv"
+    # the child imports the zonalab this test imported, installed or not
+    src = str(Path(zl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "zonalab.cli", "exponent-map",
          "--sigma", "1/2", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and out.with_suffix(".json").exists()

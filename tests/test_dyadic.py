@@ -234,6 +234,25 @@ class TestEnvelope:
         assert 0 < env.c_flat < 1
         assert 0 < env.c_osc < 1
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 64, 1024])
+    def test_one_recurrence_keeps_bits(self, n, k):
+        # one recurrence over the three windows against one per window
+        env = zl.envelope_check(zl.SphereSpec(n), k)
+        lam, half, samples = zl.eigenvalue(n, k), (n - 1) / 2, 4096
+
+        def zk(theta):
+            return zl.zonal_value(n, k, np.cos(theta))
+
+        th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
+        th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
+        th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
+        want = [np.abs(zk(th_flat)).max() / k ** (n - 1),
+                np.abs(zk(th_osc) * th_osc ** half).max() / lam ** half,
+                np.abs(zk(th_anti) * (np.pi - th_anti) ** half).max()
+                / lam ** half]
+        assert np.array_equal([env.c_flat, env.c_osc, env.c_antipodal], want)
+
     def test_rejects_degree_zero(self, sphere3):
         with pytest.raises(ValueError):
             zl.envelope_check(sphere3, 0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,6 +89,23 @@ class TestCap:
         # 4 pi (pi/8 - 1/4) by the sin^2 antiderivative
         _, measure = zl.cap(grid80, math.pi / 4)
         assert measure == pytest.approx(1.793209546954886, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_measure_matches_incomplete_beta(self, n):
+        # vol(S^{n-1}) 2^{n-1} B(sin^2(theta/2); n/2, n/2), in 40 digits;
+        # small caps included, where the reduction in the power of sin
+        # cancels
+        sphere = zl.SphereSpec(n)
+        grid = zl.make_grid(sphere, 8)
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for theta in (1e-6, 1e-2, 1 / 33, 0.3, 1.5, 2.0, 3.1, math.pi):
+            x = mp.sin(mp.mpf(theta) / 2) ** 2
+            exact = (mp.mpf(sphere.subsphere_volume) * 2 ** (n - 1)
+                     * mp.betainc(n / 2, n / 2, 0, x))
+            _, measure = zl.cap(grid, theta)
+            assert measure == pytest.approx(float(exact), rel=1e-14,
+                                           abs=0), theta
 
     def test_indicator_values(self, grid80):
         f, _ = zl.cap(grid80, 0.7)

@@ -171,6 +171,46 @@ class TestFactoredRoute:
                                                               rel=1e-12)
 
 
+# the endpoints (1, inf), (1, 2.5) and (5/3, inf), the diagonal (2, 2), and
+# interior pairs on both sides of the line 1/r + 1/s = 1
+_RANK_ONE_PAIRS = ((1.0, np.inf), (1.0, 2.5), (5 / 3, np.inf), (2.0, 2.0),
+                   (1.2, 6.0), (1.25, 5.0), (3.0, 4.0))
+
+
+@pytest.fixture(scope="module")
+def grids32():
+    return {n: zl.make_grid(zl.SphereSpec(n), 80, kexact=32)
+            for n in (2, 3, 4, 5)}
+
+
+class TestRankOneLower:
+    """A single-multiplier operator m e_k e_k^T gets its lower bound from
+    the duality map of e_k: exact, with no ascent step and no matrix."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1, 8, 32])
+    @pytest.mark.parametrize("m", [1.0, -2.5, 0.3 - 1.7j])
+    def test_closed_form_meets_upper(self, grids32, n, k, m):
+        grid = grids32[n]
+        coeffs = np.zeros(k + 1, dtype=np.result_type(m))
+        coeffs[k] = m
+        op = operator_from_kernel(zl.ZonalKernel(zl.SphereSpec(n), coeffs),
+                                  grid)
+        w = grid.weights
+        for r, s in _RANK_ONE_PAIRS:
+            low = zl.norm_lower(op, r, s)
+            assert low.exact and low.iterations == 0 and low.restarts == 1
+            upper = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s))
+            assert low.value == pytest.approx(upper, rel=1e-14,
+                                              abs=0), (r, s)
+            f = low.witness.values
+            ratio = (weighted_lp(w, op.apply(f), s)
+                     / weighted_lp(w, f, r))
+            assert ratio == pytest.approx(low.value, rel=1e-12,
+                                          abs=0), (r, s)
+        assert "matrix" not in op.__dict__
+
+
 class TestApplyKernel:
     def test_reproduces_own_harmonic(self, grid80, sphere3):
         z3 = zl.ZonalFunction(grid80, zl.zonal_value(3, 3, grid80.cosines))
@@ -266,6 +306,8 @@ class TestNormLower:
             zl.norm_lower(h8, 0.5, 2.0)
         with pytest.raises(ValueError):
             zl.norm_lower(h8, np.inf, 2.0)
+        with pytest.raises(ValueError):
+            zl.norm_lower(h8, np.inf, np.inf)
         with pytest.raises(ValueError):
             zl.norm_lower(h8, 2.0, 2.0, restarts=0)
 
