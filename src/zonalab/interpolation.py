@@ -14,7 +14,6 @@ whole argument against measured operators on cap inputs.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

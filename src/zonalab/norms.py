@@ -14,13 +14,16 @@ import numpy as np
 def weighted_lp(w, v, p):
     """L^p norm of node values v against node weights w; p may be inf.
 
-    |v| is divided by its max before the power, so no exponent overflows.
+    v is a vector, or a (nodes, m) block whose m column norms are returned
+    as an array.  Each column of |v| is divided by its max before the power,
+    so no exponent overflows.
     """
     a = np.abs(v)
-    peak = a.max()
-    if math.isinf(p) or peak == 0:
-        return float(peak)
-    return float(peak * (w @ (a / peak) ** p) ** (1.0 / p))
+    peak = a.max(axis=0)
+    if not math.isinf(p):
+        peak = peak * (w @ (a / np.where(peak > 0, peak, 1.0)) ** p) ** (
+            1.0 / p)
+    return float(peak) if v.ndim == 1 else peak
 
 
 def weighted_row_lp(w, A, p):
@@ -79,7 +82,6 @@ def lorentz_p1(f, p):
         raise ValueError(f"exponent must be >= 1, got {p}")
     levels, mass = superlevels(f.grid.weights, f.values)
     below = np.append(levels[1:], 0.0)  # next level down
-    # on (below_i, level_i], mu(|f| > t) = mass of strictly larger values... the
-    # strict superlevel measure on that open interval is mass up to and
-    # including level_i
+    # for t in [below_i, level_i), |f| > t exactly where |f| >= level_i, so
+    # mu(|f| > t) = mass_i on that interval
     return float(np.sum((levels - below) * mass ** (1.0 / p)))

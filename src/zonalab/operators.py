@@ -14,7 +14,8 @@ band-limited kernel restricted to a window of relative angles (e.g. a dyadic
 piece) the average is integrated into a dense matrix in closed form: the
 azimuthal integrand of each node pair is a trigonometric polynomial, sampled
 once per kernel (AzimuthalSpectrum) and integrated exactly between the
-azimuths of the window's edges.
+azimuths of the window's edges, where Clenshaw's recurrence sums its
+antiderivative.
 
 Norms:
   * norm_lower reports an attained ratio ||Tf||_s / ||f||_r, hence a valid
@@ -22,7 +23,9 @@ Norms:
     multiplier, e.g. the degree-k projector) is attained in closed form by
     the duality map of e, in O(points) and without the dense matrix; s = inf
     and r = 1 by exact max-row / max-column dual formulas; everything else
-    by a nonlinear power ascent over zonal inputs.
+    by a nonlinear power ascent over zonal inputs, whose restarts run as
+    the columns of one block (apply, apply_adjoint and the norms act
+    column by column) and leave it at their own stops.
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -31,7 +34,7 @@ Norms:
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +46,8 @@ from .specfun import zonal_value
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
-# node pairs per block of azimuthal samples or edge evaluations, so that
-# the temporaries grow with the degree but not with the grid
+# node pairs per block of azimuthal samples, so that the temporaries grow
+# with the degree but not with the grid
 _PAIR_BLOCK = 4096
 
 
@@ -72,21 +75,25 @@ class ZonalOperator:
     @functools.cached_property
     def matrix(self):
         rows, kept = self.factors
-        return (rows.T * kept) @ rows
+        return _real_matmul(rows.T, _scale_rows(kept, rows))
 
     def apply(self, values):
-        x = self.grid.weights * values
+        """T applied to a vector of node values, or to each column of a
+        (points, m) block."""
+        x = _scale_rows(self.grid.weights, values)
         if self.factors is None:
             return self.matrix @ x
         rows, kept = self.factors
-        return _real_matmul(rows.T, kept * _real_matmul(rows, x))
+        return _real_matmul(rows.T, _scale_rows(kept, _real_matmul(rows, x)))
 
     def apply_adjoint(self, values):
+        """The adjoint of T, on a vector or on each column of a block."""
         # A is symmetric, so the adjoint only conjugates
-        x = self.grid.weights * values
+        x = _scale_rows(self.grid.weights, values)
         if self.factors is not None:
             rows, kept = self.factors
-            return _real_matmul(rows.T, np.conj(kept) * _real_matmul(rows, x))
+            adjoint = _scale_rows(np.conj(kept), _real_matmul(rows, x))
+            return _real_matmul(rows.T, adjoint)
         # conjugating the input and the product gives the same bits as
         # conj(matrix) @ x without copying the matrix
         if np.iscomplexobj(self.matrix):
@@ -97,13 +104,20 @@ class ZonalOperator:
         return f"ZonalOperator({self.label!r}, points={self.grid.points})"
 
 
+def _scale_rows(d, v):
+    """d_i v_i for a vector v, or d_i v_ij for a (len(d), m) block."""
+    return d.reshape(d.shape + (1,) * (v.ndim - 1)) * v
+
+
 def _real_matmul(m, v):
-    """m @ v for a real matrix m; a complex v runs as a real (len, 2) view,
-    so m is never copied to complex."""
+    """m @ v for a real matrix m and a vector or block v; a complex v runs as
+    a real view with its real and imaginary parts side by side, so m is never
+    copied to complex."""
     if not np.iscomplexobj(v):
         return m @ v
     pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    return (m @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
+    out = (m @ pairs.reshape(v.shape[0], -1)).view(np.complex128)
+    return out.reshape(m.shape[:1] + v.shape[1:])
 
 
 def operator_from_kernel(kernel, grid):
@@ -139,7 +153,8 @@ class AzimuthalSpectrum:
 
         G(phi) = c_0 phi + sum_{m=1}^{N-1} c_m trig(m phi),
 
-    with trig = sin for even n and cos for odd n (where c_0 = 0).
+    with trig = sin for even n and cos for odd n (where c_0 = 0), which
+    `antiderivative` sums by Clenshaw's recurrence at every window edge.
     """
 
     def __init__(self, grid, kernel):
@@ -177,16 +192,29 @@ class AzimuthalSpectrum:
         return coeffs
 
     def antiderivative(self, rows, phi):
-        """G(phi) for the pairs `rows`; phi has shape (edges, len(rows))."""
-        trig = np.cos if self.odd else np.sin
-        m = np.arange(1, self.coeffs.shape[1])
-        out = np.empty_like(phi)
-        for start in range(0, rows.size, _PAIR_BLOCK):
-            b = slice(start, start + _PAIR_BLOCK)
-            c = self.coeffs[rows[b]]
-            out[:, b] = c[:, 0] * phi[:, b] + np.einsum(
-                "epm,pm->ep", trig(phi[:, b, None] * m), c[:, 1:])
-        return out
+        """G(phi) for the pairs `rows`; phi has shape (edges, len(rows)).
+
+        The series is summed by Clenshaw's recurrence
+        b_m = c_m + 2 cos(phi) b_{m+1} - b_{m+2}, m = N-1..1, which gives
+        sum c_m sin(m phi) = b_1 sin phi and
+        sum c_m cos(m phi) = b_1 cos phi - b_2.  It runs in Reinsch's form,
+        on b_m and u_m = b_m -+ b_{m+1} with d = 2 cos(phi) -+ 2 (upper
+        signs for phi <= pi/2), taking d = -4 sin^2(phi/2) or
+        4 cos^2(phi/2): the plain form loses digits where 2 cos(phi) is
+        close to +-2, near phi = 0 and pi.  Two transcendentals per point.
+        """
+        c = self.coeffs[rows].T
+        sh, ch = np.sin(0.5 * phi), np.cos(0.5 * phi)
+        low = ch >= sh                      # phi <= pi/2
+        sign = np.where(low, 1.0, -1.0)
+        d = np.where(low, -4.0 * sh * sh, 4.0 * ch * ch)
+        b, u = np.zeros_like(phi), np.zeros_like(phi)
+        for cm in c[:0:-1]:
+            u = cm + d * b + sign * u
+            b = sign * b + u
+        # b_1 cos phi - b_2 = +-u_1 + b_1 d / 2
+        series = sign * u + 0.5 * d * b if self.odd else 2.0 * sh * ch * b
+        return c[0] * phi + series
 
 
 def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
@@ -246,13 +274,13 @@ def apply_kernel(kernel, f):
 # lower bounds: nonlinear power ascent
 
 def _dual_power(g, p):
-    """|g|^{p-1} sgn(conj g), the duality map used by the ascent, divided by
-    max|g|^{p-1} so that no exponent overflows; only its direction is used."""
+    """|g|^{p-1} sgn(conj g), the duality map used by the ascent, of a vector
+    or of each column of a block, divided by the column's max|g|^{p-1} so
+    that no exponent overflows; only its direction is used."""
     a = np.abs(g)
-    out = np.zeros_like(g)
-    nz = a > 0
-    out[nz] = (a[nz] / a.max()) ** (p - 1.0) * (np.conj(g[nz]) / a[nz])
-    return out
+    peak = a.max(axis=0)
+    sgn = np.divide(np.conj(g), a, out=np.zeros_like(g), where=a > 0)
+    return (a / np.where(peak > 0, peak, 1.0)) ** (p - 1.0) * sgn
 
 
 def _support_measure(w, v):
@@ -267,34 +295,68 @@ class LowerBound:
     iterations: int
     restarts: int
     exact: bool = False
+    # restarts per ascent stop reason; empty on the exact routes
+    stops: dict = field(default_factory=dict)
 
 
-def _ascent(op, r, s, f0):
-    """Boyd-style alternating dual ascent from one start; returns best ratio."""
+# why a restart left the ascent: no gain beyond _STAGNATION, a zero image
+# or a zero input norm, or _MAX_STEPS reached
+_STOPS = ("stagnation", "zero", "max_steps")
+
+
+def _ascent(op, r, s, starts):
+    """Boyd-style alternating dual ascent from every start at once.
+
+    The starts run as the columns of one (points, restarts) block.  Each
+    column follows the trajectory of an ascent from its start alone and
+    leaves the block at its own stop (`_STOPS`).  Returns, per start, the
+    best ratio, the input attaining it, the steps taken and the stop reason.
+    """
     w = op.grid.weights
     rp = r / (r - 1.0)
-    nrm = weighted_lp(w, f0, r)
-    if nrm == 0:
-        return 0.0, f0, 0
-    f = f0 / nrm
-    best, bestf = 0.0, f
-    prev = 0.0
-    steps = 0
-    for steps in range(1, _MAX_STEPS + 1):
+    f = np.stack(starts, axis=1)
+    nrm = weighted_lp(w, f, r)
+    best = np.zeros(len(starts))
+    witness = list(f.T)
+    steps = [0] * len(starts)
+    stops = ["zero"] * len(starts)
+    live = np.flatnonzero(nrm > 0)
+    f = f[:, live] / nrm[live]
+    for j, col in enumerate(live):
+        witness[col] = f[:, j]
+    prev = np.zeros(live.size)
+
+    def stop(cols, step, reason):
+        for col in cols:
+            steps[col], stops[col] = step, reason
+
+    for step in range(1, _MAX_STEPS + 1):
         g = op.apply(f)
         ratio = weighted_lp(w, g, s)
-        if ratio > best:
-            best, bestf = ratio, f
-        if ratio == 0.0 or ratio <= prev * (1.0 + _STAGNATION):
-            break
+        for j in np.flatnonzero(ratio > best[live]):
+            best[live[j]], witness[live[j]] = ratio[j], f[:, j]
+        # a zero image is stagnant too, since prev >= 0
+        stagnant = ratio <= prev * (1.0 + _STAGNATION)
+        if stagnant.any():
+            zero = ratio == 0.0
+            stop(live[zero], step, "zero")
+            stop(live[stagnant & ~zero], step, "stagnation")
+            go = ~stagnant
+            live, g, ratio = live[go], g[:, go], ratio[go]
+            if not live.size:
+                break
         prev = ratio
-        u = op.apply_adjoint(_dual_power(g, s))
-        fnew = _dual_power(u, rp)
-        nrm = weighted_lp(w, fnew, r)
-        if nrm == 0:
-            break
-        f = fnew / nrm
-    return best, bestf, steps
+        f = _dual_power(op.apply_adjoint(_dual_power(g, s)), rp)
+        nrm = weighted_lp(w, f, r)
+        if not nrm.all():
+            stop(live[nrm == 0], step, "zero")
+            go = nrm > 0
+            live, prev, f, nrm = live[go], prev[go], f[:, go], nrm[go]
+            if not live.size:
+                break
+        f = f / nrm
+    stop(live, _MAX_STEPS, "max_steps")
+    return best, witness, steps, stops
 
 
 def _exact_endpoint_lower(op, r, s):
@@ -378,20 +440,20 @@ def norm_lower(op, r, s, restarts=8, seed=1):
         value, f = _exact_endpoint_lower(op, r, s)
         return LowerBound(value, ZonalFunction(op.grid, f), 0, 1, exact=True)
     w = op.grid.weights
+    values, witnesses, steps, reasons = _ascent(
+        op, r, s, _start_values(op, restarts, seed))
     best = None           # (value, support_measure, witness)
-    total_steps = 0
-    for f0 in _start_values(op, restarts, seed):
-        value, f, steps = _ascent(op, r, s, f0)
-        total_steps += steps
+    for value, f in zip(values, witnesses):
         supp = _support_measure(w, f)
         if best is None or value > best[0] * (1.0 + _STAGNATION) or (
                 value >= best[0] * (1.0 - _STAGNATION) and supp < best[1]):
             best = (value, supp, f)
-    value, _, f = best
+    f = np.ascontiguousarray(best[2])
     # re-evaluate the witness from scratch so the recorded pair is consistent
     value = weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r)
-    return LowerBound(float(value), ZonalFunction(op.grid, f),
-                      total_steps, restarts)
+    return LowerBound(float(value), ZonalFunction(op.grid, f), sum(steps),
+                      restarts, stops={reason: reasons.count(reason)
+                                       for reason in _STOPS})
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +497,11 @@ class NormCertificate:
     seed: int
     iterations: int
     restarts: int
+    stops: dict = field(default_factory=dict)   # as in LowerBound
 
     def __post_init__(self):
-        if self.lower > self.upper * (1.0 + 1e-6):
+        # lower <= upper holds in exact arithmetic; allow rounding only
+        if self.lower > self.upper * (1.0 + 1e-12):
             raise CertificateError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper} "
                 f"for {self.label} at ({self.point.x}, {self.point.y})")
@@ -453,6 +517,7 @@ class NormCertificate:
             "witness_grid": self.grid_ref,
             "seed": self.seed,
             "iterations": self.iterations,
+            "stops": self.stops,
             "gap": self.upper / self.lower if self.lower > 0 else None,
         }
 
@@ -470,4 +535,5 @@ def norm_certificate(op, point, restarts=8, seed=1, label=None):
         seed=seed,
         iterations=low.iterations,
         restarts=low.restarts,
+        stops=low.stops,
     )

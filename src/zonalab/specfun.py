@@ -13,7 +13,7 @@ is the kernel with m = e_k.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
