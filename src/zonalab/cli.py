@@ -1,7 +1,8 @@
 """Experiment runner and report emitter.
 
 Each run writes two files: a CSV with one row per swept parameter and a JSON
-summary {config, rows, slope, residual, wall_seconds, version}.  The CSV is
+summary {config, rows, slope, residual, wall_seconds, version, env}, where
+env names the python, numpy and zonalab versions that ran.  The CSV is
 byte-identical for identical config + seed; timestamps live only in the JSON.
 
 Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 import argparse
 import csv
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -381,6 +383,8 @@ def main(argv=None):
         "residual": residual,
         "wall_seconds": wall,
         "version": __version__,
+        "env": {"python": platform.python_version(),
+                "numpy": np.__version__, "zonalab": __version__},
     }
     json_path = cfg.out.with_suffix(".json")
     with open(json_path, "w") as fh:

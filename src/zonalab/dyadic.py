@@ -10,10 +10,10 @@ satisfies the support and partition requirements simultaneously.)  The flat
 piece j = 0 keeps everything at theta <= 1/lambda_k.
 
 Piece operators integrate the azimuthal average only over the annulus.  All
-pieces of one degree share one azimuthal spectrum of Z_k, sampled k + n - 1
-times per node pair on first use; each piece integrates it exactly between
-the azimuths of its annulus edges, so the piece matrices sum to the spectral
-e_k e_k^T up to rounding.
+pieces of one degree share one azimuthal spectrum of Z_k, built on first use
+from the addition theorem; each piece integrates it exactly between the
+azimuths of its annulus edges, and an edge shared by two annuli is summed
+once, so the piece matrices sum to the spectral e_k e_k^T up to rounding.
 """
 
 import math

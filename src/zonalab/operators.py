@@ -12,10 +12,11 @@ spectrally, so the degree-k projector (rank one) costs O(points) per
 application; the dense matrix is built only when a caller reads it.  For a
 band-limited kernel restricted to a window of relative angles (e.g. a dyadic
 piece) the average is integrated into a dense matrix in closed form: the
-azimuthal integrand of each node pair is a trigonometric polynomial, sampled
-once per kernel (AzimuthalSpectrum) and integrated exactly between the
-azimuths of the window's edges, where Clenshaw's recurrence sums its
-antiderivative.
+azimuthal integrand of each node pair is a trigonometric polynomial whose
+coefficients come from the Gegenbauer addition theorem, one factor table
+per degree and one matrix product for all pairs (AzimuthalSpectrum); it is
+integrated exactly between the azimuths of the window's edges, where
+Clenshaw's recurrence sums its antiderivative once per distinct edge.
 
 Norms:
   * norm_lower reports an attained ratio ||Tf||_s / ||f||_r, hence a valid
@@ -42,12 +43,13 @@ from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp, weighted_row_lp
-from .specfun import zonal_value
+from .specfun import (addition_factors, subsphere_zonal_table,
+                      zonal_value)
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
-# node pairs per block of azimuthal samples, so that the temporaries grow
-# with the degree but not with the grid
+# node pairs per block of the spectrum's product, so that the temporaries
+# grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
 
 
@@ -145,16 +147,25 @@ class AzimuthalSpectrum:
     over [0, pi] with density sin^{n-2} phi.  For a kernel of degree kmax,
     F(phi) = K(cos gamma) sin^{n-2} phi is a trigonometric polynomial of
     degree D = kmax + n - 2: cosines only for even n, sines only for odd n.
-    Its samples at the N = D + 1 midpoints phi_l = pi (l + 1/2) / N give its
-    coefficients exactly through a DCT-II (even n) or DST-II (odd n), so every
-    window of azimuths integrates in closed form.  One spectrum serves every
-    window of its kernel; `coeffs` holds, per pair, the coefficients of the
-    normalised antiderivative
+    The addition theorem separates each degree of the kernel into functions
+    of ti, tj and phi,
+
+        Z_k(cos gamma) = sum_{m<=k} A_m(ti) A_m(tj) Z^{S^{n-1}}_m(cos phi),
+
+    so F is a combination of the fixed functions Z^{S^{n-1}}_m(cos phi)
+    sin^{n-2} phi, m = 0..kmax, with the pair's weights
+    sum_k c_k A^k_m(ti) A^k_m(tj) over the kernel's nonzero degrees.  A
+    DCT-II (even n) or DST-II (odd n) of their samples at the N = D + 1
+    midpoints phi_l = pi (l + 1/2) / N gives their coefficients exactly, once
+    per spectrum, and one matrix product per block of pairs gives every
+    pair's.  `coeffs` holds, per pair, the coefficients of the normalised
+    antiderivative
 
         G(phi) = c_0 phi + sum_{m=1}^{N-1} c_m trig(m phi),
 
-    with trig = sin for even n and cos for odd n (where c_0 = 0), which
-    `antiderivative` sums by Clenshaw's recurrence at every window edge.
+    with trig = sin for even n and cos for odd n (where c_0 = 0).  `edge`
+    evaluates G at one window edge for every pair and keeps the result, so
+    an edge shared by two windows is summed once.
     """
 
     def __init__(self, grid, kernel):
@@ -162,11 +173,13 @@ class AzimuthalSpectrum:
         self.kernel = kernel
         self.odd = grid.sphere.n % 2 == 1
         self.pairs = np.triu_indices(grid.points)
+        self._edges = {}
 
     @functools.cached_property
     def coeffs(self):
         n = self.grid.sphere.n
-        size = self.kernel.max_degree + n - 1
+        kmax = self.kernel.max_degree
+        size = kmax + n - 1
         phi = np.pi * (np.arange(size) + 0.5) / size
         m = np.arange(size)
         # samples -> c: the DCT-II / DST-II rows times the density
@@ -180,19 +193,70 @@ class AzimuthalSpectrum:
         total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
         trans *= (np.sin(phi) ** (n - 2))[:, None] * (
             2.0 / (size * total * np.maximum(m, 1)))
-        ct, st = np.cos(self.grid.nodes), np.sin(self.grid.nodes)
+        # row m: the coefficients of Z^{S^{n-1}}_m(cos phi) sin^{n-2} phi
+        basis = subsphere_zonal_table(n, kmax, phi) @ trans
+        degrees = np.flatnonzero(self.kernel.coeffs)
+        factors = [(self.kernel.coeffs[k],
+                    addition_factors(n, int(k), self.grid.nodes).T)
+                   for k in degrees]
         i, j = self.pairs
         coeffs = np.empty((i.size, size))
         for start in range(0, i.size, _PAIR_BLOCK):
             b = slice(start, start + _PAIR_BLOCK)
-            cosg = (ct[i[b]] * ct[j[b]])[:, None] + (
-                st[i[b]] * st[j[b]])[:, None] * np.cos(phi)
-            coeffs[b] = self.kernel.values(cosg.ravel()).reshape(
-                cosg.shape) @ trans
+            weights = np.zeros((i[b].size, kmax + 1))
+            for c, a in factors:
+                weights[:, :a.shape[1]] += c * a[i[b]] * a[j[b]]
+            coeffs[b] = weights @ basis
         return coeffs
 
+    @functools.cached_property
+    def ranges(self):
+        """(d, s) per pair: the relative angle sweeps [d, s] as the azimuth
+        turns, d = |ti - tj| and s = min(ti + tj, 2 pi - ti - tj)."""
+        th = self.grid.nodes
+        i, j = self.pairs
+        return np.abs(th[i] - th[j]), np.minimum(th[i] + th[j],
+                                                 2.0 * np.pi - (th[i] + th[j]))
+
+    @functools.cached_property
+    def ends(self):
+        """G at phi = 0 and at phi = pi, per pair, in closed form: 0 and
+        c_0 pi for sines, sum c_m and sum (-1)^m c_m for cosines."""
+        c = self.coeffs
+        if not self.odd:
+            return np.zeros(c.shape[0]), np.pi * c[:, 0]
+        return c.sum(axis=1), c[:, ::2].sum(axis=1) - c[:, 1::2].sum(axis=1)
+
+    def edge(self, gamma):
+        """G, per pair, at the azimuth where the relative angle reaches
+        gamma clipped to the pair's range [d, s]; kept per gamma.
+
+        Clipped edges take the closed forms of `ends` (phi = pi wherever
+        gamma >= s).  Inside the range the edge maps to its azimuth through
+        the half-angle form tan^2(phi/2) = (cos d - cos gamma) /
+        (cos gamma - cos s), factored into sines so that no edge loses
+        digits near d or s, and G is summed there by `antiderivative`.
+        """
+        gamma = float(gamma)
+        G = self._edges.get(gamma)
+        if G is None:
+            d, s = self.ranges
+            at_zero, at_pi = self.ends
+            G = np.where(gamma >= s, at_pi, at_zero)
+            inside = np.flatnonzero((d < gamma) & (gamma < s))
+            if inside.size:
+                d, s = d[inside], s[inside]
+                phi = 2.0 * np.arctan2(
+                    np.sqrt(np.sin(0.5 * (gamma - d))
+                            * np.sin(0.5 * (gamma + d))),
+                    np.sqrt(np.sin(0.5 * (s - gamma))
+                            * np.sin(0.5 * (s + gamma))))
+                G[inside] = self.antiderivative(inside, phi)
+            self._edges[gamma] = G
+        return G
+
     def antiderivative(self, rows, phi):
-        """G(phi) for the pairs `rows`; phi has shape (edges, len(rows)).
+        """G(phi) for the pairs `rows`; phi has shape (..., len(rows)).
 
         The series is summed by Clenshaw's recurrence
         b_m = c_m + 2 cos(phi) b_{m+1} - b_{m+2}, m = N-1..1, which gives
@@ -219,33 +283,15 @@ class AzimuthalSpectrum:
 
 def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     """Reduced matrix of the spectrum's kernel restricted to the window
-    support = (lo, hi] of relative angles.
-
-    The relative angle between nodes (ti, tj) sweeps [d, s] with
-    d = |ti - tj| and s = min(ti + tj, 2 pi - ti - tj) as the azimuth turns;
-    the window's edges inside that range map to azimuths through the
-    half-angle form tan^2(phi/2) = (cos d - cos gamma) / (cos gamma - cos s),
-    factored into sines so that no edge loses digits near d or s.  The
-    matrix is filled from the pairs i <= j, so it is exactly symmetric.
+    support = (lo, hi] of relative angles: G(hi) - G(lo) per pair, each edge
+    clipped to the pair's range (`AzimuthalSpectrum.edge`).  A window that
+    misses a pair's range clips both edges to the same end, so the entry is
+    exactly 0.  The matrix is filled from the pairs i <= j, so it is exactly
+    symmetric.
     """
-    grid = spectrum.grid
     i, j = spectrum.pairs
-    th = grid.nodes
-    d = np.abs(th[i] - th[j])
-    s = np.minimum(th[i] + th[j], 2.0 * np.pi - (th[i] + th[j]))
-    lo = np.maximum(d, support[0])
-    hi = np.minimum(s, support[1])
-    mask = lo < hi
-    A = np.zeros((grid.points, grid.points))
-    if not mask.any():
-        return A
-    d, s = d[mask], s[mask]
-    gamma = np.stack([lo[mask], hi[mask]])
-    phi = 2.0 * np.arctan2(
-        np.sqrt(np.sin(0.5 * (gamma - d)) * np.sin(0.5 * (gamma + d))),
-        np.sqrt(np.sin(0.5 * (s - gamma)) * np.sin(0.5 * (s + gamma))))
-    G = spectrum.antiderivative(np.flatnonzero(mask), phi)
-    A[i[mask], j[mask]] = A[j[mask], i[mask]] = G[1] - G[0]
+    A = np.empty((spectrum.grid.points,) * 2)
+    A[i, j] = A[j, i] = spectrum.edge(support[1]) - spectrum.edge(support[0])
     return A
 
 
@@ -332,7 +378,12 @@ def _ascent(op, r, s, starts):
 
     for step in range(1, _MAX_STEPS + 1):
         g = op.apply(f)
-        ratio = weighted_lp(w, g, s)
+        # |g|, its column max and the scaled block, shared by the L^s ratio
+        # and the duality map: the bits of weighted_lp and _dual_power
+        a = np.abs(g)
+        peak = a.max(axis=0)
+        scaled = a / np.where(peak > 0, peak, 1.0)
+        ratio = peak * (w @ scaled ** s) ** (1.0 / s)
         for j in np.flatnonzero(ratio > best[live]):
             best[live[j]], witness[live[j]] = ratio[j], f[:, j]
         # a zero image is stagnant too, since prev >= 0
@@ -342,11 +393,13 @@ def _ascent(op, r, s, starts):
             stop(live[zero], step, "zero")
             stop(live[stagnant & ~zero], step, "stagnation")
             go = ~stagnant
-            live, g, ratio = live[go], g[:, go], ratio[go]
+            live, ratio = live[go], ratio[go]
+            g, a, scaled = g[:, go], a[:, go], scaled[:, go]
             if not live.size:
                 break
         prev = ratio
-        f = _dual_power(op.apply_adjoint(_dual_power(g, s)), rp)
+        sgn = np.divide(np.conj(g), a, out=np.zeros_like(g), where=a > 0)
+        f = _dual_power(op.apply_adjoint(scaled ** (s - 1.0) * sgn), rp)
         nrm = weighted_lp(w, f, r)
         if not nrm.all():
             stop(live[nrm == 0], step, "zero")

@@ -4,11 +4,13 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zonalab as zl
@@ -92,6 +94,14 @@ class TestExponentMap:
         assert summary["version"] == zl.__version__
         assert summary["wall_seconds"] >= 0
         assert len(summary["rows"]) == 8
+
+    def test_json_env(self, tmp_path):
+        # what ran: the python, numpy and zonalab versions, in the JSON only
+        code, out, js = _run(tmp_path, "map", "exponent-map", "--sigma", "1/2")
+        env = json.loads(js.read_text())["env"]
+        assert env == {"python": platform.python_version(),
+                       "numpy": np.__version__, "zonalab": zl.__version__}
+        assert "python" not in out.read_text()
 
 
 class TestEnvelopeCommand:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer
 
 import zonalab as zl
+from zonalab import operators
 from zonalab.dyadic import fit_pieces
 from zonalab.errors import NumericalError
 
@@ -188,29 +189,49 @@ def test_piece_norm_slopes_smoke(sphere3, grid80):
 
 
 def test_one_spectrum_per_degree(monkeypatch):
-    # every piece of one degree reads one azimuthal spectrum: the kernel is
-    # sampled k + n - 1 times per node pair i <= j, however many pieces and
-    # builds there are, and each piece matrix is exactly symmetric
-    sampled = []
-    values = zl.ZonalKernel.values
+    # every piece of one degree reads one azimuthal spectrum, whose kernel
+    # is separated by the addition theorem once (one factor table for the
+    # projector's one degree), however many pieces and builds there are;
+    # each distinct window edge is summed once, only over the pairs whose
+    # range it cuts, so never at phi = 0 or pi; and each piece matrix is
+    # exactly symmetric
+    tables, summed = [], []
+    factors = operators.addition_factors
+    antiderivative = zl.AzimuthalSpectrum.antiderivative
 
-    def counting(kernel, t):
-        sampled.append(np.size(t))
-        return values(kernel, t)
+    def counting_factors(n, k, theta):
+        tables.append((n, k))
+        return factors(n, k, theta)
 
-    monkeypatch.setattr(zl.ZonalKernel, "values", counting)
+    def counting_rows(spectrum, rows, phi):
+        assert np.all((phi > 0.0) & (phi < np.pi))
+        summed.append(len(rows))
+        return antiderivative(spectrum, rows, phi)
+
+    monkeypatch.setattr(operators, "addition_factors", counting_factors)
+    monkeypatch.setattr(zl.AzimuthalSpectrum, "antiderivative",
+                        counting_rows)
     k = 16
     for n in (2, 3, 4, 5):
         sphere = zl.SphereSpec(n)
         grid = zl.make_grid(sphere, 40, kexact=k)
-        P = grid.points
-        sampled.clear()
+        tables.clear()
+        summed.clear()
         pieces = zl.dyadic_decompose(sphere, k, grid)
         for _ in range(2):
             for piece in pieces:
                 A = piece.operator().matrix
                 assert np.array_equal(A, A.T)
-        assert sum(sampled) == P * (P + 1) // 2 * (k + n - 1)
+        assert all(p.spectrum is pieces[0].spectrum for p in pieces)
+        assert tables == [(n, k)]
+        # the pairs' ranges [d, s] of relative angles, as the azimuth turns
+        th = grid.nodes
+        i, j = np.triu_indices(grid.points)
+        d = np.abs(th[i] - th[j])
+        s = np.minimum(th[i] + th[j], 2.0 * np.pi - (th[i] + th[j]))
+        cut = [np.count_nonzero((d < e) & (e < s))
+               for e in {e for p in pieces for e in p.support}]
+        assert sorted(summed) == sorted(c for c in cut if c)
 
 
 def test_piece_norm_slopes_rejects_low_degree(sphere3, grid80):

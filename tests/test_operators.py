@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from zonalab.exponents import ExponentPoint
 from zonalab.norms import weighted_lp, weighted_row_lp
 from zonalab.operators import (NormCertificate, ZonalOperator, _dual_power,
                                operator_from_kernel)
+from zonalab.specfun import addition_factors, subsphere_zonal_table
 
 VOL3 = 19.739208802178716
 
@@ -472,6 +475,99 @@ class TestCertificates:
                             point=ExponentPoint(0.5, 0.5), lower=2.0,
                             upper=1.0, witness=None, grid_ref="g", seed=1,
                             iterations=0, restarts=1)
+
+
+def _sampled_coeffs(spectrum):
+    """The spectrum's coefficients from the kernel sampled at the N azimuthal
+    midpoints of every node pair, through the DCT-II / DST-II: the reference
+    for the addition-theorem route."""
+    grid, kernel = spectrum.grid, spectrum.kernel
+    n = grid.sphere.n
+    size = kernel.max_degree + n - 1
+    phi = np.pi * (np.arange(size) + 0.5) / size
+    m = np.arange(size)
+    if spectrum.odd:
+        trans = -np.sin(np.outer(phi, m))
+    else:
+        trans = np.cos(np.outer(phi, m))
+        trans[:, 0] = 0.5
+    total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
+    trans *= (np.sin(phi) ** (n - 2))[:, None] * (
+        2.0 / (size * total * np.maximum(m, 1)))
+    ct, sn = np.cos(grid.nodes), np.sin(grid.nodes)
+    i, j = spectrum.pairs
+    cosg = (ct[i] * ct[j])[:, None] + (sn[i] * sn[j])[:, None] * np.cos(phi)
+    return kernel.values(cosg.ravel()).reshape(cosg.shape) @ trans
+
+
+_DEGREES = [0, 1, 8, 64, 128]
+
+
+class TestAdditionTheorem:
+    """The factors A_m of the Gegenbauer addition theorem and the spectrum
+    built from them, against zonal_value, the grid's quadrature and the
+    sampled kernel."""
+
+    @staticmethod
+    def _identity_error(n, k, seed):
+        rng = np.random.default_rng(seed)
+        ti, tj, phi = rng.uniform(0.0, np.pi, (3, 64))
+        got = np.sum(addition_factors(n, k, ti) * addition_factors(n, k, tj)
+                     * subsphere_zonal_table(n, k, phi), axis=0)
+        want = zl.zonal_value(n, k, np.cos(ti) * np.cos(tj)
+                              + np.sin(ti) * np.sin(tj) * np.cos(phi))
+        return np.abs(got - want).max() / zl.zonal_value(n, k, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", _DEGREES)
+    def test_pointwise_identity(self, n, k):
+        assert self._identity_error(n, k, 10 * n + k) <= 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pointwise_identity_high_degree(self, n):
+        # sin^m and C^{alpha+m}_{k-m} alone overflow and underflow here
+        assert self._identity_error(n, 1024, n) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", _DEGREES)
+    def test_orthonormal_on_exact_grid(self, n, k):
+        # A_m^2 is a polynomial of degree 2k in cos(theta)
+        grid = zl.make_grid(zl.SphereSpec(n), 2 * k + 1)
+        A = addition_factors(n, k, grid.nodes)
+        vol = zl.sphere_volume(n - 1)
+        assert np.abs(A ** 2 @ grid.weights / vol - 1.0).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", _DEGREES)
+    def test_coeffs_match_sampled(self, n, k):
+        sphere = zl.SphereSpec(n)
+        grid = zl.make_grid(sphere, 24, kexact=8)
+        kernels = [zl.projector_kernel(sphere, k)]
+        if k == 8:
+            # several degrees, and one of them zero
+            coeffs = np.random.default_rng(n).standard_normal(k + 1)
+            coeffs[3] = 0.0
+            kernels.append(zl.ZonalKernel(sphere, coeffs))
+        for kernel in kernels:
+            spectrum = zl.AzimuthalSpectrum(grid, kernel)
+            want = _sampled_coeffs(spectrum)
+            scale = np.abs(want).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(spectrum.coeffs - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ends_match_direct_sum(self, n):
+        # the closed forms of G at phi = 0 and pi
+        sphere = zl.SphereSpec(n)
+        grid = zl.make_grid(sphere, 24, kexact=8)
+        spectrum = zl.AzimuthalSpectrum(grid, zl.projector_kernel(sphere, 8))
+        rows = np.arange(spectrum.pairs[0].size)
+        phi = np.repeat([[0.0], [np.pi]], rows.size, axis=1)
+        want = _direct_antiderivative(spectrum, rows, phi)
+        scale = np.abs(spectrum.coeffs).sum(axis=1)
+        assert np.all(np.abs(np.stack(spectrum.ends) - want) <= 1e-14 * scale)
+        # a window beyond every pair's range is exactly zero
+        assert not zl.azimuthal_matrix(spectrum, (np.pi, 4.0)).any()
 
 
 def _direct_antiderivative(spectrum, rows, phi):
