@@ -509,10 +509,18 @@ class TestAdditionTheorem:
     sampled kernel."""
 
     @staticmethod
-    def _identity_error(n, k, seed):
+    def _identity_error(n, k, seed, points):
         rng = np.random.default_rng(seed)
-        ti, tj, phi = rng.uniform(0.0, np.pi, (3, 64))
-        got = np.sum(addition_factors(n, k, ti) * addition_factors(n, k, tj)
+        ti, tj, phi = rng.uniform(0.0, np.pi, (3, points))
+        # half the ti next to sin(theta) = 1/e, where the columns m ~ k/e
+        # turn from decay to oscillation: their start sin^m(theta) is
+        # smallest there against their value, and underflows from k ~ 1900
+        # on (tj stays spread, since zonal_value at a rounded cos(gamma)
+        # near 1 is itself off by about k^2 ulp of Z_k(1))
+        half = points // 2
+        ti[:half] = math.asin(1.0 / math.e) + rng.uniform(-0.05, 0.05, half)
+        a = addition_factors(n, k, np.concatenate([ti, tj]))
+        got = np.sum(a[:, :points] * a[:, points:]
                      * subsphere_zonal_table(n, k, phi), axis=0)
         want = zl.zonal_value(n, k, np.cos(ti) * np.cos(tj)
                               + np.sin(ti) * np.sin(tj) * np.cos(phi))
@@ -521,13 +529,14 @@ class TestAdditionTheorem:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", _DEGREES)
     def test_pointwise_identity(self, n, k):
-        assert self._identity_error(n, k, 10 * n + k) <= 1e-13
+        assert self._identity_error(n, k, 10 * n + k, 64) <= 1e-13
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_pointwise_identity_high_degree(self, n):
+    @pytest.mark.parametrize("k", [1024, 2048])
+    def test_pointwise_identity_high_degree(self, n, k):
         # sin^m and C^{alpha+m}_{k-m} alone overflow and underflow here
-        assert self._identity_error(n, 1024, n) <= 1e-12
+        assert self._identity_error(n, k, n, 8) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", _DEGREES)
