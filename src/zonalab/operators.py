@@ -195,10 +195,9 @@ class AzimuthalSpectrum:
             2.0 / (size * total * np.maximum(m, 1)))
         # row m: the coefficients of Z^{S^{n-1}}_m(cos phi) sin^{n-2} phi
         basis = subsphere_zonal_table(n, kmax, phi) @ trans
-        degrees = np.flatnonzero(self.kernel.coeffs)
         factors = [(self.kernel.coeffs[k],
                     addition_factors(n, int(k), self.grid.nodes).T)
-                   for k in degrees]
+                   for k in np.flatnonzero(self.kernel.coeffs)]
         i, j = self.pairs
         coeffs = np.empty((i.size, size))
         for start in range(0, i.size, _PAIR_BLOCK):
