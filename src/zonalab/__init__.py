@@ -1,17 +1,16 @@
 """Norm experiments for zonal spectral projectors and resolvents on S^n."""
 
-from .dyadic import (DyadicPiece, dyadic_bump, dyadic_decompose,
-                     envelope_check, piece_count, piece_norm_slopes)
+from .dyadic import (DyadicPiece, dyadic_decompose, envelope_check,
+                     piece_count, piece_norm_slopes)
 from .exponents import (ExponentPoint, admissible, predicted_exponents,
                         segment_endpoints, special_points, stein_point)
 from .grids import ZonalFunction, ZonalGrid, cap, load_grid, make_grid, save_grid
 from .interpolation import (InterpolationData, certify_restricted_weak,
                             interp_from_fit, optimal_split)
-from .norms import lorentz_p1, lp_norm, weak_lq
+from .norms import lp_norm, weak_lq
 from .operators import (AzimuthalSpectrum, NormCertificate, ZonalOperator,
                         apply_kernel, azimuthal_matrix, norm_certificate,
-                        norm_lower, norm_upper, operator_from_kernel,
-                        operator_from_profile)
+                        norm_lower, norm_upper, operator_from_kernel)
 from .resolvent import (ResolventParams, default_degree_cutoff,
                         helmholtz_kernel, multiplier_from_integral,
                         resolvent_kernel, resolvent_multiplier,

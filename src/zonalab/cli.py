@@ -104,14 +104,9 @@ def _grid_for(sphere, points, kexact, cache_dir=None):
 # ---------------------------------------------------------------------------
 # commands; each returns (json_rows, slope, residual)
 
-def _exponent_pair(cfg):
-    x = 1.0 / cfg.r
-    return ExponentPoint(x, x - cfg.sigma)
-
-
 def _run_proj_scaling(cfg, sink):
     sphere = SphereSpec(cfg.n)
-    point = _exponent_pair(cfg)
+    point = cfg.point
     kmax = max(cfg.ks)
     points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
     grid = _grid_for(sphere, points, kmax, cfg.cache_dir)
@@ -143,7 +138,7 @@ def _slope_of(rows):
 
 def _run_resolvent_scaling(cfg, sink):
     sphere = SphereSpec(cfg.n)
-    point = _exponent_pair(cfg)
+    point = cfg.point
     cutoffs = {lam: default_degree_cutoff(lam) for lam in cfg.lambdas}
     kmax = max(cutoffs.values())
     points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
@@ -291,8 +286,10 @@ class Config:
         if self.command in _NEEDS_EXPONENTS:
             if self.r is None:
                 self.r = default_r(self.n, self.sigma)
-            s = 1.0 / (1.0 / self.r - self.sigma)
-            ok, reason = admissible(self.n, self.r, s)
+            # 1/s = 1/r - sigma; 1/s = 0 is s = inf.  ExponentPoint rejects
+            # pairs outside 0 <= 1/s <= 1/r <= 1 with a ValueError
+            self.point = ExponentPoint(1.0 / self.r, 1.0 / self.r - self.sigma)
+            ok, reason = admissible(self.n, self.r, self.point.s)
             if not ok:
                 raise ValueError(
                     f"inadmissible exponents n={self.n} sigma={self.sigma} "

@@ -23,15 +23,9 @@ import numpy as np
 
 from .errors import NumericalError
 from .exponents import stein_point
-from .operators import AzimuthalSpectrum, norm_lower, operator_from_profile
+from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
+                        norm_lower)
 from .specfun import eigenvalue, projector_kernel, zonal_value
-
-
-def dyadic_bump(t):
-    """Dyadic cutting profile: indicator of (1/2, 1].  Sums to one over
-    dilates t -> 2^-j t for every t > 0."""
-    t = np.asarray(t, dtype=np.float64)
-    return ((t > 0.5) & (t <= 1.0)).astype(np.float64)
 
 
 def piece_count(n, k):
@@ -60,10 +54,10 @@ class DyadicPiece:
         return zk * ((gamma > lo) & (gamma <= hi))
 
     def operator(self):
-        lam = eigenvalue(self.grid.sphere.n, self.base)
-        return operator_from_profile(
-            self.spectrum, support=self.support,
-            natural_degree=self.base, scale=lam,
+        return ZonalOperator(
+            self.grid, azimuthal_matrix(self.spectrum, self.support),
+            natural_degree=self.base,
+            scale=eigenvalue(self.grid.sphere.n, self.base),
             label=f"piece k={self.base} j={self.j}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentPoint
-from .norms import lp_norm, superlevels
+from .norms import lp_norm, weak_sweep
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,9 @@ def optimal_split(data, mu_e, mu_a):
 # ---------------------------------------------------------------------------
 # end-to-end certification on measured operators
 
-def _weak_sweep(grid, values, q):
-    """(weak norm, attaining threshold, superlevel measure) of |values|."""
-    levels, mass = superlevels(grid.weights, values)
-    scores = levels * mass ** (1.0 / q)
-    i = int(np.argmax(scores))
-    return float(scores[i]), float(levels[i]), float(mass[i])
+# a measured piece norm above this multiple of its fitted exponential
+# envelope is reported as a hypothesis violation
+ENVELOPE_FACTOR = 1.6
 
 
 @dataclass
@@ -114,8 +111,7 @@ class CertificationReport:
     hypothesis_violations: list = field(default_factory=list)
 
 
-def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
-                            envelope_factor=1.6):
+def certify_restricted_weak(piece_ops, data, caps, piece_fit=None):
     """Replay the restricted weak-type bound on measured pieces.
 
     For each cap indicator E the assembled image T 1_E is measured in weak
@@ -123,7 +119,7 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
     M1^theta M2^{1-theta} mu(E)^{1/p}.  Per cap, the two-term split bound at
     the optimal rho is reported to expose the finite-part/tail-part balance.
     piece_fit, when given, is scanned for pieces whose measured norms sit
-    above the fitted exponential envelopes by more than envelope_factor.
+    above the fitted exponential envelopes by more than ENVELOPE_FACTOR.
     A cap that holds no grid node has zero measure and raises ValueError.
     """
     target = data.target
@@ -140,7 +136,7 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
         if mu_e == 0:
             raise ValueError("cap holds no grid node; its measure is zero")
         image = np.sum([op.apply(capfn.values) for op in piece_ops], axis=0)
-        weak, t_star, mu_a = _weak_sweep(grid, image, q)
+        weak, t_star, mu_a = weak_sweep(grid.weights, image, q)
         entry = {"mu_e": mu_e, "weak": weak,
                  "c_obs": weak / (interp_const * mu_e ** target.x)}
         if weak > 0 and t_star > 0:
@@ -166,6 +162,6 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None,
                              + piece_fit.slope_growth * j)
             line_d = 2.0 ** (piece_fit.intercept_decay
                              + piece_fit.slope_decay * j)
-            if nq > envelope_factor * line_g or npp > envelope_factor * line_d:
+            if nq > ENVELOPE_FACTOR * line_g or npp > ENVELOPE_FACTOR * line_d:
                 violations.append(int(j))
     return CertificationReport(data, target, reports, c_obs, violations)

@@ -1,9 +1,10 @@
-"""Lebesgue, weak-type, and Lorentz norms of zonal grid functions.
+"""Lebesgue and weak-type norms of zonal grid functions.
 
 All norms are taken against the grid's quadrature measure, so the exact
-discrete identities hold: an indicator of node set E has
-weak-L^q norm mu(E)^{1/q} and L^{p,1} norm mu(E)^{1/p} with mu the grid
-measure of E.
+discrete identities hold: an indicator of node set E has L^p norm
+mu(E)^{1/p} and weak-L^q norm mu(E)^{1/q}, with mu the grid measure of E.
+The restricted weak-type argument feeds only such indicators, so their
+L^{p,1} norm is that same closed form mu(E)^{1/p} and needs no layer cake.
 """
 
 import math
@@ -48,40 +49,29 @@ def lp_norm(f, p):
     return weighted_lp(f.grid.weights, f.values, p)
 
 
-def superlevels(w, v):
-    """Distinct values of |v| in descending order, and for each level the
-    measure mu(|v| >= level) under node weights w."""
+def weak_sweep(w, v, q):
+    """(weak-L^q norm, attaining level, its superlevel measure) of node
+    values v under node weights w.
+
+    The norm is sup_t t mu(|v| > t)^{1/q}.  mu is a right-continuous step
+    function of t, so the sup is attained just below an achieved node value
+    level, where mu(|v| > t) = mu(|v| >= level); only the achieved values
+    need to be scanned, in descending order with the weights summed down.
+    """
     absval = np.abs(v)
     order = np.argsort(absval)[::-1]
     desc = absval[order]
     cumw = np.cumsum(w[order])
     # last index of each run of equal values gives mu(|v| >= value)
     last = np.nonzero(np.diff(desc, append=-1.0))[0]
-    return desc[last], cumw[last]
+    levels, mass = desc[last], cumw[last]
+    scores = levels * mass ** (1.0 / q)
+    i = int(np.argmax(scores))
+    return float(scores[i]), float(levels[i]), float(mass[i])
 
 
 def weak_lq(f, q):
-    """Weak-L^q norm sup_t t mu(|f| > t)^{1/q}.
-
-    mu is a right-continuous step function of t, so the sup is attained just
-    below an achieved node value v, where mu(|f| > t) = mu(|f| >= v); only the
-    achieved values need to be scanned.
-    """
+    """Weak-L^q norm sup_t t mu(|f| > t)^{1/q} against the grid measure."""
     if q < 1:
         raise ValueError(f"exponent must be >= 1, got {q}")
-    levels, mass = superlevels(f.grid.weights, f.values)
-    return float(np.max(levels * mass ** (1.0 / q)))
-
-
-def lorentz_p1(f, p):
-    """Lorentz L^{p,1} norm via the layer-cake integral int mu(|f|>t)^{1/p} dt.
-
-    Piecewise exact: mu(|f|>t) is constant between consecutive achieved values.
-    """
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {p}")
-    levels, mass = superlevels(f.grid.weights, f.values)
-    below = np.append(levels[1:], 0.0)  # next level down
-    # for t in [below_i, level_i), |f| > t exactly where |f| >= level_i, so
-    # mu(|f| > t) = mass_i on that interval
-    return float(np.sum((levels - below) * mass ** (1.0 / p)))
+    return weak_sweep(f.grid.weights, f.values, q)[0]

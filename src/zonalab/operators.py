@@ -43,7 +43,7 @@ from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp, weighted_row_lp
-from .specfun import (addition_factors, subsphere_zonal_table,
+from .specfun import (addition_factors, eigenvalue, subsphere_zonal_table,
                       zonal_value)
 
 _STAGNATION = 1e-9
@@ -133,7 +133,7 @@ def operator_from_kernel(kernel, grid):
     nz = np.flatnonzero(coeffs)
     factors = (grid.basis(kmax)[nz], coeffs[nz])
     peak = int(np.argmax(np.abs(coeffs)))
-    lam = kernel.sphere.eigenvalue(peak)
+    lam = eigenvalue(kernel.sphere.n, peak)
     return ZonalOperator(grid, factors=factors, natural_degree=peak, scale=lam,
                          label=kernel.description or f"multiplier kmax={kmax}")
 
@@ -292,15 +292,6 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     A = np.empty((spectrum.grid.points,) * 2)
     A[i, j] = A[j, i] = spectrum.edge(support[1]) - spectrum.edge(support[0])
     return A
-
-
-def operator_from_profile(spectrum, support=(0.0, np.pi), natural_degree=None,
-                          scale=None, label=""):
-    """Dense operator of the spectrum's kernel restricted to the window
-    support = (lo, hi] of relative angles."""
-    return ZonalOperator(spectrum.grid, azimuthal_matrix(spectrum, support),
-                         natural_degree=natural_degree, scale=scale,
-                         label=label)
 
 
 def apply_kernel(kernel, f):

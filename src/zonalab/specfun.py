@@ -179,22 +179,6 @@ class SphereSpec:
         # vol(S^{n-1}), the total weight of the polar quadrature rule
         return sphere_volume(self.n - 1)
 
-    @property
-    def alpha(self):
-        return (self.n - 1) / 2
-
-    def harmonic_dim(self, k):
-        return harmonic_dim(self.n, k)
-
-    def eigenvalue(self, k):
-        return eigenvalue(self.n, k)
-
-    def zonal_value(self, k, t):
-        return zonal_value(self.n, k, t)
-
-    def zonal_table(self, kmax, t):
-        return zonal_table(self.n, kmax, t)
-
 
 @dataclass(frozen=True, eq=False)
 class ZonalKernel:

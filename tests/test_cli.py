@@ -221,6 +221,26 @@ class TestFailureModes:
                           "--sigma", "3/5", "--r", "1.5", "--k", "2,4")
         assert code == 2
 
+    def test_pair_at_s_infinity(self, tmp_path):
+        # 1/s = 1/r - sigma = 0 is the admissible pair s = inf, certified
+        # exactly for the rank-one projector
+        code, out, js = _run(tmp_path, "sinf", "proj-scaling", "--n", "2",
+                             "--sigma", "1", "--r", "1", "--k", "4,8")
+        assert code == 0
+        _, rows = _read_csv(out)
+        assert [row[2] for row in rows] == ["inf", "inf"]
+        assert all(row[3] == row[4] for row in rows)
+        assert js.exists()
+
+    @pytest.mark.parametrize("r", ["0.9", "1.2"])
+    def test_pair_outside_triangle(self, tmp_path, capsys, r):
+        # 1/r > 1 or 1/s < 0: rejected before the CSV opens
+        code, out, js = _run(tmp_path, "tri", "proj-scaling", "--n", "2",
+                             "--sigma", "1", "--r", r, "--k", "4,8")
+        assert code == 2
+        assert "0 <= 1/s <= 1/r <= 1" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
     def test_missing_required_flags(self, tmp_path):
         assert _run(tmp_path, "nok", "proj-scaling", "--sigma", "3/5")[0] == 2
         assert _run(tmp_path, "nos", "dyadic-certify", "--k", "8")[0] == 2

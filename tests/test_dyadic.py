@@ -3,7 +3,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_gegenbauer
 
@@ -11,19 +10,6 @@ import zonalab as zl
 from zonalab import operators
 from zonalab.dyadic import fit_pieces
 from zonalab.errors import NumericalError
-
-
-class TestBump:
-    def test_half_open_window(self):
-        t = np.array([0.4, 0.5, 0.50001, 1.0, 1.00001])
-        np.testing.assert_array_equal(zl.dyadic_bump(t), [0, 0, 1, 1, 0])
-
-    @given(t=st.floats(1e-6, 1e6))
-    @settings(max_examples=300)
-    def test_dilates_partition_unity(self, t):
-        # exactly one dyadic dilate catches each positive t
-        total = sum(zl.dyadic_bump(t / 2.0 ** j) for j in range(-25, 45))
-        assert total == 1.0
 
 
 def test_piece_count():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
+from zonalab import interpolation
 from zonalab.exponents import ExponentPoint
 from zonalab.interpolation import optimal_split
 from zonalab.operators import ZonalOperator
@@ -172,7 +173,29 @@ class TestCertify:
         assert entry["mu_e"] > 0 and entry["weak"] > 0
         assert report.hypothesis_violations == []
 
-    def test_envelope_screening(self, sphere3, grid80):
+    def test_cap_weak_sweep_matches_brute_force(self, ops16, grid144):
+        # the cap report's weak norm, threshold and superlevel measure are
+        # those of weak_lq, and of a sup over the image's node values:
+        # weak = max_v v mu(|image| >= v)^{1/q}, attained at threshold v
+        p_pt, q_pt = zl.stein_point(3, 0.6)
+        data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
+        q = data.target.s
+        w = grid144.weights
+        caps = [zl.cap(grid144, th)[0] for th in (1 / 8, 0.5, 1.5)]
+        report = zl.certify_restricted_weak(ops16, data, caps)
+        for capfn, entry in zip(caps, report.cap_reports):
+            image = np.sum([op.apply(capfn.values) for op in ops16], axis=0)
+            f = zl.ZonalFunction(grid144, image)
+            assert entry["weak"] == zl.weak_lq(f, q)
+            a = np.abs(image)
+            mass = np.array([w[a >= v].sum() for v in a])
+            scores = a * mass ** (1.0 / q)
+            best = int(np.argmax(scores))
+            assert entry["weak"] == pytest.approx(scores[best], rel=1e-13)
+            assert entry["threshold"] == a[best]
+            assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
+
+    def test_envelope_screening(self, sphere3, grid80, monkeypatch):
         fit, pieces, _ = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
                                               restarts=4)
         p_pt, q_pt = zl.stein_point(3, 0.6)
@@ -183,6 +206,6 @@ class TestCertify:
         # a two-parameter fit of three well-behaved norms leaves no outliers
         assert report.hypothesis_violations == []
         # tightening the envelope factor far enough must flag pieces
-        strict = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit,
-                                            envelope_factor=0.5)
+        monkeypatch.setattr(interpolation, "ENVELOPE_FACTOR", 0.5)
+        strict = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
         assert len(strict.hypothesis_violations) >= 1

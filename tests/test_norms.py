@@ -1,4 +1,4 @@
-"""Norm layer: quadrature L^p, weak L^q, and Lorentz L^{p,1}.
+"""Norm layer: quadrature L^p and weak L^q.
 
 The discrete identities are exercised on a tiny grid with hand-picked
 weights, where every layer-cake quantity is a two-term closed form.
@@ -76,35 +76,11 @@ class TestWeak:
         assert zl.weak_lq(z8, 2) <= zl.lp_norm(z8, 2) * (1 + 1e-12)
 
 
-class TestLorentz:
-    def test_two_level(self, toy_grid):
-        f = _fn(toy_grid, [2.0, 1.0, 0.0])
-        # layer cake: 1 * 0.3^(1/2) + 1 * 0.8^(1/2)
-        assert zl.lorentz_p1(f, 2) == pytest.approx(1.442149748505082,
-                                                    rel=1e-14)
-
-    def test_indicator_is_measure_root(self, toy_grid):
-        f = _fn(toy_grid, [0.0, 1.0, 1.0])
-        assert zl.lorentz_p1(f, 2) == pytest.approx(math.sqrt(1.7), rel=1e-14)
-
-    def test_zero(self, toy_grid):
-        assert zl.lorentz_p1(_fn(toy_grid, [0.0, 0.0, 0.0]), 2) == 0.0
-
-    def test_scaling(self, toy_grid):
-        f = _fn(toy_grid, [2.0, 1.0, 0.5])
-        assert zl.lorentz_p1(f, 2) == pytest.approx(
-            zl.lorentz_p1(_fn(toy_grid, [4.0, 2.0, 1.0]), 2) / 2, rel=1e-13)
-
-
 @given(vals=st.lists(st.floats(-5, 5, allow_nan=False, width=32),
                      min_size=3, max_size=3),
        p=st.floats(1.0, 6.0))
 @settings(max_examples=300, deadline=None)
 def test_norm_chain(toy_grid, vals, p):
-    """weak L^p <= L^p <= L^{p,1} at matching exponents."""
+    """weak L^p <= L^p at matching exponents."""
     f = _fn(toy_grid, vals)
-    weak = zl.weak_lq(f, p)
-    strong = zl.lp_norm(f, p)
-    lor = zl.lorentz_p1(f, p)
-    assert weak <= strong * (1 + 1e-9)
-    assert strong <= lor * (1 + 1e-9)
+    assert zl.weak_lq(f, p) <= zl.lp_norm(f, p) * (1 + 1e-9)
