@@ -3,7 +3,9 @@
 Each run writes two files: a CSV with one row per swept parameter and a JSON
 summary {config, rows, slope, residual, wall_seconds, version, env}, where
 env names the python, numpy and zonalab versions that ran.  The CSV is
-byte-identical for identical config + seed; timestamps live only in the JSON.
+byte-identical for identical config + seed; timestamps live only in the JSON,
+which is strict (s = inf is null).  Each subcommand takes only the flags it
+reads (COMMANDS), plus --seed and --out; any other flag exits 2.
 
 Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 3 numerical failure (partial CSV rows are flushed before exiting).
@@ -15,6 +17,7 @@ import json
 import platform
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +25,9 @@ import numpy as np
 from . import __version__
 from .dyadic import envelope_check, fit_line, piece_norm_slopes
 from .errors import NumericalError
-from .exponents import (ExponentPoint, admissible, predicted_exponents,
-                        segment_endpoints, special_points, stein_point)
+from .exponents import (ExponentPoint, admissible, check_sigma,
+                        predicted_exponents, segment_endpoints,
+                        special_points, stein_point)
 from .grids import cap, load_grid, make_grid, save_grid
 from .interpolation import certify_restricted_weak, interp_from_fit
 from .operators import norm_certificate, operator_from_kernel
@@ -31,10 +35,6 @@ from .resolvent import (ResolventParams, default_degree_cutoff,
                         multiplier_from_integral, resolvent_kernel,
                         resolvent_multiplier)
 from .specfun import SphereSpec, eigenvalue, projector_kernel
-
-COMMANDS = ("proj-scaling", "resolvent-scaling", "dyadic-certify",
-            "envelope", "multiplier-check", "exponent-map")
-
 
 def fit_slope(rows):
     """Ordinary least squares of log(value) against log(parameter).
@@ -88,91 +88,75 @@ class _CsvSink:
         self.fh.close()
 
 
-def _grid_for(sphere, points, kexact, cache_dir=None):
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"grid_n{sphere.n}_p{points}_k{kexact}.csv"
-        if path.exists():
-            return load_grid(path)
-        grid = make_grid(sphere, points, kexact)
-        save_grid(grid, path)
-        return grid
-    return make_grid(sphere, points, kexact)
+def _grid(cfg, kmax):
+    """The grid exact to degree kmax, 4*kmax + 16 points unless given."""
+    points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
+    if cfg.cache_dir is None:
+        return make_grid(cfg.sphere, points, kmax)
+    cache_dir = Path(cfg.cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    path = cache_dir / f"grid_n{cfg.n}_p{points}_k{kmax}.csv"
+    if path.exists():
+        return load_grid(path)
+    grid = make_grid(cfg.sphere, points, kmax)
+    save_grid(grid, path)
+    return grid
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns (json_rows, slope, residual)
+# commands; each returns its JSON rows
+
+def _sweep(cfg, sink, params, kmax, build, exponent):
+    """One certificate at cfg.point per parameter, predicted param**exponent;
+    build(grid, param) gives (operator, label, extra JSON fields)."""
+    grid = _grid(cfg, kmax)
+    point = cfg.point
+    json_rows = []
+    for param in sorted(params):
+        op, label, extra = build(grid, param)
+        cert = norm_certificate(op, point, restarts=cfg.restarts,
+                                seed=cfg.seed, label=label)
+        predicted = float(param) ** exponent
+        sink.emit((param, point.r, point.s, cert.lower, cert.upper,
+                   predicted))
+        json_rows.append({**cert.to_record(), **extra,
+                          "predicted": predicted})
+    return json_rows
+
 
 def _run_proj_scaling(cfg, sink):
-    sphere = SphereSpec(cfg.n)
-    point = cfg.point
-    kmax = max(cfg.ks)
-    points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
-    grid = _grid_for(sphere, points, kmax, cfg.cache_dir)
+    def build(grid, k):
+        op = operator_from_kernel(projector_kernel(cfg.sphere, k), grid)
+        return op, f"H_{k}", {"k": k}
+
     exp_proj, _ = predicted_exponents(cfg.n, cfg.sigma)
-    json_rows = []
-    for k in sorted(cfg.ks):
-        kern = projector_kernel(sphere, k)
-        op = operator_from_kernel(kern, grid)
-        cert = norm_certificate(op, point, restarts=cfg.restarts,
-                                seed=cfg.seed, label=f"H_{k}")
-        row = (k, point.r, point.s, cert.lower, cert.upper,
-               float(k) ** exp_proj)
-        sink.emit(row)
-        rec = cert.to_record()
-        rec["k"] = k
-        rec["predicted"] = row[-1]
-        json_rows.append(rec)
-    slope, residual = _slope_of(sink.rows)
-    return json_rows, slope, residual
-
-
-def _slope_of(rows):
-    # short sweeps cannot support a fit; the report then carries nulls
-    if len(rows) < 3:
-        return None, None
-    slope, _, residual = fit_slope((r[0], r[3]) for r in rows)
-    return slope, residual
+    return _sweep(cfg, sink, cfg.ks, max(cfg.ks), build, exp_proj)
 
 
 def _run_resolvent_scaling(cfg, sink):
-    sphere = SphereSpec(cfg.n)
-    point = cfg.point
     cutoffs = {lam: default_degree_cutoff(lam) for lam in cfg.lambdas}
-    kmax = max(cutoffs.values())
-    points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
-    grid = _grid_for(sphere, points, kmax, cfg.cache_dir)
+
+    def build(grid, lam):
+        result = resolvent_kernel(cfg.sphere, ResolventParams(lam, cfg.mu),
+                                  cutoffs[lam])
+        return (operator_from_kernel(result.kernel, grid),
+                f"R_zeta lam={lam} mu={cfg.mu}",
+                {"lambda": lam, "mu": cfg.mu, "kmax": result.kmax,
+                 "tail_ratio": result.tail_ratio})
+
     _, exp_res = predicted_exponents(cfg.n, cfg.sigma)
-    json_rows = []
-    for lam in sorted(cfg.lambdas):
-        params = ResolventParams(lam, cfg.mu)
-        result = resolvent_kernel(sphere, params, cutoffs[lam])
-        op = operator_from_kernel(result.kernel, grid)
-        cert = norm_certificate(op, point, restarts=cfg.restarts,
-                                seed=cfg.seed,
-                                label=f"R_zeta lam={lam} mu={cfg.mu}")
-        row = (lam, point.r, point.s, cert.lower, cert.upper,
-               float(lam) ** exp_res)
-        sink.emit(row)
-        rec = cert.to_record()
-        rec.update({"lambda": lam, "mu": cfg.mu, "kmax": result.kmax,
-                    "tail_ratio": result.tail_ratio, "predicted": row[-1]})
-        json_rows.append(rec)
-    slope, residual = _slope_of(sink.rows)
-    return json_rows, slope, residual
+    return _sweep(cfg, sink, cfg.lambdas, max(cutoffs.values()), build,
+                  exp_res)
 
 
 def _run_dyadic_certify(cfg, sink):
-    sphere = SphereSpec(cfg.n)
-    kmax = max(cfg.ks)
-    points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
-    grid = _grid_for(sphere, points, kmax, cfg.cache_dir)
+    grid = _grid(cfg, max(cfg.ks))
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     json_rows = []
     for k in sorted(cfg.ks):
         fit, pieces, built = piece_norm_slopes(
-            sphere, k, cfg.sigma, grid, restarts=cfg.restarts, seed=cfg.seed)
+            cfg.sphere, k, cfg.sigma, grid, restarts=cfg.restarts,
+            seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
         caps = [c for c in (cap(grid, th)[0]
@@ -193,18 +177,17 @@ def _run_dyadic_certify(cfg, sink):
             "caps": report.cap_reports,
             "hypothesis_violations": report.hypothesis_violations,
         })
-    return json_rows, None, None
+    return json_rows
 
 
 def _run_envelope(cfg, sink):
-    sphere = SphereSpec(cfg.n)
     json_rows = []
     for k in sorted(cfg.ks):
-        env = envelope_check(sphere, k)
+        env = envelope_check(cfg.sphere, k)
         sink.emit((k, env.c_flat, env.c_osc, env.c_antipodal))
         json_rows.append({"k": k, "c_flat": env.c_flat, "c_osc": env.c_osc,
                           "c_antipodal": env.c_antipodal})
-    return json_rows, None, None
+    return json_rows
 
 
 def _run_multiplier_check(cfg, sink):
@@ -220,7 +203,7 @@ def _run_multiplier_check(cfg, sink):
             json_rows.append({"lambda": lam, "mu": cfg.mu, "tau": float(tau),
                               "abs_closed": abs(closed),
                               "abs_integral": abs(numeric), "rel_err": rel})
-    return json_rows, None, None
+    return json_rows
 
 
 def _run_exponent_map(cfg, sink):
@@ -232,58 +215,102 @@ def _run_exponent_map(cfg, sink):
     for name, pt in named.items():
         sink.emit((name, pt.x, pt.y))
         json_rows.append({"name": name, "x": pt.x, "y": pt.y})
-    return json_rows, None, None
+    return json_rows
 
 
-_RUNNERS = {
-    "proj-scaling": _run_proj_scaling,
-    "resolvent-scaling": _run_resolvent_scaling,
-    "dyadic-certify": _run_dyadic_certify,
-    "envelope": _run_envelope,
-    "multiplier-check": _run_multiplier_check,
-    "exponent-map": _run_exponent_map,
+def _int_list(text):
+    return [int(v) for v in text.split(",") if v]
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",") if v]
+
+
+def _real(text):
+    """Plain decimal or a fraction like 2/3, so range endpoints stay exact."""
+    if "/" in text:
+        num, den = text.split("/")
+        return float(num) / float(den)
+    return float(text)
+
+
+# argparse keywords of every flag, by name
+_FLAGS = {
+    "n": {"type": int, "default": 3},
+    "sigma": {"type": _real, "help": "decimal or fraction, e.g. 3/5"},
+    "r": {"type": _real, "help": "defaults to the admissible midpoint"},
+    "k": {"type": _int_list,
+          "help": "comma-separated degree list, e.g. 4,8,16,32"},
+    "lambda": {"type": _float_list,
+               "help": "comma-separated spectral parameters"},
+    "mu": {"type": float, "default": 1.0},
+    "grid-points": {"type": int, "help": "defaults to 4*max_degree+16"},
+    "restarts": {"type": int, "default": 8},
+    "cache-dir": {"help": "directory for cached quadrature grids"},
+    "seed": {"type": int, "default": 1},
+    "out": {"required": True,
+            "help": "CSV path; the JSON summary lands next to it"},
 }
 
-_HEADERS = {
-    "proj-scaling": ["k", "r", "s", "lower", "upper", "predicted"],
-    "resolvent-scaling": ["lambda", "r", "s", "lower", "upper", "predicted"],
-    "dyadic-certify": ["k", "slope_growth", "slope_decay", "theta",
-                       "m1", "m2", "c_obs"],
-    "envelope": ["k", "c_flat", "c_osc", "c_antipodal"],
-    "multiplier-check": ["lambda", "mu", "tau", "abs_closed",
-                         "abs_integral", "rel_err"],
-    "exponent-map": ["name", "x", "y"],
-}
+_Command = namedtuple("_Command", "run header needs takes")
+_SWEEP = ("n", "grid-points", "restarts", "cache-dir")
+_BOUNDS = ("r", "s", "lower", "upper", "predicted")
 
-# commands that sweep exponents and must pass the admissibility gate
-_NEEDS_EXPONENTS = {"proj-scaling", "resolvent-scaling"}
-_NEEDS_SIGMA = {"proj-scaling", "resolvent-scaling", "dyadic-certify",
-                "exponent-map"}
-_NEEDS_K = {"proj-scaling", "dyadic-certify", "envelope"}
-_NEEDS_LAMBDA = {"resolvent-scaling", "multiplier-check"}
+# each command's runner, CSV header, the flags it needs (no default; Config
+# checks them) and the optional flags it reads; all also take --seed, --out
+COMMANDS = {
+    "proj-scaling": _Command(_run_proj_scaling, ("k",) + _BOUNDS,
+                             ("sigma", "k"), ("r",) + _SWEEP),
+    "resolvent-scaling": _Command(_run_resolvent_scaling,
+                                  ("lambda",) + _BOUNDS,
+                                  ("sigma", "lambda"), ("r", "mu") + _SWEEP),
+    "dyadic-certify": _Command(_run_dyadic_certify,
+                               ("k", "slope_growth", "slope_decay", "theta",
+                                "m1", "m2", "c_obs"),
+                               ("sigma", "k"), _SWEEP),
+    "envelope": _Command(_run_envelope,
+                         ("k", "c_flat", "c_osc", "c_antipodal"),
+                         ("k",), ("n",)),
+    "multiplier-check": _Command(_run_multiplier_check,
+                                 ("lambda", "mu", "tau", "abs_closed",
+                                  "abs_integral", "rel_err"),
+                                 ("lambda",), ("mu",)),
+    "exponent-map": _Command(_run_exponent_map, ("name", "x", "y"),
+                             ("sigma",), ("n",)),
+}
 
 
 class Config:
+    """One run's settings, checked before the CSV opens; None if not taken."""
+
     def __init__(self, args):
         self.command = args.command
-        self.n = args.n
-        self.sigma = args.sigma
-        self.ks = args.k
-        self.lambdas = getattr(args, "lambdas", None)
-        self.mu = args.mu
-        self.grid_points = args.grid_points
-        self.restarts = args.restarts
+        command = COMMANDS[self.command]
+        flags = vars(args)
+        for flag in command.needs:
+            if flags[flag] in (None, []):
+                raise ValueError(f"{self.command} requires --{flag}")
+        self.n = flags.get("n")
+        self.sigma = flags.get("sigma")
+        self.r = flags.get("r")
+        self.ks = flags.get("k")
+        self.lambdas = flags.get("lambda")
+        self.mu = flags.get("mu")
+        self.grid_points = flags.get("grid_points")
+        self.restarts = flags.get("restarts")
         self.seed = args.seed
         self.out = Path(args.out)
-        self.cache_dir = args.cache_dir
-        if self.command in _NEEDS_SIGMA and self.sigma is None:
-            raise ValueError(f"{self.command} requires --sigma")
-        if self.command in _NEEDS_K and not self.ks:
-            raise ValueError(f"{self.command} requires --k")
-        if self.command in _NEEDS_LAMBDA and not self.lambdas:
-            raise ValueError(f"{self.command} requires --lambda")
-        self.r = args.r
-        if self.command in _NEEDS_EXPONENTS:
+        self.cache_dir = flags.get("cache_dir")
+        self.sphere = SphereSpec(self.n) if self.n is not None else None
+        if self.sigma is not None:
+            check_sigma(self.n, self.sigma)
+        if self.command == "dyadic-certify" and self.n == 2:
+            raise ValueError(
+                "dyadic-certify needs n >= 3: at n = 2 the points P and Q "
+                "coincide at sigma = 1, and at sigma = 2/3 the P-side piece "
+                "norms grow with j, so the decay hypothesis fails")
+        self.point = None
+        if "r" in command.takes:
             if self.r is None:
                 self.r = default_r(self.n, self.sigma)
             # 1/s = 1/r - sigma; 1/s = 0 is s = inf.  ExponentPoint rejects
@@ -305,49 +332,17 @@ class Config:
         }
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
-
-
-def _real(text):
-    """Plain decimal or a fraction like 2/3, so range endpoints stay exact."""
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zonalab",
         description="Norm experiments for zonal spectral projectors and "
                     "resolvents on S^n.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--sigma", type=_real, default=None,
-                       help="decimal or fraction, e.g. 3/5")
-        p.add_argument("--r", type=_real, default=None,
-                       help="defaults to the admissible midpoint")
-        p.add_argument("--k", type=_int_list, default=None,
-                       help="comma-separated degree list, e.g. 4,8,16,32")
-        p.add_argument("--lambda", dest="lambdas", type=_float_list,
-                       default=None,
-                       help="comma-separated spectral parameters")
-        p.add_argument("--mu", type=float, default=1.0)
-        p.add_argument("--grid-points", type=int, default=None,
-                       help="defaults to 4*max_degree+16")
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--cache-dir", default=None,
-                       help="directory for cached quadrature grids")
-        p.add_argument("--out", required=True,
-                       help="CSV path; the JSON summary lands next to it")
+    for name, command in COMMANDS.items():
+        # no prefix matching: dyadic-certify --r must not mean --restarts
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in command.needs + command.takes + ("seed", "out"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -359,15 +354,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    sink = _CsvSink(cfg.out, _HEADERS[cfg.command])
+    sink = _CsvSink(cfg.out, COMMANDS[cfg.command].header)
+    slope = residual = None
     try:
-        json_rows, slope, residual = _RUNNERS[cfg.command](cfg, sink)
+        json_rows = COMMANDS[cfg.command].run(cfg, sink)
+        # the two sweeps fit a slope; with fewer than 3 rows it is null
+        if cfg.point is not None and len(sink.rows) >= 3:
+            slope, _, residual = fit_slope((r[0], r[3]) for r in sink.rows)
     except NumericalError as exc:
-        sink.close()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        sink.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -383,10 +380,9 @@ def main(argv=None):
         "env": {"python": platform.python_version(),
                 "numpy": np.__version__, "zonalab": __version__},
     }
-    json_path = cfg.out.with_suffix(".json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
-        fh.write("\n")
+    # strict JSON: a non-finite value raises rather than writing Infinity
+    text = json.dumps(summary, indent=2, default=float, allow_nan=False)
+    cfg.out.with_suffix(".json").write_text(text + "\n")
     return 0
 
 

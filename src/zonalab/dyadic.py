@@ -57,7 +57,6 @@ class DyadicPiece:
         return ZonalOperator(
             self.grid, azimuthal_matrix(self.spectrum, self.support),
             natural_degree=self.base,
-            scale=eigenvalue(self.grid.sphere.n, self.base),
             label=f"piece k={self.base} j={self.j}")
 
 

@@ -60,12 +60,16 @@ def admissible(n, r, s):
     return True, "admissible"
 
 
+def check_sigma(n, sigma):
+    """Raise ValueError unless 2/(n+1) <= sigma <= 2/n, up to rounding."""
+    if not 2.0 / (n + 1) - 1e-14 <= sigma <= 2.0 / n + 1e-14:
+        raise ValueError(f"sigma={sigma} outside [2/(n+1), 2/n] for n={n}")
+
+
 def segment_endpoints(n, sigma):
     """Endpoint pair of the sigma-segment: the point where the scaling is
     critical, and its dual."""
-    if not 2.0 / (n + 1) - 1e-14 <= sigma <= 2.0 / n + 1e-14:
-        raise ValueError(
-            f"sigma={sigma} outside [2/(n+1), 2/n] for n={n}")
+    check_sigma(n, sigma)
     left = ExponentPoint((n + 1) / (2 * n), (n + 1 - 2 * n * sigma) / (2 * n))
     return left, left.dual()
 

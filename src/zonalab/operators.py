@@ -64,14 +64,13 @@ class ZonalOperator:
     factors, so it is a bound for this discrete operator.
     """
 
-    def __init__(self, grid, matrix=None, natural_degree=None, scale=None,
-                 label="", factors=None):
+    def __init__(self, grid, matrix=None, natural_degree=None, label="",
+                 factors=None):
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
         self.factors = factors
         self.natural_degree = natural_degree
-        self.scale = scale
         self.label = label
 
     @functools.cached_property
@@ -133,8 +132,7 @@ def operator_from_kernel(kernel, grid):
     nz = np.flatnonzero(coeffs)
     factors = (grid.basis(kmax)[nz], coeffs[nz])
     peak = int(np.argmax(np.abs(coeffs)))
-    lam = eigenvalue(kernel.sphere.n, peak)
-    return ZonalOperator(grid, factors=factors, natural_degree=peak, scale=lam,
+    return ZonalOperator(grid, factors=factors, natural_degree=peak,
                          label=kernel.description or f"multiplier kmax={kmax}")
 
 
@@ -447,10 +445,11 @@ def _start_values(op, restarts, seed):
     padded with seeded random draws."""
     grid = op.grid
     starts = []
+    lam = 1.0
     if op.natural_degree is not None:
         starts.append(zonal_value(grid.sphere.n, op.natural_degree,
                                   grid.cosines))
-    lam = op.scale if op.scale else 1.0
+        lam = eigenvalue(grid.sphere.n, op.natural_degree)
     for theta0 in (1.0 / lam, min(8.0 / lam, 0.5 * np.pi), np.pi / 3):
         ind = (grid.nodes <= theta0).astype(np.float64)
         if ind.any():
@@ -554,7 +553,8 @@ class NormCertificate:
             "n": self.n,
             "label": self.label,
             "r": self.point.r,
-            "s": self.point.s,
+            # null at s = inf, which strict JSON cannot hold
+            "s": None if math.isinf(self.point.s) else self.point.s,
             "lower": self.lower,
             "upper": self.upper,
             "witness_grid": self.grid_ref,

@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point, in process."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 import zonalab as zl
-from zonalab.cli import default_r, fit_slope, main
+from zonalab.cli import build_parser, default_r, fit_slope, main
 from zonalab.dyadic import DyadicPiece
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _run(tmp_path, name, *args):
@@ -256,6 +259,143 @@ class TestFailureModes:
         header, rows = _read_csv(out)
         assert header[0] == "k" and rows == []
         assert not js.exists()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_is_strict_at_s_infinity(tmp_path):
+    # the CSV keeps inf; the JSON records s = inf as null
+    code, out, js = _run(tmp_path, "sinf", "proj-scaling", "--n", "2",
+                         "--sigma", "1", "--r", "1", "--k", "4,8")
+    assert code == 0
+    rows = _strict_json(js.read_text())["rows"]
+    assert [row["s"] for row in rows] == [None, None]
+    assert [row["r"] for row in rows] == [1.0, 1.0]
+
+
+class TestRejectedBeforeCsv:
+    """Bad sigma and n exit 2 from Config: no CSV and no JSON is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ("exponent-map", "--sigma", "0.9"),
+        ("exponent-map", "--n", "2", "--sigma", "0.6"),
+        ("dyadic-certify", "--sigma", "0.9", "--k", "16"),
+        ("dyadic-certify", "--sigma", "0.3", "--k", "16"),
+        ("proj-scaling", "--sigma", "0.9", "--r", "1.2", "--k", "2,4"),
+        ("resolvent-scaling", "--sigma", "0.3", "--lambda", "4"),
+    ], ids=["map-above", "map-below-n2", "dyadic-above", "dyadic-below",
+            "proj-above", "resolvent-below"])
+    def test_sigma_outside_range(self, tmp_path, capsys, argv):
+        code, out, js = _run(tmp_path, "sig", *argv)
+        assert code == 2
+        assert "outside [2/(n+1), 2/n]" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("sigma", ["1", "2/3"])
+    def test_dyadic_at_n2(self, tmp_path, capsys, sigma):
+        code, out, js = _run(tmp_path, "dy2", "dyadic-certify", "--n", "2",
+                             "--sigma", sigma, "--k", "16,32")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dyadic-certify needs n >= 3" in err
+        assert "P and Q coincide" in err and "grow with j" in err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("envelope", "--n", "1", "--k", "8"),
+        ("exponent-map", "--n", "1", "--sigma", "1"),
+    ], ids=["envelope", "exponent-map"])
+    def test_dimension_below_two(self, tmp_path, capsys, argv):
+        code, out, js = _run(tmp_path, "n1", *argv)
+        assert code == 2
+        assert "sphere dimension must be >= 2" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+
+# every command's flags besides --seed and --out, as the README lists them:
+# with those two, 39 (command, flag) pairs; any other flag exits 2
+_READS = {
+    "proj-scaling": {"n", "sigma", "r", "k", "grid-points", "restarts",
+                     "cache-dir"},
+    "resolvent-scaling": {"n", "sigma", "r", "lambda", "mu", "grid-points",
+                          "restarts", "cache-dir"},
+    "dyadic-certify": {"n", "sigma", "k", "grid-points", "restarts",
+                       "cache-dir"},
+    "envelope": {"n", "k"},
+    "multiplier-check": {"lambda", "mu"},
+    "exponent-map": {"n", "sigma"},
+}
+_ALL_FLAGS = sorted(set().union(*_READS.values()))
+# a command line each command accepts; "1" parses as a value of any flag
+_VALID = {
+    "proj-scaling": ["--sigma", "3/5", "--k", "4,8"],
+    "resolvent-scaling": ["--sigma", "2/3", "--lambda", "8"],
+    "dyadic-certify": ["--sigma", "3/5", "--k", "16"],
+    "envelope": ["--k", "8"],
+    "multiplier-check": ["--lambda", "8"],
+    "exponent-map": ["--sigma", "3/5"],
+}
+
+
+def _argv(command, *extra):
+    return [command] + _VALID[command] + list(extra) + ["--out", "x.csv"]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command,flag", [
+        (c, f) for c in _READS for f in sorted(_READS[c]) + ["seed"]])
+    def test_flag_read(self, command, flag):
+        args = build_parser().parse_args(_argv(command, f"--{flag}", "1"))
+        assert args.command == command
+        assert vars(args)[flag.replace("-", "_")] in (1, [1], "1")
+
+    @pytest.mark.parametrize("command,flag", [
+        (c, f) for c in _READS for f in _ALL_FLAGS if f not in _READS[c]])
+    def test_flag_not_read_exits_2(self, capsys, command, flag):
+        build_parser().parse_args(_argv(command))
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_argv(command, f"--{flag}", "1"))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    def test_config_echoes_null_for_flags_not_taken(self, tmp_path):
+        code, _, js = _run(tmp_path, "mult", "multiplier-check",
+                           "--lambda", "2")
+        assert code == 0
+        config = json.loads(js.read_text())["config"]
+        assert config["mu"] == 1.0 and config["seed"] == 1
+        for key in ("n", "sigma", "r", "k", "grid_points", "restarts",
+                    "cache_dir"):
+            assert config[key] is None
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+_WORKLOAD_SPECS = [
+    (f"{name}-{i}", spec)
+    for name, workload in workloads.WORKLOADS.items()
+    for i, spec in enumerate(workload["commands"])]
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in _WORKLOAD_SPECS],
+                         ids=[label for label, _ in _WORKLOAD_SPECS])
+def test_benchmark_command_lines_parse(tmp_path, spec):
+    # the benchmark passes --seed to every command, and --cache-dir to the
+    # sweeps that share a grid; a narrowed flag set must still take them
+    argv = workloads.argv(spec, tmp_path / "run.csv", tmp_path / "cache", 7)
+    args = build_parser().parse_args(argv)
+    assert args.command == spec["command"] and args.seed == 7
 
 
 def test_console_script_smoke(tmp_path):
