@@ -159,7 +159,7 @@ def _run_dyadic_certify(cfg, sink):
             seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
-        caps = [c for c in (cap(grid, th)[0]
+        caps = [c for c in (cap(grid, th)
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
         ops = [built[p.j] if p.j in built else p.operator() for p in pieces]
@@ -304,6 +304,15 @@ class Config:
         self.sphere = SphereSpec(self.n) if self.n is not None else None
         if self.sigma is not None:
             check_sigma(self.n, self.sigma)
+        if self.command == "exponent-map":
+            # the endpoint E leaves the triangle at n = 2 for sigma > 3/4
+            segment_endpoints(self.n, self.sigma)
+        if self.ks is not None and min(self.ks) < 1:
+            raise ValueError(f"{self.command} needs degrees k >= 1, "
+                             f"got {self.ks}")
+        for lam in self.lambdas or ():
+            # lam >= 1 and |mu| >= 1, as the runners will need
+            ResolventParams(lam, self.mu)
         if self.command == "dyadic-certify" and self.n == 2:
             raise ValueError(
                 "dyadic-certify needs n >= 3: at n = 2 the points P and Q "

@@ -7,9 +7,7 @@ exactly for polynomial integrands.
 """
 
 import io
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -96,11 +94,10 @@ def make_grid(sphere, points, kexact=None):
 
 @dataclass(frozen=True, eq=False)
 class ZonalFunction:
-    """Node values of a zonal function, with spectral coefficients if known."""
+    """Node values of a zonal function."""
 
     grid: ZonalGrid
     values: np.ndarray
-    coeffs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         values = np.atleast_1d(np.asarray(self.values))
@@ -110,39 +107,11 @@ class ZonalFunction:
 
 
 def cap(grid, theta0):
-    """Indicator of the polar cap {theta <= theta0} and the cap's measure.
-
-    The returned function takes node values; the measure is the analytic one,
-    vol(S^{n-1}) int_0^{theta0} sin^{n-1}, from `_cap_measure`.
-    """
+    """Indicator of the polar cap {theta <= theta0} as node values; its
+    measure is the grid measure, grid.integrate(cap(...).values)."""
     if not 0 < theta0 <= np.pi:
         raise ValueError(f"cap angle must lie in (0, pi], got {theta0}")
-    values = (grid.nodes <= theta0).astype(np.float64)
-    return ZonalFunction(grid, values), _cap_measure(grid.sphere, theta0)
-
-
-def _cap_measure(sphere, theta0):
-    """vol(S^{n-1}) int_0^{theta0} sin^{n-1} for 0 <= theta0 <= pi.
-
-    With x = sin^2(theta0/2) the integral is the incomplete beta function
-    2^{n-1} B(x; n/2, n/2) = sin^n(theta0) / n * 2F1(n, 1; n/2 + 1; x).  For
-    theta0 <= pi/2 (x <= 1/2) the series has positive terms with ratios below
-    2x <= 1, so it is summed to rounding without cancellation; a larger cap
-    is the sphere less the cap of angle pi - theta0 about the antipode.  (The
-    elementary reduction in m of int sin^m cancels for small caps: at
-    theta0 = 0.01 and n = 7 it keeps four digits.)
-    """
-    if theta0 > np.pi / 2:
-        return sphere.volume - _cap_measure(sphere, np.pi - theta0)
-    n = sphere.n
-    x = math.sin(0.5 * theta0) ** 2
-    term = total = 1.0
-    i = 0
-    while term > 1e-17 * total:
-        term *= (n + i) / (0.5 * n + 1 + i) * x
-        total += term
-        i += 1
-    return sphere.subsphere_volume * math.sin(theta0) ** n / n * total
+    return ZonalFunction(grid, (grid.nodes <= theta0).astype(np.float64))
 
 
 def save_grid(grid, path):

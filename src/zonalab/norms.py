@@ -5,6 +5,10 @@ discrete identities hold: an indicator of node set E has L^p norm
 mu(E)^{1/p} and weak-L^q norm mu(E)^{1/q}, with mu the grid measure of E.
 The restricted weak-type argument feeds only such indicators, so their
 L^{p,1} norm is that same closed form mu(E)^{1/p} and needs no layer cake.
+
+One kernel, `weighted_lp`, takes every L^p norm: of a vector, of each column
+of a block, and (`weighted_row_lp`, through the transpose) of each row of a
+matrix.  It copies |v| once and scales and powers that copy in place.
 """
 
 import math
@@ -16,30 +20,21 @@ def weighted_lp(w, v, p):
     """L^p norm of node values v against node weights w; p may be inf.
 
     v is a vector, or a (nodes, m) block whose m column norms are returned
-    as an array.  Each column of |v| is divided by its max before the power,
-    so no exponent overflows.
+    as an array.  Each column of |v| is divided by its max and raised to p
+    in place, so no exponent overflows and no second copy of v is made.
     """
     a = np.abs(v)
     peak = a.max(axis=0)
     if not math.isinf(p):
-        peak = peak * (w @ (a / np.where(peak > 0, peak, 1.0)) ** p) ** (
-            1.0 / p)
+        a /= np.where(peak > 0, peak, 1.0)
+        np.power(a, p, out=a)
+        peak = peak * (w @ a) ** (1.0 / p)
     return float(peak) if v.ndim == 1 else peak
 
 
 def weighted_row_lp(w, A, p):
-    """weighted_lp of every row of A.
-
-    Each row of |A| is divided by its max and raised to p in place, so no
-    second copy of the matrix is made.
-    """
-    a = np.abs(A)
-    peak = a.max(axis=1)
-    if math.isinf(p):
-        return peak
-    a /= np.where(peak > 0, peak, 1.0)[:, None]
-    np.power(a, p, out=a)
-    return peak * (a @ w) ** (1.0 / p)
+    """weighted_lp of every row of A."""
+    return weighted_lp(w, A.T, p)
 
 
 def lp_norm(f, p):

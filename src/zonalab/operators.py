@@ -18,15 +18,20 @@ per degree and one matrix product for all pairs (AzimuthalSpectrum); it is
 integrated exactly between the azimuths of the window's edges, where
 Clenshaw's recurrence sums its antiderivative once per distinct edge.
 
+A is symmetric, so the adjoint of T is T with its input and output
+conjugated, and every representation has one application path, `apply`.
+
 Norms:
-  * norm_lower reports an attained ratio ||Tf||_s / ||f||_r, hence a valid
-    lower bound for the discrete operator.  A rank-one operator m e e^T (one
-    multiplier, e.g. the degree-k projector) is attained in closed form by
-    the duality map of e, in O(points) and without the dense matrix; s = inf
-    and r = 1 by exact max-row / max-column dual formulas; everything else
-    by a nonlinear power ascent over zonal inputs, whose restarts run as
-    the columns of one block (apply, apply_adjoint and the norms act
-    column by column) and leave it at their own stops.
+  * norm_lower reports the ratio ||Tf||_s / ||f||_r that its witness f
+    attains, re-evaluated from scratch, hence a valid lower bound for the
+    discrete operator.  Where s = inf or r = 1, and for a rank-one operator
+    m e e^T (e.g. the degree-k projector), one exact route attains the norm
+    with the duality map of the row of largest Hoelder norm, a point mass
+    when r = 1; for m e e^T that row is e, so it costs O(points) and no
+    dense matrix.  Everything else runs a nonlinear power ascent over zonal
+    inputs, whose restarts run as the columns of one block (apply,
+    apply_adjoint and the norms act column by column) and leave it at their
+    own stops; the restart that reached the largest ratio gives the witness.
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -88,18 +93,9 @@ class ZonalOperator:
         return _real_matmul(rows.T, _scale_rows(kept, _real_matmul(rows, x)))
 
     def apply_adjoint(self, values):
-        """The adjoint of T, on a vector or on each column of a block."""
-        # A is symmetric, so the adjoint only conjugates
-        x = _scale_rows(self.grid.weights, values)
-        if self.factors is not None:
-            rows, kept = self.factors
-            adjoint = _scale_rows(np.conj(kept), _real_matmul(rows, x))
-            return _real_matmul(rows.T, adjoint)
-        # conjugating the input and the product gives the same bits as
-        # conj(matrix) @ x without copying the matrix
-        if np.iscomplexobj(self.matrix):
-            return np.conj(self.matrix @ np.conj(x))
-        return self.matrix @ x
+        """The adjoint of T, on a vector or on each column of a block: A is
+        symmetric, so it is T with the input and the output conjugated."""
+        return np.conj(self.apply(np.conj(values)))
 
     def __repr__(self):
         return f"ZonalOperator({self.label!r}, points={self.grid.points})"
@@ -294,14 +290,8 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
 
 def apply_kernel(kernel, f):
     """Spectral application of a multiplier kernel to a zonal function."""
-    kmax = kernel.max_degree
-    if kmax > f.grid.kexact:
-        raise ValueError(
-            f"kernel degree {kmax} exceeds grid exactness {f.grid.kexact}")
-    basis = f.grid.basis(kmax)
-    c = basis @ (f.grid.weights * f.values)
-    out = kernel.coeffs * c
-    return ZonalFunction(f.grid, out @ basis, coeffs=out)
+    return ZonalFunction(f.grid,
+                         operator_from_kernel(kernel, f.grid).apply(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +305,6 @@ def _dual_power(g, p):
     peak = a.max(axis=0)
     sgn = np.divide(np.conj(g), a, out=np.zeros_like(g), where=a > 0)
     return (a / np.where(peak > 0, peak, 1.0)) ** (p - 1.0) * sgn
-
-
-def _support_measure(w, v):
-    a = np.abs(v)
-    return float(np.sum(w[a > 1e-12 * a.max()])) if a.max() > 0 else 0.0
 
 
 @dataclass
@@ -400,44 +385,32 @@ def _ascent(op, r, s, starts):
     return best, witness, steps, stops
 
 
-def _exact_endpoint_lower(op, r, s):
-    """Attained lower bounds when s = inf (the largest L^{r'} row norm) or
-    r = 1 (the largest L^s column norm; |A| is symmetric, so that is a row
-    norm too)."""
-    w = op.grid.weights
-    A = op.matrix
-    p = s if r == 1.0 else r / (r - 1.0)
-    rows = weighted_row_lp(w, A, p)
-    i = int(np.argmax(rows))
-    if r == 1.0:
-        # a point mass at column j attains column j's norm; at the corner
-        # (s = inf), j is where row i reaches max |A_ij|
-        j = int(np.argmax(np.abs(A[i]))) if np.isinf(s) else i
-        f = np.zeros(op.grid.points, dtype=A.dtype)
-        f[j] = 1.0 / w[j]
-        return float(rows[i]), f
-    f = _dual_power(A[i, :].astype(np.result_type(A, np.float64)), p)
-    nrm = weighted_lp(w, f, r)
-    return (float(rows[i]), f / nrm) if nrm > 0 else (0.0, f)
+def _exact_witness(op, r, s):
+    """An input attaining the norm where s = inf or r = 1, or of a rank-one
+    operator m e e^T, scaled to ||f||_r = 1 unless it is zero.
 
-
-def _rank_one_lower(op, r, s):
-    """Exact norm of A = m e e^T, attained through its factors.
-
-    T f = m <e, f>_w e, and by Hoelder |<e, f>_w| <= ||e||_{r'} ||f||_r with
-    equality at the duality map f = |e|^{r'-1} sgn e (a point mass at
-    argmax |e| when r = 1), so its ratio is |m| ||e||_{r'} ||e||_s.
+    By Hoelder, |(Tf)_i| <= ||A_i.||_{p} ||f||_r with p = r', with equality
+    at the duality map of the row; when s = inf the norm is the largest such
+    row norm.  When r = 1 the norm is the largest L^s column norm, attained
+    by a point mass, and |A| is symmetric, so it is the largest L^s row
+    norm.  A rank-one row is m e_i e, largest where |e_i| is, and its
+    duality map is that of e, read from the factors without the matrix.
     """
     w = op.grid.weights
-    (row,), _ = op.factors
-    if r == 1.0:
-        j = int(np.argmax(np.abs(row)))
-        f = np.zeros(op.grid.points)
-        f[j] = 1.0 / w[j]
+    p = s if r == 1.0 else r / (r - 1.0)
+    if op.factors is not None and op.factors[1].size == 1:
+        (row,), _ = op.factors
+        i = int(np.argmax(np.abs(row)))
     else:
-        f = _dual_power(row, r / (r - 1.0))
-    f = f / weighted_lp(w, f, r)
-    return weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r), f
+        i = int(np.argmax(weighted_row_lp(w, op.matrix, p)))
+        row = op.matrix[i]
+    if r == 1.0:
+        f = np.zeros(op.grid.points)
+        f[i] = 1.0 / w[i]
+    else:
+        f = _dual_power(row, p)
+    nrm = weighted_lp(w, f, r)
+    return f / nrm if nrm > 0 else f
 
 
 def _start_values(op, restarts, seed):
@@ -462,12 +435,11 @@ def _start_values(op, restarts, seed):
 
 
 def norm_lower(op, r, s, restarts=8, seed=1):
-    """Best attained ratio ||Tf||_s / ||f||_r.
+    """Best attained ratio ||Tf||_s / ||f||_r, re-evaluated at its witness.
 
     Exact, with no ascent step, for a rank-one operator and wherever s = inf
-    or r = 1.  Otherwise the best over the restart protocol: monotone within
-    each restart; ties across restarts go to the witness with the smallest
-    support measure.
+    or r = 1 (`_exact_witness`).  Otherwise the witness is the input of the
+    largest ratio any restart of the ascent reached.
     """
     if r < 1 or s < 1:
         raise ValueError(f"exponents must be >= 1, got r={r}, s={s}")
@@ -475,27 +447,21 @@ def norm_lower(op, r, s, restarts=8, seed=1):
         raise ValueError("need at least one restart")
     if np.isinf(r):
         raise ValueError("r = inf is not supported")
-    if op.factors is not None and op.factors[1].size == 1:
-        value, f = _rank_one_lower(op, r, s)
-        return LowerBound(value, ZonalFunction(op.grid, f), 0, 1, exact=True)
-    if np.isinf(s) or r == 1.0:
-        value, f = _exact_endpoint_lower(op, r, s)
-        return LowerBound(value, ZonalFunction(op.grid, f), 0, 1, exact=True)
+    exact = bool((op.factors is not None and op.factors[1].size == 1)
+                 or np.isinf(s) or r == 1.0)
+    if exact:
+        f, steps, restarts, stops = _exact_witness(op, r, s), 0, 1, {}
+    else:
+        values, witnesses, counts, reasons = _ascent(
+            op, r, s, _start_values(op, restarts, seed))
+        f = np.ascontiguousarray(witnesses[int(np.argmax(values))])
+        steps = sum(counts)
+        stops = {reason: reasons.count(reason) for reason in _STOPS}
     w = op.grid.weights
-    values, witnesses, steps, reasons = _ascent(
-        op, r, s, _start_values(op, restarts, seed))
-    best = None           # (value, support_measure, witness)
-    for value, f in zip(values, witnesses):
-        supp = _support_measure(w, f)
-        if best is None or value > best[0] * (1.0 + _STAGNATION) or (
-                value >= best[0] * (1.0 - _STAGNATION) and supp < best[1]):
-            best = (value, supp, f)
-    f = np.ascontiguousarray(best[2])
-    # re-evaluate the witness from scratch so the recorded pair is consistent
-    value = weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r)
-    return LowerBound(float(value), ZonalFunction(op.grid, f), sum(steps),
-                      restarts, stops={reason: reasons.count(reason)
-                                       for reason in _STOPS})
+    nrm = weighted_lp(w, f, r)
+    value = weighted_lp(w, op.apply(f), s) / nrm if nrm > 0 else 0.0
+    return LowerBound(float(value), ZonalFunction(op.grid, f), steps,
+                      restarts, exact=exact, stops=stops)
 
 
 # ---------------------------------------------------------------------------

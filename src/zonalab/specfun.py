@@ -171,10 +171,6 @@ class SphereSpec:
             raise ValueError(f"sphere dimension must be >= 2, got {self.n}")
 
     @property
-    def volume(self):
-        return sphere_volume(self.n)
-
-    @property
     def subsphere_volume(self):
         # vol(S^{n-1}), the total weight of the polar quadrature rule
         return sphere_volume(self.n - 1)

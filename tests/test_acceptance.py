@@ -133,7 +133,7 @@ def test_criterion_5_split_and_certify(grid144, sphere3, fit16, fit32):
     for k, (fit, pieces, built) in ((16, fit16), (32, fit32)):
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         lam = zl.eigenvalue(3, k)
-        caps = [zl.cap(grid144, th)[0] for th in (1 / lam, 1 / 8, 0.5)]
+        caps = [zl.cap(grid144, th) for th in (1 / lam, 1 / 8, 0.5)]
         ops = [built[p.j] if p.j in built else p.operator() for p in pieces]
         report = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
         c_obs[k] = report.c_obs

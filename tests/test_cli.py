@@ -278,7 +278,8 @@ def test_json_is_strict_at_s_infinity(tmp_path):
 
 
 class TestRejectedBeforeCsv:
-    """Bad sigma and n exit 2 from Config: no CSV and no JSON is written."""
+    """Bad sigma, n, degrees and spectral parameters exit 2 from Config: no
+    CSV and no JSON is written."""
 
     @pytest.mark.parametrize("argv", [
         ("exponent-map", "--sigma", "0.9"),
@@ -313,6 +314,35 @@ class TestRejectedBeforeCsv:
         code, out, js = _run(tmp_path, "n1", *argv)
         assert code == 2
         assert "sphere dimension must be >= 2" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("envelope", "--k", "0"), "needs degrees k >= 1"),
+        (("proj-scaling", "--sigma", "3/5", "--k", "0,4,8"),
+         "needs degrees k >= 1"),
+        (("dyadic-certify", "--sigma", "3/5", "--k", "0,16"),
+         "needs degrees k >= 1"),
+        (("multiplier-check", "--lambda", "0"), "need lam >= 1"),
+        (("resolvent-scaling", "--sigma", "3/5", "--lambda", "8",
+          "--mu", "0.5"), "need |mu| >= 1"),
+    ], ids=["envelope-k0", "proj-k0", "dyadic-k0", "multiplier-lambda0",
+            "resolvent-mu"])
+    def test_degrees_and_spectral_parameters(self, tmp_path, capsys, argv,
+                                             message):
+        code, out, js = _run(tmp_path, "kl", *argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("sigma", ["0.8", "1"])
+    def test_exponent_map_endpoint_outside_triangle(self, tmp_path, capsys,
+                                                    sigma):
+        # at n = 2 the endpoint E of segment_endpoints has 1/s < 0 for
+        # sigma > 3/4
+        code, out, js = _run(tmp_path, "map2", "exponent-map", "--n", "2",
+                             "--sigma", sigma)
+        assert code == 2
+        assert "outside 0 <= 1/s <= 1/r <= 1" in capsys.readouterr().err
         assert not out.exists() and not js.exists()
 
 

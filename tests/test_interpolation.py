@@ -129,7 +129,7 @@ class TestCertify:
         m1 = zl.norm_lower(op, q_pt.r, q_pt.s).value
         m2 = zl.norm_lower(op, p_pt.r, p_pt.s).value
         data = zl.InterpolationData(q_pt, p_pt, m1, m2, 1.0, 1.0)
-        caps = [zl.cap(grid144, th)[0] for th in (1 / 17, 1 / 8, 0.5)]
+        caps = [zl.cap(grid144, th) for th in (1 / 17, 1 / 8, 0.5)]
         report = zl.certify_restricted_weak([op], data, caps)
         assert report.c_obs <= 1.02
         assert report.target.x == pytest.approx(2 / 3, abs=1e-12)
@@ -138,14 +138,14 @@ class TestCertify:
         # the reassembled projector kills constants for k >= 1
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        full, _ = zl.cap(grid144, math.pi)
+        full = zl.cap(grid144, math.pi)
         report = zl.certify_restricted_weak(ops16, data, [full])
         assert report.c_obs < 1e-6
 
     def test_absolute_kernel_dominates(self, ops16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        caps = [zl.cap(grid144, th)[0] for th in (1 / 8, 0.5)]
+        caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5)]
         signed = zl.certify_restricted_weak(ops16, data, caps)
         abs_ops = [ZonalOperator(grid144, np.abs(op.matrix))
                    for op in ops16]
@@ -156,7 +156,7 @@ class TestCertify:
         # no node lies this close to the pole: mu(E) = 0 has no constant
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        empty, _ = zl.cap(grid144, 1e-4)
+        empty = zl.cap(grid144, 1e-4)
         assert not empty.values.any()
         with pytest.raises(ValueError):
             zl.certify_restricted_weak(ops16, data, [empty])
@@ -164,7 +164,7 @@ class TestCertify:
     def test_report_structure(self, ops16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
-        caps = [zl.cap(grid144, 0.5)[0]]
+        caps = [zl.cap(grid144, 0.5)]
         report = zl.certify_restricted_weak(ops16, data, caps)
         entry = report.cap_reports[0]
         for key in ("mu_e", "weak", "c_obs", "threshold", "mu_a", "rho",
@@ -181,7 +181,7 @@ class TestCertify:
         data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
         q = data.target.s
         w = grid144.weights
-        caps = [zl.cap(grid144, th)[0] for th in (1 / 8, 0.5, 1.5)]
+        caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5, 1.5)]
         report = zl.certify_restricted_weak(ops16, data, caps)
         for capfn, entry in zip(caps, report.cap_reports):
             image = np.sum([op.apply(capfn.values) for op in ops16], axis=0)
@@ -200,7 +200,7 @@ class TestCertify:
                                               restarts=4)
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.interp_from_fit((p_pt, q_pt), fit)
-        caps = [zl.cap(grid80, 0.5)[0]]
+        caps = [zl.cap(grid80, 0.5)]
         ops = [p.operator() for p in pieces]
         report = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
         # a two-parameter fit of three well-behaved norms leaves no outliers

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
+from zonalab.norms import weighted_lp, weighted_row_lp
 
 VOL3 = 19.739208802178716
 
@@ -38,13 +39,56 @@ class TestLp:
         assert zl.lp_norm(z4, 2) == pytest.approx(1.1253953951963827, rel=1e-12)
 
     def test_indicator(self, grid80):
-        f, _ = zl.cap(grid80, 0.9)
+        f = zl.cap(grid80, 0.9)
         m = grid80.weights[grid80.nodes <= 0.9].sum()
         assert zl.lp_norm(f, 3) == pytest.approx(m ** (1 / 3), rel=1e-12)
 
     def test_rejects_small_exponent(self, toy_grid):
         with pytest.raises(ValueError):
             zl.lp_norm(_fn(toy_grid, [1, 1, 1]), 0.5)
+
+
+_EXPONENTS = (1.0, 2.5, 1e300, np.inf)
+
+
+def _matrix(complex_):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((33, 33))
+    if complex_:
+        A = A + 1j * rng.standard_normal(A.shape)
+    A[4] = 0.0          # a zero row has norm 0, not 0/0
+    return A, rng.random(33)
+
+
+class TestWeightedLp:
+    """One L^p kernel: vectors, column blocks and matrix rows."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("p", _EXPONENTS)
+    def test_input_unchanged(self, complex_, p):
+        # |v| is scaled and powered in place, on its own copy
+        A, w = _matrix(complex_)
+        for v in (A, A[:, 7], A.T):
+            before = v.copy()
+            weighted_lp(w, v, p)
+            assert np.array_equal(v, before)
+        before = A.copy()
+        weighted_row_lp(w, A, p)
+        assert np.array_equal(A, before)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("p", _EXPONENTS)
+    def test_rows_are_weighted_lp(self, complex_, p):
+        A, w = _matrix(complex_)
+        rows = weighted_row_lp(w, A, p)
+        each = np.array([weighted_lp(w, row, p) for row in A])
+        # a whole matrix and a single row sum their terms in different BLAS
+        # orders, so only the sum's last bits may differ
+        if math.isinf(p):
+            assert np.array_equal(rows, each)
+        else:
+            np.testing.assert_allclose(rows, each, rtol=1e-14, atol=0)
+        assert rows[4] == 0.0
 
 
 class TestWeak:
@@ -59,7 +103,7 @@ class TestWeak:
         assert zl.weak_lq(f, 4) == pytest.approx(0.8 ** 0.25, rel=1e-14)
 
     def test_cap_on_real_grid(self, grid80):
-        f, _ = zl.cap(grid80, 1.1)
+        f = zl.cap(grid80, 1.1)
         m = grid80.weights[grid80.nodes <= 1.1].sum()
         assert zl.weak_lq(f, 2) == pytest.approx(math.sqrt(m), rel=1e-12)
 

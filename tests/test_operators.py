@@ -238,6 +238,16 @@ class TestApplyKernel:
             zl.apply_kernel(zl.projector_kernel(sphere3, 40), f)
 
 
+@pytest.fixture(scope="module")
+def witness_ops(h8, grid144, sphere3):
+    """A rank-one projector, a dense complex symmetric matrix and a factored
+    resolvent of full rank on the grid."""
+    kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
+                               kmax=32).kernel
+    return {"rank one": h8, "dense": _random_symmetric(2, True),
+            "factored": operator_from_kernel(kern, grid144)}
+
+
 class TestNormLower:
     def test_projector_l2_is_one(self, h8):
         low = zl.norm_lower(h8, 2.0, 2.0, restarts=2)
@@ -276,12 +286,34 @@ class TestNormLower:
         low = zl.norm_lower(h8, 1.0, np.inf)
         assert low.value == pytest.approx(np.abs(h8.matrix).max(), rel=1e-14)
 
-    def test_witness_consistency(self, h8):
-        low = zl.norm_lower(h8, 1.25, 5.0, restarts=4)
-        w = h8.grid.weights
-        ratio = (weighted_lp(w, h8.apply(low.witness.values), 5.0)
-                 / weighted_lp(w, low.witness.values, 1.25))
+    @pytest.mark.parametrize("kind", ["rank one", "dense", "factored"])
+    @pytest.mark.parametrize("r,s", [(1.25, 5.0), (1.0, 2.5), (5 / 3, np.inf),
+                                     (1.0, np.inf)])
+    def test_witness_consistency(self, witness_ops, kind, r, s):
+        # the reported value is the ratio its witness attains, on the ascent
+        # and on the exact route; at r = 1 the witness is a point mass
+        op = witness_ops[kind]
+        low = zl.norm_lower(op, r, s, restarts=4)
+        w, f = op.grid.weights, low.witness.values
+        ratio = weighted_lp(w, op.apply(f), s) / weighted_lp(w, f, r)
         assert ratio == pytest.approx(low.value, rel=1e-12)
+        assert low.exact == (kind == "rank one" or r == 1.0 or np.isinf(s))
+        if r == 1.0:
+            assert np.count_nonzero(f) == 1
+
+    @pytest.mark.parametrize("points", [208, 1040])
+    def test_best_restart_wins(self, sphere3, points):
+        # the resolvent at lambda = 8 and (r, s) = (1.2, 6), on the line
+        # 1/r - 1/s = 2/3, as resolvent-scaling builds it: two restarts end
+        # within 1e-9 of each other, and the lower bound is the larger
+        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(8.0, 1.0),
+                                   zl.default_degree_cutoff(8.0)).kernel
+        grid = zl.make_grid(sphere3, points, (points - 16) // 4)
+        op = operator_from_kernel(kern, grid)
+        values = operators._ascent(op, 1.2, 6.0,
+                                   operators._start_values(op, 8, seed=7))[0]
+        low = zl.norm_lower(op, 1.2, 6.0, restarts=8, seed=7)
+        assert low.value >= max(values) * (1.0 - 1e-12)
 
     def test_more_restarts_never_worse(self, h8):
         a = zl.norm_lower(h8, 1.25, 5.0, restarts=1).value

@@ -166,7 +166,6 @@ class TestZonalValue:
 
 def test_sphere_spec():
     sp = SphereSpec(3)
-    assert sp.volume == pytest.approx(VOL3, rel=1e-15)
     assert sp.subsphere_volume == pytest.approx(4 * math.pi, rel=1e-15)
     with pytest.raises(ValueError):
         SphereSpec(1)
