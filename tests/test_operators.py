@@ -286,10 +286,17 @@ class TestNormLower:
         low = zl.norm_lower(h8, 1.0, np.inf)
         assert low.value == pytest.approx(np.abs(h8.matrix).max(), rel=1e-14)
 
+    def test_witness_consistency(self, h8):
+        low = zl.norm_lower(h8, 1.25, 5.0, restarts=4)
+        w = h8.grid.weights
+        ratio = (weighted_lp(w, h8.apply(low.witness.values), 5.0)
+                 / weighted_lp(w, low.witness.values, 1.25))
+        assert ratio == pytest.approx(low.value, rel=1e-12)
+
     @pytest.mark.parametrize("kind", ["rank one", "dense", "factored"])
     @pytest.mark.parametrize("r,s", [(1.25, 5.0), (1.0, 2.5), (5 / 3, np.inf),
                                      (1.0, np.inf)])
-    def test_witness_consistency(self, witness_ops, kind, r, s):
+    def test_witness_consistency_every_route(self, witness_ops, kind, r, s):
         # the reported value is the ratio its witness attains, on the ascent
         # and on the exact route; at r = 1 the witness is a point mass
         op = witness_ops[kind]
