@@ -16,8 +16,8 @@ from .resolvent import (ResolventParams, default_degree_cutoff,
                         resolvent_kernel, resolvent_multiplier,
                         smooth_cutoff, tail_multiplier)
 from .specfun import (SphereSpec, ZonalKernel, eigenvalue, gegenbauer,
-                      harmonic_dim, projector_kernel, sphere_volume,
-                      zonal_table, zonal_value)
+                      projector_kernel, sphere_volume, zonal_table,
+                      zonal_value)
 
 __version__ = "0.1.0"
 # the one Gegenbauer implementation, reported in run records

@@ -88,9 +88,9 @@ class _CsvSink:
         self.fh.close()
 
 
-def _grid(cfg, kmax):
-    """The grid exact to degree kmax, 4*kmax + 16 points unless given."""
-    points = cfg.grid_points = cfg.grid_points or 4 * kmax + 16
+def _grid(cfg):
+    """The grid of cfg.grid_points nodes, exact to degree cfg.band."""
+    points, kmax = cfg.grid_points, cfg.band
     if cfg.cache_dir is None:
         return make_grid(cfg.sphere, points, kmax)
     cache_dir = Path(cfg.cache_dir)
@@ -106,10 +106,10 @@ def _grid(cfg, kmax):
 # ---------------------------------------------------------------------------
 # commands; each returns its JSON rows
 
-def _sweep(cfg, sink, params, kmax, build, exponent):
+def _sweep(cfg, sink, params, build, exponent):
     """One certificate at cfg.point per parameter, predicted param**exponent;
     build(grid, param) gives (operator, label, extra JSON fields)."""
-    grid = _grid(cfg, kmax)
+    grid = _grid(cfg)
     point = cfg.point
     json_rows = []
     for param in sorted(params):
@@ -130,27 +130,24 @@ def _run_proj_scaling(cfg, sink):
         return op, f"H_{k}", {"k": k}
 
     exp_proj, _ = predicted_exponents(cfg.n, cfg.sigma)
-    return _sweep(cfg, sink, cfg.ks, max(cfg.ks), build, exp_proj)
+    return _sweep(cfg, sink, cfg.ks, build, exp_proj)
 
 
 def _run_resolvent_scaling(cfg, sink):
-    cutoffs = {lam: default_degree_cutoff(lam) for lam in cfg.lambdas}
-
     def build(grid, lam):
         result = resolvent_kernel(cfg.sphere, ResolventParams(lam, cfg.mu),
-                                  cutoffs[lam])
+                                  default_degree_cutoff(lam))
         return (operator_from_kernel(result.kernel, grid),
                 f"R_zeta lam={lam} mu={cfg.mu}",
                 {"lambda": lam, "mu": cfg.mu, "kmax": result.kmax,
                  "tail_ratio": result.tail_ratio})
 
     _, exp_res = predicted_exponents(cfg.n, cfg.sigma)
-    return _sweep(cfg, sink, cfg.lambdas, max(cutoffs.values()), build,
-                  exp_res)
+    return _sweep(cfg, sink, cfg.lambdas, build, exp_res)
 
 
 def _run_dyadic_certify(cfg, sink):
-    grid = _grid(cfg, max(cfg.ks))
+    grid = _grid(cfg)
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     json_rows = []
     for k in sorted(cfg.ks):
@@ -318,6 +315,21 @@ class Config:
                 "dyadic-certify needs n >= 3: at n = 2 the points P and Q "
                 "coincide at sigma = 1, and at sigma = 2/3 the P-side piece "
                 "norms grow with j, so the decay hypothesis fails")
+        # the band: the largest degree a sweep's grid must integrate exactly
+        self.band = None
+        if "grid-points" in command.takes:
+            self.band = (max(self.ks) if self.ks is not None else
+                         max(default_degree_cutoff(lam)
+                             for lam in self.lambdas))
+            if self.grid_points is None:
+                self.grid_points = 4 * self.band + 16
+            if self.grid_points < 2 * self.band + 1:
+                raise ValueError(
+                    f"--grid-points {self.grid_points} cannot carry degree "
+                    f"{self.band}; need at least {2 * self.band + 1}")
+            if self.restarts < 1:
+                raise ValueError(
+                    f"--restarts must be >= 1, got {self.restarts}")
         self.point = None
         if "r" in command.takes:
             if self.r is None:

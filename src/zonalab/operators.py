@@ -9,9 +9,9 @@ For a multiplier kernel the reduced matrix has the closed form
 A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
 keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
-application; the dense matrix is built only when a caller reads it.  For a
-band-limited kernel restricted to a window of relative angles (e.g. a dyadic
-piece) the average is integrated into a dense matrix in closed form: the
+application; no norm bound builds the dense matrix.  For a band-limited
+kernel restricted to a window of relative angles (e.g. a dyadic piece) the
+average is integrated into a dense matrix in closed form: the
 azimuthal integrand of each node pair is a trigonometric polynomial whose
 coefficients come from the Gegenbauer addition theorem, one factor table
 per degree and one matrix product for all pairs (AzimuthalSpectrum); it is
@@ -36,6 +36,10 @@ Norms:
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
     degree-k projector, in O(points)) and wherever r = 1 or s = inf.
+
+Both read the row norms of a factored operator from row blocks of A, built
+from the factors and reduced one at a time (`_row_lp`), so the temporaries
+stay bounded whatever the number of points.
 """
 
 import functools
@@ -56,6 +60,9 @@ _MAX_STEPS = 500
 # node pairs per block of the spectrum's product, so that the temporaries
 # grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
+# entries of A per row block of a factored operator's row norms, so that
+# the temporaries stay bounded whatever the number of points
+_ROW_BLOCK = 2 ** 18
 
 
 class ZonalOperator:
@@ -64,9 +71,10 @@ class ZonalOperator:
     Either the dense reduced matrix is given (profile kernels), or the
     spectral factors (rows, kept) with A = rows.T @ diag(kept) @ rows, the
     rows orthonormal in L^2(w) and kept the nonzero multipliers (multiplier
-    kernels); the latter apply through the factors and build `matrix` from
-    them on first read.  Every norm bound reads only the matrix or the
-    factors, so it is a bound for this discrete operator.
+    kernels); the latter apply through the factors, and no norm bound builds
+    `matrix` from them (it is built on first read, for callers that read
+    it).  Every norm bound reads only the matrix or the factors, so it is a
+    bound for this discrete operator.
     """
 
     def __init__(self, grid, matrix=None, natural_degree=None, label="",
@@ -115,6 +123,24 @@ def _real_matmul(m, v):
     pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
     out = (m @ pairs.reshape(v.shape[0], -1)).view(np.complex128)
     return out.reshape(m.shape[:1] + v.shape[1:])
+
+
+def _row_lp(op, p):
+    """The L^p(w) norm of every row of A.
+
+    A factored operator's rows are built from the factors, at most
+    _ROW_BLOCK entries at a time, and each block is reduced as soon as it is
+    built, so A is never held.
+    """
+    w = op.grid.weights
+    if op.factors is None:
+        return weighted_row_lp(w, op.matrix, p)
+    rows, kept = op.factors
+    scaled = _scale_rows(kept, rows)
+    step = max(1, _ROW_BLOCK // op.grid.points)
+    return np.concatenate([
+        weighted_row_lp(w, _real_matmul(rows.T[b:b + step], scaled), p)
+        for b in range(0, op.grid.points, step)])
 
 
 def operator_from_kernel(kernel, grid):
@@ -394,7 +420,8 @@ def _exact_witness(op, r, s):
     row norm.  When r = 1 the norm is the largest L^s column norm, attained
     by a point mass, and |A| is symmetric, so it is the largest L^s row
     norm.  A rank-one row is m e_i e, largest where |e_i| is, and its
-    duality map is that of e, read from the factors without the matrix.
+    duality map is that of e, read from the factors.  Any other factored
+    row is one 1 x points product of the factors, so A is never built.
     """
     w = op.grid.weights
     p = s if r == 1.0 else r / (r - 1.0)
@@ -402,8 +429,12 @@ def _exact_witness(op, r, s):
         (row,), _ = op.factors
         i = int(np.argmax(np.abs(row)))
     else:
-        i = int(np.argmax(weighted_row_lp(w, op.matrix, p)))
-        row = op.matrix[i]
+        i = int(np.argmax(_row_lp(op, p)))
+        if op.factors is None:
+            row = op.matrix[i]
+        else:
+            rows, kept = op.factors
+            row = _real_matmul(rows.T[i:i + 1], _scale_rows(kept, rows))[0]
     if r == 1.0:
         f = np.zeros(op.grid.points)
         f[i] = 1.0 / w[i]
@@ -485,7 +516,7 @@ def norm_upper(op, point):
     if op.factors is not None and op.factors[1].size == 1:
         (row,), (m,) = op.factors
         return float(abs(m) * weighted_lp(w, row, rp) * weighted_lp(w, row, s))
-    return weighted_lp(w, weighted_row_lp(w, op.matrix, rp), s)
+    return weighted_lp(w, _row_lp(op, rp), s)
 
 
 # ---------------------------------------------------------------------------

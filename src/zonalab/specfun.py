@@ -1,5 +1,5 @@
-"""Special-function layer: Gegenbauer polynomials, spherical harmonic counts,
-and zonal kernels on the round n-sphere.
+"""Special-function layer: Gegenbauer polynomials and zonal kernels on the
+round n-sphere.
 
 Conventions
 -----------
@@ -37,20 +37,6 @@ def gegenbauer(k, alpha, t):
         raise ValueError("argument outside [-1, 1]")
     vals = geg_eval(int(k), float(alpha), np.clip(arr, -1.0, 1.0))
     return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
-
-
-def harmonic_dim(n, k):
-    """Dimension N(n,k) of degree-k spherical harmonics on S^n, exactly.
-
-    N(n,k) = C(k+n, n) - C(k+n-2, n), the dimension of degree-k homogeneous
-    polynomials in n+1 variables minus that of degree k-2.  Python integers
-    are exact at any size so no overflow guard is needed.
-    """
-    if n < 2:
-        raise ValueError(f"sphere dimension must be >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    return math.comb(k + n, n) - math.comb(k + n - 2, n)
 
 
 def eigenvalue(n, k):

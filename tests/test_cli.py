@@ -345,6 +345,35 @@ class TestRejectedBeforeCsv:
         assert "outside 0 <= 1/s <= 1/r <= 1" in capsys.readouterr().err
         assert not out.exists() and not js.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("proj-scaling", "--sigma", "3/5", "--k", "4,8", "--grid-points",
+          "5"), "--grid-points 5 cannot carry degree 8; need at least 17"),
+        (("resolvent-scaling", "--sigma", "3/5", "--lambda", "8",
+          "--restarts", "0"), "--restarts must be >= 1, got 0"),
+        # the band of dyadic-certify is the largest degree, 16
+        (("dyadic-certify", "--sigma", "3/5", "--k", "16", "--grid-points",
+          "20"), "--grid-points 20 cannot carry degree 16; need at least 33"),
+        # 0 is a grid size like any other, not a request for the default
+        (("proj-scaling", "--sigma", "3/5", "--k", "4", "--grid-points",
+          "0"), "--grid-points 0 cannot carry degree 4; need at least 9"),
+    ], ids=["proj-points", "resolvent-restarts", "dyadic-points",
+            "proj-points-zero"])
+    def test_grid_points_and_restarts(self, tmp_path, capsys, argv, message):
+        code, out, js = _run(tmp_path, "gr", *argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    def test_resolvent_band_is_largest_cutoff(self, tmp_path, capsys):
+        # lambda = 8 needs degree default_degree_cutoff(8) = 48, so 96
+        # points are too few although 4 * 8 + 16 would suffice for lambda
+        code, out, js = _run(tmp_path, "rb", "resolvent-scaling", "--sigma",
+                             "3/5", "--lambda", "8", "--grid-points", "96")
+        assert code == 2
+        assert "cannot carry degree 48; need at least 97" in (
+            capsys.readouterr().err)
+        assert not out.exists() and not js.exists()
+
 
 # every command's flags besides --seed and --out, as the README lists them:
 # with those two, 39 (command, flag) pairs; any other flag exits 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
 from zonalab import operators
+from zonalab.cli import default_r
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
 from zonalab.norms import weighted_lp, weighted_row_lp
@@ -145,22 +147,55 @@ class TestFactoredRoute:
         zl.norm_certificate(op, ExponentPoint(0.8, 0.2))
         assert "matrix" not in vars(op)
 
-    def test_resolvent_builds_matrix_once(self, grid144, sphere3,
-                                          monkeypatch):
+    def test_resolvent_never_builds_matrix(self, grid144, sphere3):
+        # a complex full-rank operator, through the ascent and through the
+        # exact route at r = 1 and at s = inf
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
                                    kmax=32).kernel
         op = operator_from_kernel(kern, grid144)
-        build = ZonalOperator.matrix.func
-        builds = []
+        for point in (ExponentPoint(0.8, 0.2), ExponentPoint(1.0, 0.2),
+                      ExponentPoint(0.8, 0.0)):
+            cert = zl.norm_certificate(op, point, restarts=2)
+            assert "matrix" not in op.__dict__, point
+            if point.x == 1.0 or point.y == 0.0:
+                assert cert.iterations == 0
+                assert cert.lower == pytest.approx(cert.upper, rel=1e-12)
 
-        def counted(self):
-            builds.append(self)
-            return build(self)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("p", [1.01, 2.0, 5.0, 1e300, np.inf])
+    def test_row_norms_match_dense(self, n, kind, p, monkeypatch):
+        # 64 rows in blocks of 5: twelve full blocks and a partial one
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
+        grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
+        if kind == "complex":
+            op = operator_from_kernel(_kernel(n, "resolvent"), grid)
+        else:
+            kept = np.random.default_rng(n).standard_normal(25)
+            op = ZonalOperator(grid, factors=(grid.basis(24), kept))
+        got = operators._row_lp(op, p)
+        assert "matrix" not in op.__dict__
+        want = weighted_row_lp(grid.weights, op.matrix, p)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
-        monkeypatch.setattr(ZonalOperator.matrix, "func", counted)
-        zl.norm_certificate(op, ExponentPoint(0.8, 0.2))
-        zl.norm_certificate(op, ExponentPoint(1.0, 0.2))
-        assert len(builds) == 1
+    def test_upper_memory_stays_below_dense_matrix(self):
+        # the complex lambda = 64 resolvent operator on the 1040-point grid
+        # of `resolvent-scaling --lambda 8,16,32,64`: its dense matrix alone
+        # takes P^2 * 16 bytes, and no certificate may allocate that much
+        sphere = zl.SphereSpec(3)
+        grid = zl.make_grid(sphere, 1040, kexact=256)
+        kern = zl.resolvent_kernel(sphere, zl.ResolventParams(64, 1),
+                                   kmax=256).kernel
+        op = operator_from_kernel(kern, grid)
+        r = default_r(3, 0.6)
+        point = ExponentPoint(1 / r, 1 / r - 0.6)
+        tracemalloc.start()
+        try:
+            zl.norm_certificate(op, point, restarts=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.points ** 2 * 16
 
     @given(k=st.integers(0, 16), r=st.floats(1.05, 20.0),
            s=st.floats(1.0, 20.0))
@@ -400,21 +435,32 @@ class TestNormUpper:
         assert upper == pytest.approx(exact, rel=1e-12)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
-           pair=_PAIRS)
+           factored=st.booleans(), pair=_PAIRS)
     @settings(max_examples=80, deadline=None)
-    def test_dense_upper_is_rigorous(self, seed, complex_, pair):
+    def test_dense_upper_is_rigorous(self, seed, complex_, factored, pair):
         # any attained ratio ||Tf||_s / ||f||_r, from the ascent or from a
-        # batch of random and point-mass inputs, sits below the upper bound
+        # batch of random and point-mass inputs, sits below the upper bound;
+        # factored: 2..P random rows orthonormal in L^2(w), with complex
+        # multipliers when complex_
         grid = zl.make_grid(zl.SphereSpec(3), 9)
         P, w = grid.points, grid.weights
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((P, P))
+        if factored:
+            rank = int(rng.integers(2, P + 1))
+            q, _ = np.linalg.qr(rng.standard_normal((P, rank)))
+            kept = rng.standard_normal(rank)
+            if complex_:
+                kept = kept + 1j * rng.standard_normal(rank)
+            op = ZonalOperator(grid, factors=(q.T / np.sqrt(w), kept))
+        else:
+            A = rng.standard_normal((P, P))
+            if complex_:
+                A = A + 1j * rng.standard_normal((P, P))
+            op = ZonalOperator(grid, A + A.T)
         inputs = list(rng.standard_normal((32, P)))
         if complex_:
-            A = A + 1j * rng.standard_normal((P, P))
             inputs = [f + 1j * g for f, g in
                       zip(inputs, rng.standard_normal((32, P)))]
-        op = ZonalOperator(grid, A + A.T)
         r, s = pair
         bound = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s)) * (
             1.0 + 1e-12)
