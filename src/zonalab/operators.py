@@ -37,9 +37,14 @@ Norms:
     smaller by Minkowski's inequality; it is exact for rank one (the
     degree-k projector, in O(points)) and wherever r = 1 or s = inf.
 
-Both read the row norms of a factored operator from row blocks of A, built
-from the factors and reduced one at a time (`_row_lp`), so the temporaries
-stay bounded whatever the number of points.
+Both read the row norms of a factored operator from tiles of A, built from
+the factors and reduced one at a time (`_row_lp`), so the temporaries stay
+bounded whatever the number of points.  |A| is symmetric, so only the tiles
+on and above the diagonal are built, each scaled by the a-priori bound
+C = max_i sum_k |m_k| e_k(t_i)^2 >= max |A_ij|, and a tile's powered entries
+are summed into the rows on both of its sides.  A row whose sum underflows
+against C, or overflows at a huge exponent, is rebuilt whole and scaled by
+its own max (the fallback rows), so every exponent keeps its meaning.
 """
 
 import functools
@@ -60,9 +65,13 @@ _MAX_STEPS = 500
 # node pairs per block of the spectrum's product, so that the temporaries
 # grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
-# entries of A per row block of a factored operator's row norms, so that
-# the temporaries stay bounded whatever the number of points
-_ROW_BLOCK = 2 ** 18
+# entries of A per tile (or per block of whole rows) of a factored
+# operator's row norms, so that the temporaries stay bounded whatever the
+# number of points
+_ROW_BLOCK = 2 ** 16
+# the smallest row sum of (|A_ij| / C)^p taken from the triangle; a smaller
+# one may have lost digits to underflow
+_ROW_SUM_MIN = 2.0 ** -900
 
 
 class ZonalOperator:
@@ -125,22 +134,64 @@ def _real_matmul(m, v):
     return out.reshape(m.shape[:1] + v.shape[1:])
 
 
+def _entry_bound(rows, kept):
+    """C = max_i sum_k |m_k| e_k(t_i)^2, which bounds every |A_ij| by
+    Cauchy-Schwarz; O(K P), with no K x P temporary."""
+    return float(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows).max())
+
+
 def _row_lp(op, p):
     """The L^p(w) norm of every row of A.
 
-    A factored operator's rows are built from the factors, at most
-    _ROW_BLOCK entries at a time, and each block is reduced as soon as it is
-    built, so A is never held.
+    A factored operator's entries are built from the factors in tiles of at
+    most _ROW_BLOCK entries, each reduced as soon as it is built, so A is
+    never held.  Only the tiles on and above the diagonal are built, against
+    the scale C of `_entry_bound`: a tile |A[c, b]| / C with column block
+    c >= row block b is one real product of rows[:, c].T with the small
+    (kept / C) * rows[:, b].  Its entries raised to p are summed with the
+    weights into the rows of b and, |A| being symmetric, into the rows of c
+    (at p = inf, their maxima).  A row whose sum falls outside
+    [_ROW_SUM_MIN, inf) (its entries underflow against C, or one rounds
+    above C at huge p) is built whole and scaled by its own max,
+    _ROW_BLOCK // points rows at a time.
     """
     w = op.grid.weights
     if op.factors is None:
         return weighted_row_lp(w, op.matrix, p)
     rows, kept = op.factors
-    scaled = _scale_rows(kept, rows)
-    step = max(1, _ROW_BLOCK // op.grid.points)
-    return np.concatenate([
-        weighted_row_lp(w, _real_matmul(rows.T[b:b + step], scaled), p)
-        for b in range(0, op.grid.points, step)])
+    points = op.grid.points
+    out = np.empty(points)
+    redo = np.arange(points)
+    scale = _entry_bound(rows, kept)
+    if scale > 0:
+        side = math.isqrt(_ROW_BLOCK)
+        small = kept / scale
+        sums = np.zeros(points)
+        for b0 in range(0, points, side):
+            b = slice(b0, b0 + side)
+            part = _scale_rows(small, rows[:, b])
+            for c0 in range(b0, points, side):
+                c = slice(c0, c0 + side)
+                a = np.abs(_real_matmul(rows[:, c].T, part))
+                if math.isinf(p):
+                    np.maximum(sums[b], a.max(axis=0), out=sums[b])
+                    np.maximum(sums[c], a.max(axis=1), out=sums[c])
+                    continue
+                with np.errstate(over="ignore"):
+                    np.power(a, p, out=a)
+                sums[b] += w[c] @ a
+                if c0 > b0:
+                    sums[c] += a @ w[b]
+        if math.isinf(p):
+            return scale * sums
+        out = scale * sums ** (1.0 / p)
+        redo = np.flatnonzero(~((sums >= _ROW_SUM_MIN) & (sums < np.inf)))
+    step = max(1, _ROW_BLOCK // points)
+    for i in range(0, redo.size, step):
+        sel = redo[i:i + step]
+        out[sel] = weighted_lp(
+            w, _real_matmul(rows.T, _scale_rows(kept, rows[:, sel])), p)
+    return out
 
 
 def operator_from_kernel(kernel, grid):
@@ -152,7 +203,11 @@ def operator_from_kernel(kernel, grid):
             f"kernel degree {kmax} exceeds grid exactness {grid.kexact}")
     coeffs = kernel.coeffs
     nz = np.flatnonzero(coeffs)
-    factors = (grid.basis(kmax)[nz], coeffs[nz])
+    rows = grid.basis(kmax)
+    # a view of the grid's table when every degree is kept
+    if nz.size < rows.shape[0]:
+        rows = rows[nz]
+    factors = (rows, coeffs[nz])
     peak = int(np.argmax(np.abs(coeffs)))
     return ZonalOperator(grid, factors=factors, natural_degree=peak,
                          label=kernel.description or f"multiplier kmax={kmax}")

@@ -8,8 +8,15 @@ The canonical closed form fixes the sign convention; the time integral
 
 reproduces it and is kept as a cross-check.  The tail multiplier keeps only
 t >= 1/2 through a smooth cutoff and decays rapidly off tau = lambda.
+
+Both integrals run a 12-point Gauss-Legendre rule on equal panels, refined
+once by doubling the panels as a check.  Wherever the integrand is
+e^{ct} cos(tau t) the rule is summed per panel rather than per node
+(`_wave_rule`), so a refinement costs O(panels) transcendentals; only the
+tail's cutoff part, where 1 - rho is not 1, is summed node by node.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,22 +71,48 @@ def smooth_cutoff(t):
     return hx / (hx + h1)
 
 
+def _panels(a, b, panels):
+    """Midpoints and half-width of `panels` equal panels of [a, b]."""
+    edges = np.linspace(a, b, panels + 1)
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1] - edges[0])
+
+
 def _panel_integral(fn, a, b, panels):
     """The 12-point Gauss-Legendre rule on each of `panels` equal panels."""
     x, u = _PANEL_RULE
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1] - edges[0])
+    mid, half = _panels(a, b, panels)
     t = (mid[:, None] + half * x[None, :]).ravel()
     return half * np.sum(fn(t).reshape(panels, -1) * u)
 
 
-def _refined_integral(fn, a, b, freq, rel_tol=1e-8):
-    """Composite Gauss panels sized to the oscillation, with a doubling check
-    on the real and the imaginary part, each against its own scale."""
+def _wave_rule(c, tau):
+    """The rule of `_panel_integral` for e^{ct} cos(tau t), summed per panel.
+
+    At the nodes t = m + h x of the panel around m, e^{ct} = e^{cm} e^{chx}
+    and cos(tau t) = cos(tau m) cos(tau h x) - sin(tau m) sin(tau h x); the
+    sums over x are the same on every panel, so a refinement costs
+    transcendentals per panel rather than per node.
+    """
+    x, u = _PANEL_RULE
+
+    def rule(a, b, panels):
+        mid, half = _panels(a, b, panels)
+        node = u * np.exp(c * half * x)
+        cos_sum = node @ np.cos(tau * half * x)
+        sin_sum = node @ np.sin(tau * half * x)
+        return half * np.sum(np.exp(c * mid) * (
+            np.cos(tau * mid) * cos_sum - np.sin(tau * mid) * sin_sum))
+
+    return rule
+
+
+def _refined_integral(rule, a, b, freq, rel_tol=1e-8):
+    """A panel rule(a, b, panels) at panels sized to the oscillation and at
+    twice as many, with a doubling check on the real and the imaginary part,
+    each against its own scale."""
     panels = max(8, math.ceil((b - a) * (freq + 1.0) / 3.0))
-    v1 = _panel_integral(fn, a, b, panels)
-    v2 = _panel_integral(fn, a, b, 2 * panels)
+    v1 = rule(a, b, panels)
+    v2 = rule(a, b, 2 * panels)
     for p1, p2 in ((v1.real, v2.real), (v1.imag, v2.imag)):
         if abs(p1 - p2) > rel_tol * max(abs(p2), 1e-300) + 1e-15:
             raise QuadratureError(
@@ -87,40 +120,44 @@ def _refined_integral(fn, a, b, freq, rel_tol=1e-8):
     return v2
 
 
-def _wave_integrand(params, tau, cutoff):
+def _wave_integrand(params, tau):
+    """(c, prefactor, tmax, freq) of the wave integral in the module
+    docstring: its integrand is e^{ct} cos(tau t), truncated at tmax, where
+    e^{-|mu| t} has fallen to 1e-14, and oscillating at most at freq."""
     sgn = 1.0 if params.mu >= 0 else -1.0
-    lam_t = sgn * params.lam
-    absmu = abs(params.mu)
-
-    def fn(t):
-        phase = np.exp((1j * lam_t - absmu) * t) * np.cos(t * tau)
-        if cutoff:
-            phase = phase * (1.0 - smooth_cutoff(t))
-        return phase
-
+    c = complex(-abs(params.mu), sgn * params.lam)
     prefac = sgn / (1j * complex(params.lam, params.mu))
-    return fn, prefac
+    tmax = 14.0 * math.log(10.0) / abs(params.mu)
+    freq = params.lam + abs(tau) + abs(params.mu)
+    return c, prefac, tmax, freq
 
 
 def multiplier_from_integral(params, tau, rel_tol=1e-8):
     """Direct numeric evaluation of the wave-trace integral for m(tau)."""
-    fn, prefac = _wave_integrand(params, tau, cutoff=False)
-    tmax = 14.0 * math.log(10.0) / abs(params.mu)
-    freq = params.lam + abs(tau) + abs(params.mu)
-    return prefac * _refined_integral(fn, 0.0, tmax, freq, rel_tol)
+    c, prefac, tmax, freq = _wave_integrand(params, tau)
+    return prefac * _refined_integral(_wave_rule(c, tau), 0.0, tmax, freq,
+                                      rel_tol)
 
 
 def tail_multiplier(params, tau, rel_tol=1e-8):
     """The t >= 1/2 part of the wave integral; decays fast off tau = lambda.
 
     The integration is split at t = 1 so the cutoff's transition knots sit
-    on panel edges; interior to a panel they would stall convergence.
+    on panel edges; interior to a panel they would stall convergence.  On
+    [1/2, 1] the integrand carries 1 - rho and is summed node by node; on
+    [1, tmax] 1 - rho is 1 and the rule is summed per panel (`_wave_rule`).
+    Where tmax < 1 (|mu| > 14 ln 10) the second part runs back over
+    [tmax, 1], where the cutoff is not 1, so it keeps the node rule too.
     """
-    fn, prefac = _wave_integrand(params, tau, cutoff=True)
-    tmax = 14.0 * math.log(10.0) / abs(params.mu)
-    freq = params.lam + abs(tau) + abs(params.mu)
-    val = sum(_refined_integral(fn, a, b, freq, rel_tol)
-              for a, b in ((0.5, 1.0), (1.0, tmax)))
+    c, prefac, tmax, freq = _wave_integrand(params, tau)
+
+    def fn(t):
+        return np.exp(c * t) * np.cos(t * tau) * (1.0 - smooth_cutoff(t))
+
+    nodes = functools.partial(_panel_integral, fn)
+    past_one = _wave_rule(c, tau) if tmax >= 1.0 else nodes
+    val = (_refined_integral(nodes, 0.5, 1.0, freq, rel_tol)
+           + _refined_integral(past_one, 1.0, tmax, freq, rel_tol))
     return prefac * val
 
 

@@ -161,6 +161,20 @@ class TestFactoredRoute:
                 assert cert.iterations == 0
                 assert cert.lower == pytest.approx(cert.upper, rel=1e-12)
 
+    def test_rows_are_a_view_when_every_degree_is_kept(self, grid144,
+                                                         sphere3):
+        # a resolvent keeps every degree and reads the grid's table; a
+        # projector keeps one row, copied out of it
+        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
+                                   kmax=32).kernel
+        rows, _ = operator_from_kernel(kern, grid144).factors
+        assert rows.shape[0] == 33
+        assert np.shares_memory(rows, grid144.basis(32))
+        proj = operator_from_kernel(zl.projector_kernel(sphere3, 8), grid144)
+        (row,), _ = proj.factors
+        assert not np.shares_memory(row, grid144.basis(8))
+        np.testing.assert_array_equal(row, grid144.basis(8)[8])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("p", [1.01, 2.0, 5.0, 1e300, np.inf])
@@ -178,10 +192,63 @@ class TestFactoredRoute:
         want = weighted_row_lp(grid.weights, op.matrix, p)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_row_norms_far_below_scale(self, p, monkeypatch):
+        # two groups of 32 nodes, each with its own orthonormal factors: the
+        # multipliers of the first are near 1, of the second near 1e-200, so
+        # the rows of the second sit far below C and their sums underflow
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
+        grid = zl.make_grid(zl.SphereSpec(3), 64, kexact=24)
+        rng = np.random.default_rng(3)
+        q = np.zeros((64, 64))
+        for g in (slice(0, 32), slice(32, 64)):
+            q[g, g] = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+        rows = q.T / np.sqrt(grid.weights)
+        kept = np.concatenate([np.logspace(0, -1, 32),
+                               np.logspace(-199, -200, 32)])
+        op = ZonalOperator(grid, factors=(rows, kept))
+        got = operators._row_lp(op, p)
+        scale = operators._entry_bound(rows, kept)
+        assert ((got[32:] / scale) ** p < operators._ROW_SUM_MIN).all()
+        want = weighted_row_lp(grid.weights, op.matrix, p)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_row_norms_at_huge_p_with_diagonal_at_scale(self, monkeypatch):
+        # positive multipliers: C is the largest diagonal entry, so at
+        # p = 1e300 only that row can be summed from the tiles (to its own
+        # weight); every other row's sum underflows and is rebuilt whole
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
+        grid = zl.make_grid(zl.SphereSpec(3), 64, kexact=24)
+        kept = np.random.default_rng(5).uniform(0.5, 2.0, 25)
+        rows = grid.basis(24)
+        op = ZonalOperator(grid, factors=(rows, kept))
+        got = operators._row_lp(op, 1e300)
+        want = weighted_row_lp(grid.weights, op.matrix, 1e300)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert got.max() == pytest.approx(operators._entry_bound(rows, kept),
+                                          rel=1e-15)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_entry_bound_covers_matrix(self, seed, complex_):
+        # Cauchy-Schwarz: |A_ij| <= sum_k |m_k| |e_k(t_i)| |e_k(t_j)|
+        # <= C, up to the rounding of both sides
+        grid = zl.make_grid(zl.SphereSpec(3), 9)
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, grid.points + 1))
+        rows = rng.standard_normal((rank, grid.points))
+        kept = rng.standard_normal(rank) * 10.0 ** rng.uniform(-5, 5, rank)
+        if complex_:
+            kept = kept + 1j * rng.standard_normal(rank)
+        op = ZonalOperator(grid, factors=(rows, kept))
+        bound = operators._entry_bound(rows, kept)
+        assert np.abs(op.matrix).max() <= bound * (1.0 + 1e-14)
+
     def test_upper_memory_stays_below_dense_matrix(self):
         # the complex lambda = 64 resolvent operator on the 1040-point grid
-        # of `resolvent-scaling --lambda 8,16,32,64`: its dense matrix alone
-        # takes P^2 * 16 bytes, and no certificate may allocate that much
+        # of `resolvent-scaling --lambda 8,16,32,64`: the real P x P matrix
+        # |A| alone takes P^2 * 8 bytes, and no certificate may allocate
+        # that much
         sphere = zl.SphereSpec(3)
         grid = zl.make_grid(sphere, 1040, kexact=256)
         kern = zl.resolvent_kernel(sphere, zl.ResolventParams(64, 1),
@@ -195,7 +262,7 @@ class TestFactoredRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < grid.points ** 2 * 16
+        assert peak < grid.points ** 2 * 8
 
     @given(k=st.integers(0, 16), r=st.floats(1.05, 20.0),
            s=st.floats(1.0, 20.0))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import zonalab as zl
 from zonalab.errors import QuadratureError, TailDominanceError
-from zonalab.resolvent import _refined_integral
+from zonalab.resolvent import (_panel_integral, _refined_integral,
+                               _wave_integrand, _wave_rule)
 
 
 class TestParams:
@@ -68,14 +70,37 @@ class TestWaveIntegral:
     def test_refinement_check_fires(self):
         # a jump interior to the panels cannot pass the doubling test
         with pytest.raises(QuadratureError):
-            _refined_integral(lambda t: np.sign(t - 0.37), 0.0, 1.0, 0.0)
+            _refined_integral(
+                functools.partial(_panel_integral,
+                                  lambda t: np.sign(t - 0.37)),
+                0.0, 1.0, 0.0)
 
     def test_refinement_check_per_part(self):
         # the jump sits in the imaginary part only; measured against the
         # whole value's scale its error would pass
         with pytest.raises(QuadratureError):
-            _refined_integral(lambda t: 1e6 + 1j * np.sign(t - 0.37),
-                              0.0, 1.0, 0.0)
+            _refined_integral(
+                functools.partial(_panel_integral,
+                                  lambda t: 1e6 + 1j * np.sign(t - 0.37)),
+                0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("lam", [8.0, 16.0, 32.0, 64.0, 128.0])
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0])
+    def test_panel_rule_matches_node_rule(self, lam, mu):
+        # the per-panel sums of the wave rule are the 12-point rule node by
+        # node, at the panels `_refined_integral` takes and at twice as many,
+        # for the five tau of `multiplier-check`
+        params = zl.ResolventParams(lam, mu)
+        for tau in np.unique(np.round(np.linspace(1.0, 2.0 * lam, 5))):
+            tau = float(tau)
+            c, _, tmax, freq = _wave_integrand(params, tau)
+            panels = max(8, math.ceil(tmax * (freq + 1.0) / 3.0))
+            for count in (panels, 2 * panels):
+                got = _wave_rule(c, tau)(0.0, tmax, count)
+                want = _panel_integral(
+                    lambda t: np.exp(c * t) * np.cos(t * tau),
+                    0.0, tmax, count)
+                assert abs(got - want) <= 1e-13 * abs(want), (tau, count)
 
 
 class TestCutoff:
@@ -103,6 +128,22 @@ class TestTail:
         near = abs(zl.tail_multiplier(p, 8.0))
         far = abs(zl.tail_multiplier(p, 28.0))
         assert far < near / 100
+
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0, 40.0, -50.0])
+    def test_matches_node_rule(self, mu):
+        # the tail summed node by node on both parts, as the reference; past
+        # |mu| = 14 ln 10 the truncation tmax falls below 1
+        params = zl.ResolventParams(8.0, mu)
+        for tau in (0.0, 5.0, 8.0, 28.0):
+            c, prefac, tmax, freq = _wave_integrand(params, tau)
+            nodes = functools.partial(
+                _panel_integral,
+                lambda t: np.exp(c * t) * np.cos(t * tau)
+                * (1.0 - zl.smooth_cutoff(t)))
+            want = prefac * sum(_refined_integral(nodes, a, b, freq)
+                                for a, b in ((0.5, 1.0), (1.0, tmax)))
+            got = zl.tail_multiplier(params, tau)
+            assert abs(got - want) <= 1e-12 * abs(want), (mu, tau)
 
     def test_finite_at_zero(self):
         p = zl.ResolventParams(8.0, 1.0)
