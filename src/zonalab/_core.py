@@ -1,11 +1,13 @@
-"""Gegenbauer recurrence kernels over 1-D float64 point arrays.
+"""Gegenbauer recurrence kernels over float64 point arrays.
 
 Forward three-term recurrence
     m C_m = 2 (m + a - 1) t C_{m-1} - (m + 2a - 2) C_{m-2},
 C_0 = 1, C_1 = 2 a t.  One generator, _rows, runs it in place over three
-buffers, so no step allocates; geg_eval keeps its last row and geg_table
-copies every row.  Both therefore run the same operations in the same order,
-and geg_eval(k, a, t) equals row k of geg_table(kmax, a, t) bit for bit.
+buffers, so no step allocates; geg_eval keeps its last row, geg_table
+(1-D points) copies every row, and the azimuthal antiderivative of
+`operators.AzimuthalSpectrum` sums the rows as they come.  geg_eval and
+geg_table therefore run the same operations in the same order, and
+geg_eval(k, a, t) equals row k of geg_table(kmax, a, t) bit for bit.
 """
 
 import numpy as np

@@ -42,7 +42,6 @@ class DyadicPiece:
     base: int                 # degree k of the parent kernel
     j: int
     support: tuple            # (lo, hi]; the piece vanishes outside
-    values: np.ndarray        # node values on the grid it was built for
     grid: object
     clipped: bool             # annulus truncated by theta = pi
     spectrum: AzimuthalSpectrum   # of Z_k on the grid, shared by all pieces
@@ -67,7 +66,6 @@ def dyadic_decompose(sphere, k, grid):
             f"degree {k} exceeds grid exactness {grid.kexact}")
     lam = eigenvalue(sphere.n, k)
     J = piece_count(sphere.n, k)
-    zvals = zonal_value(sphere.n, k, grid.cosines)
     spectrum = AzimuthalSpectrum(grid, projector_kernel(sphere, k))
     pieces = []
     for j in range(J + 1):
@@ -75,10 +73,8 @@ def dyadic_decompose(sphere, k, grid):
             lo, hi = 0.0, 1.0 / lam
         else:
             lo, hi = 2.0 ** (j - 1) / lam, 2.0 ** j / lam
-        mask = (grid.nodes > lo) & (grid.nodes <= hi)
-        pieces.append(DyadicPiece(
-            base=k, j=j, support=(lo, hi), values=zvals * mask,
-            grid=grid, clipped=hi > np.pi, spectrum=spectrum))
+        pieces.append(DyadicPiece(base=k, j=j, support=(lo, hi), grid=grid,
+                                  clipped=hi > np.pi, spectrum=spectrum))
     return pieces
 
 

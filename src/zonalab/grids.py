@@ -53,8 +53,9 @@ class ZonalGrid:
             top = max(kmax, self.kexact)
             tab = zonal_table(self.sphere.n, top, self.cosines)
             z1 = zonal_table(self.sphere.n, top, np.ones(1))[:, 0]
-            self._basis = tab / np.sqrt(z1)[:, None]
-            self._basis.flags.writeable = False
+            tab /= np.sqrt(z1)[:, None]
+            tab.flags.writeable = False
+            self._basis = tab
         return self._basis[:kmax + 1]
 
     def integrate(self, values):

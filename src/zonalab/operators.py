@@ -11,12 +11,14 @@ keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
 application; no norm bound builds the dense matrix.  For a band-limited
 kernel restricted to a window of relative angles (e.g. a dyadic piece) the
-average is integrated into a dense matrix in closed form: the
-azimuthal integrand of each node pair is a trigonometric polynomial whose
-coefficients come from the Gegenbauer addition theorem, one factor table
-per degree and one matrix product for all pairs (AzimuthalSpectrum); it is
-integrated exactly between the azimuths of the window's edges, where
-Clenshaw's recurrence sums its antiderivative once per distinct edge.
+average is integrated into a dense matrix in closed form
+(AzimuthalSpectrum): the Gegenbauer addition theorem separates the
+azimuthal integrand of each node pair into Gegenbauer polynomials in the
+cosine of the azimuth, from one factor table per degree, and the
+polynomials' derivative identity integrates each of them.  The
+antiderivative is summed by one Gegenbauer recurrence at the azimuths of
+the window's edges, once per distinct edge and only over the pairs that the
+edge cuts.
 
 A is symmetric, so the adjoint of T is T with its input and output
 conjugated, and every representation has one application path, `apply`.
@@ -53,16 +55,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._core import _rows
 from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp, weighted_row_lp
-from .specfun import (addition_factors, eigenvalue, subsphere_zonal_table,
-                      zonal_value)
+from .specfun import addition_factors, eigenvalue, zonal_value
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
-# node pairs per block of the spectrum's product, so that the temporaries
+# node pairs per block of the spectrum's weights, so that the temporaries
 # grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
 # entries of A per tile (or per block of whole rows) of a factored
@@ -214,74 +216,61 @@ def operator_from_kernel(kernel, grid):
 
 
 class AzimuthalSpectrum:
-    """Azimuthal Fourier coefficients of one real band-limited kernel for
-    every node pair i <= j of a grid, computed on first use.
+    """The normalised azimuthal antiderivative of one real band-limited
+    kernel for every node pair i <= j of a grid, in closed form.
 
     For nodes at polar angles (ti, tj) the relative angle gamma obeys
     cos gamma = cos ti cos tj + sin ti sin tj cos phi as the azimuth phi runs
-    over [0, pi] with density sin^{n-2} phi.  For a kernel of degree kmax,
-    F(phi) = K(cos gamma) sin^{n-2} phi is a trigonometric polynomial of
-    degree D = kmax + n - 2: cosines only for even n, sines only for odd n.
-    The addition theorem separates each degree of the kernel into functions
-    of ti, tj and phi,
+    over [0, pi] with density sin^{n-2} phi.  The addition theorem separates
+    each degree of the kernel into functions of ti, tj and phi,
 
         Z_k(cos gamma) = sum_{m<=k} A_m(ti) A_m(tj) Z^{S^{n-1}}_m(cos phi),
 
-    so F is a combination of the fixed functions Z^{S^{n-1}}_m(cos phi)
-    sin^{n-2} phi, m = 0..kmax, with the pair's weights
-    sum_k c_k A^k_m(ti) A^k_m(tj) over the kernel's nonzero degrees.  A
-    DCT-II (even n) or DST-II (odd n) of their samples at the N = D + 1
-    midpoints phi_l = pi (l + 1/2) / N gives their coefficients exactly, once
-    per spectrum, and one matrix product per block of pairs gives every
-    pair's.  `coeffs` holds, per pair, the coefficients of the normalised
-    antiderivative
+    and Z^{S^{n-1}}_m is a multiple of C^a_m with a = (n-2)/2, whose
+    integral against the density is closed (DLMF 18.9, the Gegenbauer
+    derivative identity): for m >= 1
 
-        G(phi) = c_0 phi + sum_{m=1}^{N-1} c_m trig(m phi),
+        int_0^phi C^a_m(cos psi) sin^{n-2} psi dpsi
+            = 2a / (m (m + 2a)) sin^{n-1} phi C^{a+1}_{m-1}(cos phi).
 
-    with trig = sin for even n and cos for odd n (where c_0 = 0).  `edge`
-    evaluates G at one window edge for every pair and keeps the result, so
-    an edge shared by two windows is summed once.
+    With I(phi) = int_0^phi sin^{n-2}, the kernel's average over the
+    azimuths up to phi is therefore
+
+        G(phi) = w_0 I(phi) + sin^{n-1} phi sum_{m>=1} w_m C^{n/2}_{m-1}(cos phi),
+
+    with the pair's weights w_m = kappa_m sum_k c_k A^k_m(ti) A^k_m(tj) over
+    the kernel's nonzero degrees, kappa_0 = 1 / (vol(S^{n-1}) I(pi)) and
+    kappa_m = 2 (m + a) / (m (m + 2a) vol(S^{n-1}) I(pi)).  The one formula
+    holds for every n >= 2: on the circle (a = 0) the m-th term is
+    w_m sin(m phi) with kappa_m = 1 / (pi^2 m).  G(0) = 0 and
+    G(pi) = w_0 I(pi).  The spectrum keeps only the factor tables A^k, one
+    per degree; `edge` computes the weights of just the pairs it cuts and
+    keeps G there, so an edge shared by two windows is summed once.
     """
 
     def __init__(self, grid, kernel):
         self.grid = grid
         self.kernel = kernel
-        self.odd = grid.sphere.n % 2 == 1
         self.pairs = np.triu_indices(grid.points)
         self._edges = {}
+        n = grid.sphere.n
+        a = (n - 2) / 2
+        # I(pi)
+        self.total = math.sqrt(math.pi) * math.gamma(a + 0.5) / math.gamma(
+            a + 1.0)
+        # kappa_m, with m = 0 apart: its general form is 0/0 there when n = 2
+        m = np.arange(1.0, kernel.max_degree + 1)
+        kappa = np.concatenate(([1.0], 2.0 * (m + a) / (m * (m + 2.0 * a))))
+        self.kappa = kappa / (grid.sphere.subsphere_volume * self.total)
 
     @functools.cached_property
-    def coeffs(self):
+    def factors(self):
+        """(c_k, A^k) per nonzero degree k of the kernel, with A^k the
+        addition theorem's factors, shape (k + 1, points)."""
         n = self.grid.sphere.n
-        kmax = self.kernel.max_degree
-        size = kmax + n - 1
-        phi = np.pi * (np.arange(size) + 0.5) / size
-        m = np.arange(size)
-        # samples -> c: the DCT-II / DST-II rows times the density
-        # sin^{n-2} phi_l, divided by m (antiderivative) and by the total
-        # density (average)
-        if self.odd:
-            trans = -np.sin(np.outer(phi, m))
-        else:
-            trans = np.cos(np.outer(phi, m))
-            trans[:, 0] = 0.5
-        total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
-        trans *= (np.sin(phi) ** (n - 2))[:, None] * (
-            2.0 / (size * total * np.maximum(m, 1)))
-        # row m: the coefficients of Z^{S^{n-1}}_m(cos phi) sin^{n-2} phi
-        basis = subsphere_zonal_table(n, kmax, phi) @ trans
-        factors = [(self.kernel.coeffs[k],
-                    addition_factors(n, int(k), self.grid.nodes).T)
-                   for k in np.flatnonzero(self.kernel.coeffs)]
-        i, j = self.pairs
-        coeffs = np.empty((i.size, size))
-        for start in range(0, i.size, _PAIR_BLOCK):
-            b = slice(start, start + _PAIR_BLOCK)
-            weights = np.zeros((i[b].size, kmax + 1))
-            for c, a in factors:
-                weights[:, :a.shape[1]] += c * a[i[b]] * a[j[b]]
-            coeffs[b] = weights @ basis
-        return coeffs
+        return [(self.kernel.coeffs[k],
+                 addition_factors(n, int(k), self.grid.nodes))
+                for k in np.flatnonzero(self.kernel.coeffs)]
 
     @functools.cached_property
     def ranges(self):
@@ -292,31 +281,30 @@ class AzimuthalSpectrum:
         return np.abs(th[i] - th[j]), np.minimum(th[i] + th[j],
                                                  2.0 * np.pi - (th[i] + th[j]))
 
-    @functools.cached_property
-    def ends(self):
-        """G at phi = 0 and at phi = pi, per pair, in closed form: 0 and
-        c_0 pi for sines, sum c_m and sum (-1)^m c_m for cosines."""
-        c = self.coeffs
-        if not self.odd:
-            return np.zeros(c.shape[0]), np.pi * c[:, 0]
-        return c.sum(axis=1), c[:, ::2].sum(axis=1) - c[:, 1::2].sum(axis=1)
+    def weight(self, m, i, j):
+        """w_m of the node pairs (i, j), given as index arrays."""
+        return sum(self.kappa[m] * c * a[m, i] * a[m, j]
+                   for c, a in self.factors if m < a.shape[0])
 
     def edge(self, gamma):
         """G, per pair, at the azimuth where the relative angle reaches
         gamma clipped to the pair's range [d, s]; kept per gamma.
 
-        Clipped edges take the closed forms of `ends` (phi = pi wherever
-        gamma >= s).  Inside the range the edge maps to its azimuth through
-        the half-angle form tan^2(phi/2) = (cos d - cos gamma) /
-        (cos gamma - cos s), factored into sines so that no edge loses
-        digits near d or s, and G is summed there by `antiderivative`.
+        Clipped edges take the end values, G(0) = 0 wherever gamma <= d and
+        G(pi) = w_0 I(pi) wherever gamma >= s.  Inside the range the edge maps
+        to its azimuth through the half-angle form tan^2(phi/2) =
+        (cos d - cos gamma) / (cos gamma - cos s), factored into sines so that
+        no edge loses digits near d or s, and G is summed there by
+        `antiderivative`.
         """
         gamma = float(gamma)
         G = self._edges.get(gamma)
         if G is None:
             d, s = self.ranges
-            at_zero, at_pi = self.ends
-            G = np.where(gamma >= s, at_pi, at_zero)
+            G = np.zeros(d.size)
+            top = np.flatnonzero(gamma >= s)
+            i, j = self.pairs
+            G[top] = self.total * self.weight(0, i[top], j[top])
             inside = np.flatnonzero((d < gamma) & (gamma < s))
             if inside.size:
                 d, s = d[inside], s[inside]
@@ -332,27 +320,33 @@ class AzimuthalSpectrum:
     def antiderivative(self, rows, phi):
         """G(phi) for the pairs `rows`; phi has shape (..., len(rows)).
 
-        The series is summed by Clenshaw's recurrence
-        b_m = c_m + 2 cos(phi) b_{m+1} - b_{m+2}, m = N-1..1, which gives
-        sum c_m sin(m phi) = b_1 sin phi and
-        sum c_m cos(m phi) = b_1 cos phi - b_2.  It runs in Reinsch's form,
-        on b_m and u_m = b_m -+ b_{m+1} with d = 2 cos(phi) -+ 2 (upper
-        signs for phi <= pi/2), taking d = -4 sin^2(phi/2) or
-        4 cos^2(phi/2): the plain form loses digits where 2 cos(phi) is
-        close to +-2, near phi = 0 and pi.  Two transcendentals per point.
+        The weights are computed _PAIR_BLOCK pairs at a time, and the series
+        runs through the Gegenbauer recurrence in m at each azimuth.
         """
-        c = self.coeffs[rows].T
-        sh, ch = np.sin(0.5 * phi), np.cos(0.5 * phi)
-        low = ch >= sh                      # phi <= pi/2
-        sign = np.where(low, 1.0, -1.0)
-        d = np.where(low, -4.0 * sh * sh, 4.0 * ch * ch)
-        b, u = np.zeros_like(phi), np.zeros_like(phi)
-        for cm in c[:0:-1]:
-            u = cm + d * b + sign * u
-            b = sign * b + u
-        # b_1 cos phi - b_2 = +-u_1 + b_1 d / 2
-        series = sign * u + 0.5 * d * b if self.odd else 2.0 * sh * ch * b
-        return c[0] * phi + series
+        n = self.grid.sphere.n
+        kmax = self.kernel.max_degree
+        out = np.empty(np.shape(phi))
+        for start in range(0, rows.size, _PAIR_BLOCK):
+            b = slice(start, start + _PAIR_BLOCK)
+            i, j = self.pairs[0][rows[b]], self.pairs[1][rows[b]]
+            p = phi[..., b]
+            series = np.zeros_like(p)
+            for m, row in zip(range(1, kmax + 1),
+                              _rows(kmax - 1, n / 2, np.cos(p))):
+                series += self.weight(m, i, j) * row
+            out[..., b] = (self.weight(0, i, j) * _sine_integral(n - 2, p)
+                           + np.sin(p) ** (n - 1) * series)
+        return out
+
+
+def _sine_integral(p, phi):
+    """int_0^phi sin^p by the reduction
+    I_p = ((p - 1) I_{p-2} - sin^{p-1} phi cos phi) / p, from I_0 = phi and
+    I_1 = 2 sin^2(phi / 2)."""
+    out = 2.0 * np.sin(0.5 * phi) ** 2 if p % 2 else phi
+    for q in range(p % 2 + 2, p + 1, 2):
+        out = ((q - 1) * out - np.sin(phi) ** (q - 1) * np.cos(phi)) / q
+    return out
 
 
 def azimuthal_matrix(spectrum, support=(0.0, np.pi)):

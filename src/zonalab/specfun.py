@@ -11,7 +11,7 @@ so that Z_k(1) = N(n,k)/vol(S^n) and <Z_k, Z_m>_{L^2(S^n)} = delta_{km} Z_k(1).
 A multiplier kernel is K(t) = sum_k m_k Z_k(t); the degree-k spectral projector
 is the kernel with m = e_k.  The addition theorem separates Z_k(x . y) into
 polar factors of x and y (`addition_factors`) and the zonal kernels of the
-subsphere S^{n-1} (`subsphere_zonal_table`).
+subsphere S^{n-1}.
 """
 
 import math
@@ -63,7 +63,8 @@ def zonal_table(n, kmax, t):
     tab = geg_table(int(kmax), (n - 1) / 2, t)
     ks = np.arange(kmax + 1)
     c = (2 * ks + n - 1) / ((n - 1) * sphere_volume(n))
-    return c[:, None] * tab
+    tab *= c[:, None]
+    return tab
 
 
 # factor by which addition_factors rescales a column whose recurrence grows
@@ -131,19 +132,6 @@ def addition_factors(n, k, theta):
             expo[:rows][big] += _RESCALE_EXP
         out[rows - 1] = nxt[rows - 1]
     return np.ldexp(out, expo)
-
-
-def subsphere_zonal_table(n, kmax, phi):
-    """Rows Z^{S^{n-1}}_m(cos phi), m = 0..kmax, the zonal kernels of the
-    sphere S^{n-1} at angles phi; on the circle (n = 2) they are
-    (2 - delta_{m0}) cos(m phi) / (2 pi)."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if n == 2:
-        m = np.arange(kmax + 1)
-        tab = np.cos(np.outer(m, phi)) / np.pi
-        tab[0] *= 0.5
-        return tab
-    return zonal_table(n - 1, kmax, np.cos(phi))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestQuadratureExactness:
             assert np.array_equal(B, tab / np.sqrt(z1)[:, None])
             assert not B.flags.writeable
         assert np.shares_memory(grid.basis(3), grid.basis(64))
+
+    def test_basis_built_in_place(self, sphere3):
+        # the table is scaled where the recurrence wrote it, so building the
+        # basis holds one table (and a few rows), not two
+        grid = zl.make_grid(sphere3, 1040)
+        tracemalloc.start()
+        try:
+            B = grid.basis(grid.kexact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * B.nbytes
 
     def test_refinement_stable(self, sphere3, grid80, grid144):
         # doubling the rule does not move an exactly integrable product

@@ -13,7 +13,7 @@ from zonalab.exponents import ExponentPoint
 from zonalab.norms import weighted_lp, weighted_row_lp
 from zonalab.operators import (NormCertificate, ZonalOperator, _dual_power,
                                operator_from_kernel)
-from zonalab.specfun import addition_factors, subsphere_zonal_table
+from zonalab.specfun import addition_factors
 
 VOL3 = 19.739208802178716
 
@@ -629,16 +629,37 @@ class TestCertificates:
                             iterations=0, restarts=1)
 
 
+def _kernel_values(kernel, t):
+    """sum_k c_k Z_k(t) by the Gegenbauer recurrence, in the precision of t."""
+    n = kernel.sphere.n
+    alpha = (n - 1) / 2
+    total, prev, cur = np.zeros_like(t), np.zeros_like(t), np.ones_like(t)
+    for k, c in enumerate(kernel.coeffs):
+        if k:
+            prev, cur = cur, (2 * (k + alpha - 1) * t * cur
+                              - (k + 2 * alpha - 2) * prev) / k
+        total += c * (2 * k + n - 1) / ((n - 1) * zl.sphere_volume(n)) * cur
+    return total
+
+
 def _sampled_coeffs(spectrum):
-    """The spectrum's coefficients from the kernel sampled at the N azimuthal
-    midpoints of every node pair, through the DCT-II / DST-II: the reference
-    for the addition-theorem route."""
+    """The trigonometric coefficients of the normalised antiderivative G of
+    every node pair, from the kernel sampled at the N azimuthal midpoints
+    through the DCT-II (even n) or DST-II (odd n): the reference for the
+    closed form.  Returns (c, odd): G(phi) = c_0 phi + sum_{m>=1} c_m trig(m
+    phi) + const, with trig = sin for even n and cos for odd n.
+
+    It runs in extended precision (np.longdouble): in doubles, Z_k at a
+    rounded cos(gamma) near 1 is off by about k^2 ulp of Z_k(1), which at
+    k = 128 is several 1e-13 of the coefficients' sum."""
     grid, kernel = spectrum.grid, spectrum.kernel
     n = grid.sphere.n
+    odd = n % 2 == 1
     size = kernel.max_degree + n - 1
-    phi = np.pi * (np.arange(size) + 0.5) / size
+    phi = np.arccos(np.longdouble(-1.0)) * (
+        np.arange(size, dtype=np.longdouble) + 0.5) / size
     m = np.arange(size)
-    if spectrum.odd:
+    if odd:
         trans = -np.sin(np.outer(phi, m))
     else:
         trans = np.cos(np.outer(phi, m))
@@ -646,19 +667,32 @@ def _sampled_coeffs(spectrum):
     total = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
     trans *= (np.sin(phi) ** (n - 2))[:, None] * (
         2.0 / (size * total * np.maximum(m, 1)))
-    ct, sn = np.cos(grid.nodes), np.sin(grid.nodes)
+    nodes = grid.nodes.astype(np.longdouble)
+    ct, sn = np.cos(nodes), np.sin(nodes)
     i, j = spectrum.pairs
     cosg = (ct[i] * ct[j])[:, None] + (sn[i] * sn[j])[:, None] * np.cos(phi)
-    return kernel.values(cosg.ravel()).reshape(cosg.shape) @ trans
+    return _kernel_values(kernel, cosg) @ trans, odd
+
+
+def _direct_antiderivative(c, odd, phi):
+    """G(phi) - G(0) summed term by term, trig(m phi) for every m, from the
+    coefficients c of _sampled_coeffs in their precision; phi has shape
+    (azimuths, pairs).  Returns doubles."""
+    phi = np.asarray(phi, dtype=c.dtype)
+    trig = np.cos if odd else np.sin
+    m = np.arange(1, c.shape[1])
+    series = (trig(phi[:, :, None] * m) * c[:, 1:]).sum(axis=-1)
+    if odd:
+        series -= c[:, 1:].sum(axis=1)
+    return (c[:, 0] * phi + series).astype(np.float64)
 
 
 _DEGREES = [0, 1, 8, 64, 128]
 
 
 class TestAdditionTheorem:
-    """The factors A_m of the Gegenbauer addition theorem and the spectrum
-    built from them, against zonal_value, the grid's quadrature and the
-    sampled kernel."""
+    """The factors A_m of the Gegenbauer addition theorem, against
+    zonal_value and the grid's quadrature."""
 
     @staticmethod
     def _identity_error(n, k, seed, points):
@@ -672,8 +706,14 @@ class TestAdditionTheorem:
         half = points // 2
         ti[:half] = math.asin(1.0 / math.e) + rng.uniform(-0.05, 0.05, half)
         a = addition_factors(n, k, np.concatenate([ti, tj]))
-        got = np.sum(a[:, :points] * a[:, points:]
-                     * subsphere_zonal_table(n, k, phi), axis=0)
+        # the zonal kernels Z^{S^{n-1}}_m(cos phi), m = 0..k, of the
+        # subsphere; on the circle (2 - delta_{m0}) cos(m phi) / (2 pi)
+        if n == 2:
+            sub = np.cos(np.outer(np.arange(k + 1), phi)) / np.pi
+            sub[0] *= 0.5
+        else:
+            sub = zl.zonal_table(n - 1, k, np.cos(phi))
+        got = np.sum(a[:, :points] * a[:, points:] * sub, axis=0)
         want = zl.zonal_value(n, k, np.cos(ti) * np.cos(tj)
                               + np.sin(ti) * np.sin(tj) * np.cos(phi))
         return np.abs(got - want).max() / zl.zonal_value(n, k, 1.0)
@@ -699,9 +739,17 @@ class TestAdditionTheorem:
         vol = zl.sphere_volume(n - 1)
         assert np.abs(A ** 2 @ grid.weights / vol - 1.0).max() <= 1e-11
 
+
+class TestClenshawAntiderivative:
+    """The closed-form antiderivative G of `AzimuthalSpectrum` against the
+    term-by-term sum of the sampled kernel's coefficients, at the ends of
+    [0, pi], next to them and at random azimuths, and the dyadic windows
+    against the projector.  The class keeps the name of the Clenshaw sum
+    that the closed form replaced, so that its test ids stay."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", _DEGREES)
-    def test_coeffs_match_sampled(self, n, k):
+    def test_matches_direct_sum(self, n, k):
         sphere = zl.SphereSpec(n)
         grid = zl.make_grid(sphere, 24, kexact=8)
         kernels = [zl.projector_kernel(sphere, k)]
@@ -710,57 +758,22 @@ class TestAdditionTheorem:
             coeffs = np.random.default_rng(n).standard_normal(k + 1)
             coeffs[3] = 0.0
             kernels.append(zl.ZonalKernel(sphere, coeffs))
+        rng = np.random.default_rng(10 * n + k)
         for kernel in kernels:
             spectrum = zl.AzimuthalSpectrum(grid, kernel)
-            want = _sampled_coeffs(spectrum)
-            scale = np.abs(want).sum(axis=1, keepdims=True)
-            assert np.all(np.abs(spectrum.coeffs - want) <= 1e-12 * scale)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_ends_match_direct_sum(self, n):
-        # the closed forms of G at phi = 0 and pi
-        sphere = zl.SphereSpec(n)
-        grid = zl.make_grid(sphere, 24, kexact=8)
-        spectrum = zl.AzimuthalSpectrum(grid, zl.projector_kernel(sphere, 8))
-        rows = np.arange(spectrum.pairs[0].size)
-        phi = np.repeat([[0.0], [np.pi]], rows.size, axis=1)
-        want = _direct_antiderivative(spectrum, rows, phi)
-        scale = np.abs(spectrum.coeffs).sum(axis=1)
-        assert np.all(np.abs(np.stack(spectrum.ends) - want) <= 1e-14 * scale)
-        # a window beyond every pair's range is exactly zero
-        assert not zl.azimuthal_matrix(spectrum, (np.pi, 4.0)).any()
-
-
-def _direct_antiderivative(spectrum, rows, phi):
-    """G(phi) summed term by term, trig(m phi) for every m."""
-    trig = np.cos if spectrum.odd else np.sin
-    m = np.arange(1, spectrum.coeffs.shape[1])
-    c = spectrum.coeffs[rows]
-    return c[:, 0] * phi + np.einsum("epm,pm->ep", trig(phi[:, :, None] * m),
-                                     c[:, 1:])
-
-
-class TestClenshawAntiderivative:
-    """Clenshaw's recurrence (in Reinsch's form) against the term-by-term
-    sum, at the ends of [0, pi], next to them and at random azimuths."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("k", [0, 1, 8, 64, 128])
-    def test_matches_direct_sum(self, n, k):
-        sphere = zl.SphereSpec(n)
-        grid = zl.make_grid(sphere, 24, kexact=8)
-        spectrum = zl.AzimuthalSpectrum(grid, zl.projector_kernel(sphere, k))
-        rows = np.arange(spectrum.pairs[0].size)
-        rng = np.random.default_rng(10 * n + k)
-        phis = np.concatenate([[0.0, np.pi, 1e-8, np.pi - 1e-8],
-                               rng.uniform(0.0, np.pi, 8)])
-        # every pair at every azimuth, plus one random azimuth per pair
-        phi = np.vstack([np.repeat(phis[:, None], rows.size, axis=1),
-                         rng.uniform(0.0, np.pi, (1, rows.size))])
-        got = spectrum.antiderivative(rows, phi)
-        want = _direct_antiderivative(spectrum, rows, phi)
-        scale = np.abs(spectrum.coeffs).sum(axis=1)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            rows = np.arange(spectrum.pairs[0].size)
+            phis = np.concatenate([[0.0, np.pi, 1e-8, np.pi - 1e-8],
+                                   rng.uniform(0.0, np.pi, 8)])
+            # every pair at every azimuth, plus one random azimuth per pair
+            phi = np.vstack([np.repeat(phis[:, None], rows.size, axis=1),
+                             rng.uniform(0.0, np.pi, (1, rows.size))])
+            got = spectrum.antiderivative(rows, phi)
+            c, odd = _sampled_coeffs(spectrum)
+            want = _direct_antiderivative(c, odd, phi)
+            scale = np.abs(c).sum(axis=1).astype(np.float64)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            # a window beyond every pair's range is exactly zero
+            assert not zl.azimuthal_matrix(spectrum, (np.pi, 4.0)).any()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 8, 64, 128])
