@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 
 import argparse
 import csv
+import itertools
 import json
 import platform
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import envelope_check, fit_line, piece_norm_slopes
+from .dyadic import envelope_check, fit_line, fit_range, piece_norm_slopes
 from .errors import NumericalError
 from .exponents import (ExponentPoint, admissible, check_sigma,
                         predicted_exponents, segment_endpoints,
@@ -151,16 +152,14 @@ def _run_dyadic_certify(cfg, sink):
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     json_rows = []
     for k in sorted(cfg.ks):
-        fit, pieces, built = piece_norm_slopes(
-            cfg.sphere, k, cfg.sigma, grid, restarts=cfg.restarts,
-            seed=cfg.seed)
+        fit, op = piece_norm_slopes(cfg.sphere, k, cfg.sigma, grid,
+                                    restarts=cfg.restarts, seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
         caps = [c for c in (cap(grid, th)
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
-        ops = [built[p.j] if p.j in built else p.operator() for p in pieces]
-        report = certify_restricted_weak(ops, data, caps, piece_fit=fit)
+        report = certify_restricted_weak(op, data, caps, piece_fit=fit)
         sink.emit((k, fit.slope_growth, fit.slope_decay, data.theta,
                    data.m_growth, data.m_decay, report.c_obs))
         json_rows.append({
@@ -315,6 +314,13 @@ class Config:
                 "dyadic-certify needs n >= 3: at n = 2 the points P and Q "
                 "coincide at sigma = 1, and at sigma = 2/3 the P-side piece "
                 "norms grow with j, so the decay hypothesis fails")
+        if self.command == "dyadic-certify":
+            least = next(k for k in itertools.count(1)
+                         if len(fit_range(self.n, k)) > 1)
+            if min(self.ks) < least:
+                raise ValueError(
+                    f"dyadic-certify needs degrees k >= {least} at "
+                    f"n = {self.n}, which leave two dyadic pieces to fit")
         # the band: the largest degree a sweep's grid must integrate exactly
         self.band = None
         if "grid-points" in command.takes:

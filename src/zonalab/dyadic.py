@@ -14,6 +14,8 @@ pieces of one degree share one azimuthal spectrum of Z_k, built on first use
 from the addition theorem; each piece integrates it exactly between the
 azimuths of its annulus edges, and an edge shared by two annuli is summed
 once, so the piece matrices sum to the spectral e_k e_k^T up to rounding.
+`piece_norm_slopes` builds each piece once, so at most their running sum
+T = sum_j T_j and one piece matrix are held at a time.
 """
 
 import math
@@ -25,7 +27,10 @@ from .errors import NumericalError
 from .exponents import stein_point
 from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
                         norm_lower)
-from .specfun import eigenvalue, projector_kernel, zonal_value
+from .specfun import eigenvalue, zonal_value
+
+# points per window of envelope_check, a quarter of it in the flat one
+_SAMPLES = 4096
 
 
 def piece_count(n, k):
@@ -66,7 +71,7 @@ def dyadic_decompose(sphere, k, grid):
             f"degree {k} exceeds grid exactness {grid.kexact}")
     lam = eigenvalue(sphere.n, k)
     J = piece_count(sphere.n, k)
-    spectrum = AzimuthalSpectrum(grid, projector_kernel(sphere, k))
+    spectrum = AzimuthalSpectrum(grid, k)
     pieces = []
     for j in range(J + 1):
         if j == 0:
@@ -78,20 +83,24 @@ def dyadic_decompose(sphere, k, grid):
     return pieces
 
 
-def fit_pieces(pieces):
-    """Pieces over which the norm scaling in j is fitted.
+def fit_range(n, k):
+    """The j over which the norm scaling in j is fitted at degree k.
 
     The fit is restricted to the middle dyadic range.  An annulus enters the
     fit only when it is wide enough to contain a full half oscillation of the
     kernel, lam * width = 2^(j-1) >= pi; narrower annuli near the pole sit in
-    a pre-asymptotic regime and would bias the slope.  The top annulus,
+    a pre-asymptotic regime and would bias the slope.  The top annulus J,
     clipped at the far pole, is dropped.
     """
-    min_j = math.ceil(math.log2(math.pi)) + 1
-    usable = [p for p in pieces if p.j >= min_j and not p.clipped]
-    if len(usable) < 2:
+    return range(math.ceil(math.log2(math.pi)) + 1, piece_count(n, k))
+
+
+def fit_pieces(pieces):
+    """The pieces of `fit_range`; NumericalError if fewer than two."""
+    js = fit_range(pieces[0].grid.sphere.n, pieces[0].base)
+    if len(js) < 2:
         raise NumericalError("not enough dyadic pieces to fit a slope")
-    return usable
+    return [pieces[j] for j in js]
 
 
 @dataclass
@@ -124,33 +133,32 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
     pre-asymptotic annuli near the pole and the clipped ones at the far
     pole are dropped; in practice this means k of order 16 or larger.
 
-    Returns (fit, pieces, operators): all pieces j = 0..J, and the operators
-    built for the fitted pieces keyed by j, so callers that need every piece
-    operator build only the missing ones.
+    Each piece j = 0..J is built once, measured if it is fitted, added into
+    a fresh running sum and dropped.  Returns (fit, T), T the operator of
+    that sum, H_k reassembled for the restricted weak-type image.
     """
     pieces = dyadic_decompose(sphere, k, grid)
     if len(pieces) < 4:
         raise ValueError(f"degree {k} yields fewer than four dyadic pieces")
-    fitted = fit_pieces(pieces)
+    js = [p.j for p in fit_pieces(pieces)]
     p_pt, q_pt = stein_point(sphere.n, sigma)
-    js, nq, npp = [], [], []
-    operators = {}
-    for piece in fitted:
-        op = operators[piece.j] = piece.operator()
-        lower_q = norm_lower(op, q_pt.r, q_pt.s, restarts=restarts, seed=seed)
-        lower_p = norm_lower(op, p_pt.r, p_pt.s, restarts=restarts, seed=seed)
-        js.append(piece.j)
-        nq.append(lower_q.value)
-        npp.append(lower_p.value)
+    norms = []
+    total = np.zeros((grid.points,) * 2)
+    for piece in pieces:
+        op = piece.operator()
+        if piece.j in js:
+            norms.append([norm_lower(op, pt.r, pt.s, restarts=restarts,
+                                     seed=seed).value for pt in (q_pt, p_pt)])
+        total += op.matrix
+        del op  # before the next piece is built
     js = np.asarray(js, dtype=np.float64)
-    nq = np.asarray(nq)
-    npp = np.asarray(npp)
+    nq, npp = np.array(norms).T
     if np.any(nq <= 0) or np.any(npp <= 0):
         raise NumericalError("vanishing piece norm; cannot fit slopes")
     sg, ig, rg = fit_line(js, np.log2(nq))
     sd, idc, rd = fit_line(js, np.log2(npp))
     fit = PieceNormFit(js, nq, npp, sg, sd, ig, idc, rg, rd)
-    return fit, pieces, operators
+    return fit, ZonalOperator(grid, total, label=f"pieces k={k} summed")
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +171,21 @@ class EnvelopeConstants:
     c_antipodal: float  # same with pi - theta near the far pole
 
 
-def envelope_check(sphere, k, samples=4096):
+def envelope_check(sphere, k):
     """Empirical constants of the pointwise kernel envelope at degree k."""
     if k < 1:
         raise ValueError("envelope constants need degree k >= 1")
     n = sphere.n
     lam = eigenvalue(n, k)
     half = (n - 1) / 2
-    th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
-    th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
-    th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
+    th_flat = np.linspace(1e-9, 1.0 / lam, _SAMPLES // 4)
+    th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, _SAMPLES)
+    th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, _SAMPLES)
     # one recurrence over the three windows; it runs elementwise, so each
     # window gets the bits of a recurrence over that window alone
     th = np.concatenate((th_flat, th_osc, th_anti))
     z_flat, z_osc, z_anti = np.split(zonal_value(n, k, np.cos(th)),
-                                     (th_flat.size, th_flat.size + samples))
+                                     (th_flat.size, th_flat.size + _SAMPLES))
     c_flat = np.abs(z_flat).max() / k ** (n - 1)
     c_osc = np.abs(z_osc * th_osc ** half).max() / lam ** half
     c_anti = np.abs(z_anti * (np.pi - th_anti) ** half).max() / lam ** half

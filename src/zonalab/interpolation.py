@@ -9,13 +9,11 @@ restricted inputs into weak Lebesgue space at the intermediate point
 in (1/r, 1/s) coordinates.  The proof mechanism splits the dyadic sum at an
 index rho chosen so the finite geometric part and the tail part balance;
 optimal_split reproduces that index, and certify_restricted_weak replays the
-whole argument against measured operators on cap inputs.
+whole argument against the summed measured pieces on cap inputs.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .exponents import ExponentPoint
 from .norms import lp_norm, weak_sweep
@@ -111,11 +109,11 @@ class CertificationReport:
     hypothesis_violations: list = field(default_factory=list)
 
 
-def certify_restricted_weak(piece_ops, data, caps, piece_fit=None):
-    """Replay the restricted weak-type bound on measured pieces.
+def certify_restricted_weak(op, data, caps, piece_fit=None):
+    """Replay the restricted weak-type bound on op, the summed pieces T.
 
-    For each cap indicator E the assembled image T 1_E is measured in weak
-    L^q at the target; C_obs normalizes by the interpolated prefactor
+    For each cap indicator E the image T 1_E is measured in weak L^q at the
+    target; C_obs normalizes by the interpolated prefactor
     M1^theta M2^{1-theta} mu(E)^{1/p}.  Per cap, the two-term split bound at
     the optimal rho is reported to expose the finite-part/tail-part balance.
     piece_fit, when given, is scanned for pieces whose measured norms sit
@@ -131,12 +129,11 @@ def certify_restricted_weak(piece_ops, data, caps, piece_fit=None):
     reports = []
     c_obs = 0.0
     for capfn in caps:
-        grid = capfn.grid
         mu_e = lp_norm(capfn, 1)
         if mu_e == 0:
             raise ValueError("cap holds no grid node; its measure is zero")
-        image = np.sum([op.apply(capfn.values) for op in piece_ops], axis=0)
-        weak, t_star, mu_a = weak_sweep(grid.weights, image, q)
+        weak, t_star, mu_a = weak_sweep(capfn.grid.weights,
+                                        op.apply(capfn.values), q)
         entry = {"mu_e": mu_e, "weak": weak,
                  "c_obs": weak / (interp_const * mu_e ** target.x)}
         if weak > 0 and t_star > 0:

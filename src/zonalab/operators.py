@@ -9,16 +9,15 @@ For a multiplier kernel the reduced matrix has the closed form
 A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
 keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
-application; no norm bound builds the dense matrix.  For a band-limited
-kernel restricted to a window of relative angles (e.g. a dyadic piece) the
+application; no norm bound builds the dense matrix.  For the degree-k
+kernel Z_k restricted to a window of relative angles (a dyadic piece) the
 average is integrated into a dense matrix in closed form
 (AzimuthalSpectrum): the Gegenbauer addition theorem separates the
 azimuthal integrand of each node pair into Gegenbauer polynomials in the
-cosine of the azimuth, from one factor table per degree, and the
-polynomials' derivative identity integrates each of them.  The
-antiderivative is summed by one Gegenbauer recurrence at the azimuths of
-the window's edges, once per distinct edge and only over the pairs that the
-edge cuts.
+cosine of the azimuth, from one factor table, and the polynomials'
+derivative identity integrates each of them.  The antiderivative is summed
+by one Gegenbauer recurrence at the azimuths of the window's edges, once
+per distinct edge and only over the pairs that the edge cuts.
 
 A is symmetric, so the adjoint of T is T with its input and output
 conjugated, and every representation has one application path, `apply`.
@@ -216,13 +215,13 @@ def operator_from_kernel(kernel, grid):
 
 
 class AzimuthalSpectrum:
-    """The normalised azimuthal antiderivative of one real band-limited
-    kernel for every node pair i <= j of a grid, in closed form.
+    """The normalised azimuthal antiderivative of the degree-k zonal kernel
+    Z_k for every node pair i <= j of a grid, in closed form.
 
     For nodes at polar angles (ti, tj) the relative angle gamma obeys
     cos gamma = cos ti cos tj + sin ti sin tj cos phi as the azimuth phi runs
     over [0, pi] with density sin^{n-2} phi.  The addition theorem separates
-    each degree of the kernel into functions of ti, tj and phi,
+    Z_k into functions of ti, tj and phi,
 
         Z_k(cos gamma) = sum_{m<=k} A_m(ti) A_m(tj) Z^{S^{n-1}}_m(cos phi),
 
@@ -238,19 +237,19 @@ class AzimuthalSpectrum:
 
         G(phi) = w_0 I(phi) + sin^{n-1} phi sum_{m>=1} w_m C^{n/2}_{m-1}(cos phi),
 
-    with the pair's weights w_m = kappa_m sum_k c_k A^k_m(ti) A^k_m(tj) over
-    the kernel's nonzero degrees, kappa_0 = 1 / (vol(S^{n-1}) I(pi)) and
+    with the pair's weights w_m = kappa_m A_m(ti) A_m(tj), where
+    kappa_0 = 1 / (vol(S^{n-1}) I(pi)) and
     kappa_m = 2 (m + a) / (m (m + 2a) vol(S^{n-1}) I(pi)).  The one formula
     holds for every n >= 2: on the circle (a = 0) the m-th term is
     w_m sin(m phi) with kappa_m = 1 / (pi^2 m).  G(0) = 0 and
-    G(pi) = w_0 I(pi).  The spectrum keeps only the factor tables A^k, one
-    per degree; `edge` computes the weights of just the pairs it cuts and
-    keeps G there, so an edge shared by two windows is summed once.
+    G(pi) = w_0 I(pi).  The spectrum keeps only the factor table A; `edge`
+    computes the weights of just the pairs it cuts and keeps G there, so an
+    edge shared by two windows is summed once.
     """
 
-    def __init__(self, grid, kernel):
+    def __init__(self, grid, k):
         self.grid = grid
-        self.kernel = kernel
+        self.k = k
         self.pairs = np.triu_indices(grid.points)
         self._edges = {}
         n = grid.sphere.n
@@ -259,18 +258,14 @@ class AzimuthalSpectrum:
         self.total = math.sqrt(math.pi) * math.gamma(a + 0.5) / math.gamma(
             a + 1.0)
         # kappa_m, with m = 0 apart: its general form is 0/0 there when n = 2
-        m = np.arange(1.0, kernel.max_degree + 1)
+        m = np.arange(1.0, k + 1)
         kappa = np.concatenate(([1.0], 2.0 * (m + a) / (m * (m + 2.0 * a))))
         self.kappa = kappa / (grid.sphere.subsphere_volume * self.total)
 
     @functools.cached_property
     def factors(self):
-        """(c_k, A^k) per nonzero degree k of the kernel, with A^k the
-        addition theorem's factors, shape (k + 1, points)."""
-        n = self.grid.sphere.n
-        return [(self.kernel.coeffs[k],
-                 addition_factors(n, int(k), self.grid.nodes))
-                for k in np.flatnonzero(self.kernel.coeffs)]
+        """The addition theorem's factors A of Z_k, shape (k + 1, points)."""
+        return addition_factors(self.grid.sphere.n, self.k, self.grid.nodes)
 
     @functools.cached_property
     def ranges(self):
@@ -283,8 +278,8 @@ class AzimuthalSpectrum:
 
     def weight(self, m, i, j):
         """w_m of the node pairs (i, j), given as index arrays."""
-        return sum(self.kappa[m] * c * a[m, i] * a[m, j]
-                   for c, a in self.factors if m < a.shape[0])
+        a = self.factors
+        return self.kappa[m] * a[m, i] * a[m, j]
 
     def edge(self, gamma):
         """G, per pair, at the azimuth where the relative angle reaches
@@ -323,16 +318,14 @@ class AzimuthalSpectrum:
         The weights are computed _PAIR_BLOCK pairs at a time, and the series
         runs through the Gegenbauer recurrence in m at each azimuth.
         """
-        n = self.grid.sphere.n
-        kmax = self.kernel.max_degree
+        n, k = self.grid.sphere.n, self.k
         out = np.empty(np.shape(phi))
         for start in range(0, rows.size, _PAIR_BLOCK):
             b = slice(start, start + _PAIR_BLOCK)
             i, j = self.pairs[0][rows[b]], self.pairs[1][rows[b]]
             p = phi[..., b]
             series = np.zeros_like(p)
-            for m, row in zip(range(1, kmax + 1),
-                              _rows(kmax - 1, n / 2, np.cos(p))):
+            for m, row in zip(range(1, k + 1), _rows(k - 1, n / 2, np.cos(p))):
                 series += self.weight(m, i, j) * row
             out[..., b] = (self.weight(0, i, j) * _sine_integral(n - 2, p)
                            + np.sin(p) ** (n - 1) * series)
@@ -350,7 +343,7 @@ def _sine_integral(p, phi):
 
 
 def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
-    """Reduced matrix of the spectrum's kernel restricted to the window
+    """Reduced matrix of the spectrum's Z_k restricted to the window
     support = (lo, hi] of relative angles: G(hi) - G(lo) per pair, each edge
     clipped to the pair's range (`AzimuthalSpectrum.edge`).  A window that
     misses a pair's range clips both edges to the same end, so the entry is
@@ -426,12 +419,7 @@ def _ascent(op, r, s, starts):
 
     for step in range(1, _MAX_STEPS + 1):
         g = op.apply(f)
-        # |g|, its column max and the scaled block, shared by the L^s ratio
-        # and the duality map: the bits of weighted_lp and _dual_power
-        a = np.abs(g)
-        peak = a.max(axis=0)
-        scaled = a / np.where(peak > 0, peak, 1.0)
-        ratio = peak * (w @ scaled ** s) ** (1.0 / s)
+        ratio = weighted_lp(w, g, s)
         for j in np.flatnonzero(ratio > best[live]):
             best[live[j]], witness[live[j]] = ratio[j], f[:, j]
         # a zero image is stagnant too, since prev >= 0
@@ -441,13 +429,11 @@ def _ascent(op, r, s, starts):
             stop(live[zero], step, "zero")
             stop(live[stagnant & ~zero], step, "stagnation")
             go = ~stagnant
-            live, ratio = live[go], ratio[go]
-            g, a, scaled = g[:, go], a[:, go], scaled[:, go]
+            live, ratio, g = live[go], ratio[go], g[:, go]
             if not live.size:
                 break
         prev = ratio
-        sgn = np.divide(np.conj(g), a, out=np.zeros_like(g), where=a > 0)
-        f = _dual_power(op.apply_adjoint(scaled ** (s - 1.0) * sgn), rp)
+        f = _dual_power(op.apply_adjoint(_dual_power(g, s)), rp)
         nrm = weighted_lp(w, f, r)
         if not nrm.all():
             stop(live[nrm == 0], step, "zero")

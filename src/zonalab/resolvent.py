@@ -10,10 +10,10 @@ reproduces it and is kept as a cross-check.  The tail multiplier keeps only
 t >= 1/2 through a smooth cutoff and decays rapidly off tau = lambda.
 
 Both integrals run a 12-point Gauss-Legendre rule on equal panels, refined
-once by doubling the panels as a check.  Wherever the integrand is
-e^{ct} cos(tau t) the rule is summed per panel rather than per node
-(`_wave_rule`), so a refinement costs O(panels) transcendentals; only the
-tail's cutoff part, where 1 - rho is not 1, is summed node by node.
+once by doubling the panels as a check.  The full integral's e^{ct} cos(tau t)
+is summed per panel rather than per node (`_wave_rule`), so a refinement
+costs O(panels) transcendentals; the tail is summed node by node only on its
+cutoff part [1/2, 1], and is in closed form beyond t = 1.
 """
 
 import functools
@@ -26,6 +26,7 @@ from .errors import QuadratureError, TailDominanceError
 from .specfun import ZonalKernel, eigenvalue
 
 _TAIL_RATIO_MAX = 1e-2
+_REL_TOL = 1e-8
 # nodes and weights of the Gauss-Legendre rule on [-1, 1] used per panel
 _PANEL_RULE = np.polynomial.legendre.leggauss(12)
 
@@ -106,7 +107,7 @@ def _wave_rule(c, tau):
     return rule
 
 
-def _refined_integral(rule, a, b, freq, rel_tol=1e-8):
+def _refined_integral(rule, a, b, freq):
     """A panel rule(a, b, panels) at panels sized to the oscillation and at
     twice as many, with a doubling check on the real and the imaginary part,
     each against its own scale."""
@@ -114,7 +115,7 @@ def _refined_integral(rule, a, b, freq, rel_tol=1e-8):
     v1 = rule(a, b, panels)
     v2 = rule(a, b, 2 * panels)
     for p1, p2 in ((v1.real, v2.real), (v1.imag, v2.imag)):
-        if abs(p1 - p2) > rel_tol * max(abs(p2), 1e-300) + 1e-15:
+        if abs(p1 - p2) > _REL_TOL * max(abs(p2), 1e-300) + 1e-15:
             raise QuadratureError(
                 f"oscillatory integral refinements disagree: {v1} vs {v2}")
     return v2
@@ -132,33 +133,30 @@ def _wave_integrand(params, tau):
     return c, prefac, tmax, freq
 
 
-def multiplier_from_integral(params, tau, rel_tol=1e-8):
+def multiplier_from_integral(params, tau):
     """Direct numeric evaluation of the wave-trace integral for m(tau)."""
     c, prefac, tmax, freq = _wave_integrand(params, tau)
-    return prefac * _refined_integral(_wave_rule(c, tau), 0.0, tmax, freq,
-                                      rel_tol)
+    return prefac * _refined_integral(_wave_rule(c, tau), 0.0, tmax, freq)
 
 
-def tail_multiplier(params, tau, rel_tol=1e-8):
+def tail_multiplier(params, tau):
     """The t >= 1/2 part of the wave integral; decays fast off tau = lambda.
 
-    The integration is split at t = 1 so the cutoff's transition knots sit
+    The integral is split at t = 1 so the cutoff's transition knots sit
     on panel edges; interior to a panel they would stall convergence.  On
-    [1/2, 1] the integrand carries 1 - rho and is summed node by node; on
-    [1, tmax] 1 - rho is 1 and the rule is summed per panel (`_wave_rule`).
-    Where tmax < 1 (|mu| > 14 ln 10) the second part runs back over
-    [tmax, 1], where the cutoff is not 1, so it keeps the node rule too.
+    [1/2, 1] the integrand carries 1 - rho and is summed node by node.  On
+    [1, inf) 1 - rho is 1, and with c+- = c +- i tau, Re c+- = -|mu| < 0,
+    int_1^inf e^{ct} cos(tau t) dt = 1/2 sum_+- -e^{c+-} / c+-.
     """
-    c, prefac, tmax, freq = _wave_integrand(params, tau)
+    c, prefac, _, freq = _wave_integrand(params, tau)
 
     def fn(t):
         return np.exp(c * t) * np.cos(t * tau) * (1.0 - smooth_cutoff(t))
 
-    nodes = functools.partial(_panel_integral, fn)
-    past_one = _wave_rule(c, tau) if tmax >= 1.0 else nodes
-    val = (_refined_integral(nodes, 0.5, 1.0, freq, rel_tol)
-           + _refined_integral(past_one, 1.0, tmax, freq, rel_tol))
-    return prefac * val
+    near = _refined_integral(functools.partial(_panel_integral, fn), 0.5, 1.0,
+                             freq)
+    far = -0.5 * sum(np.exp(c + d) / (c + d) for d in (1j * tau, -1j * tau))
+    return prefac * (near + far)
 
 
 # ---------------------------------------------------------------------------

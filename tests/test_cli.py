@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import zonalab as zl
+from zonalab import cli
 from zonalab.cli import build_parser, default_r, fit_slope, main
 from zonalab.dyadic import DyadicPiece
+from zonalab.errors import NumericalError
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -249,15 +251,24 @@ class TestFailureModes:
         assert _run(tmp_path, "nos", "dyadic-certify", "--k", "8")[0] == 2
         assert _run(tmp_path, "nol", "multiplier-check")[0] == 2
 
-    def test_numerical_failure_keeps_partial_csv(self, tmp_path, capsys):
-        # degree 4 has no middle dyadic range to fit
+    def test_numerical_failure_keeps_partial_csv(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the second degree fails inside the run, after the first one's row
+        # was written (a degree too low to fit exits 2 before the CSV opens)
+        slopes = cli.piece_norm_slopes
+
+        def failing(sphere, k, *args, **kwargs):
+            if k == 32:
+                raise NumericalError("vanishing piece norm; cannot fit slopes")
+            return slopes(sphere, k, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "piece_norm_slopes", failing)
         code, out, js = _run(tmp_path, "num", "dyadic-certify",
-                             "--sigma", "3/5", "--k", "4",
-                             "--grid-points", "40")
+                             "--sigma", "3/5", "--k", "16,32")
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         header, rows = _read_csv(out)
-        assert header[0] == "k" and rows == []
+        assert header[0] == "k" and [row[0] for row in rows] == ["16"]
         assert not js.exists()
 
 
@@ -332,6 +343,20 @@ class TestRejectedBeforeCsv:
         code, out, js = _run(tmp_path, "kl", *argv)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("n,sigma,k,least", [
+        ("3", "3/5", "1", 5), ("3", "3/5", "2", 5), ("3", "3/5", "4", 5),
+        ("3", "3/5", "4,16", 5), ("4", "9/20", "3", 4), ("5", "2/5", "3", 4),
+    ])
+    def test_dyadic_degree_too_low_to_fit(self, tmp_path, capsys, n, sigma,
+                                          k, least):
+        # the fit needs two unclipped pieces from j = ceil(log2 pi) + 1 on
+        code, out, js = _run(tmp_path, "dyk", "dyadic-certify", "--n", n,
+                             "--sigma", sigma, "--k", k)
+        assert code == 2
+        assert (f"dyadic-certify needs degrees k >= {least} at n = {n}"
+                in capsys.readouterr().err)
         assert not out.exists() and not js.exists()
 
     @pytest.mark.parametrize("sigma", ["0.8", "1"])

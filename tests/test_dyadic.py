@@ -155,14 +155,13 @@ class TestFitWindow:
 
 
 def test_piece_norm_slopes_smoke(sphere3, grid80):
-    fit, pieces, ops = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
-                                            restarts=4)
-    assert len(pieces) == 7
+    fit, op = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80, restarts=4)
     np.testing.assert_array_equal(fit.js, [3, 4, 5])
-    # the operators built for the fit, keyed by j, as a fresh build gives them
-    assert sorted(ops) == [3, 4, 5]
-    for j, op in ops.items():
-        assert np.array_equal(op.matrix, pieces[j].operator().matrix)
+    # the summed pieces j = 0..6 reassemble the projector e_k e_k^T
+    e = grid80.basis(16)[16]
+    spectral = np.outer(e, e)
+    assert np.abs(op.matrix - spectral).max() <= 1e-12 * np.abs(
+        spectral).max()
     assert fit.slope_growth > 0
     assert fit.slope_decay < 0
     assert np.all(fit.norms_growth > 0) and np.all(fit.norms_decay > 0)
@@ -171,9 +170,9 @@ def test_piece_norm_slopes_smoke(sphere3, grid80):
 
 
 def test_one_spectrum_per_degree(monkeypatch):
-    # every piece of one degree reads one azimuthal spectrum, whose kernel
-    # is separated by the addition theorem once (one factor table for the
-    # projector's one degree), however many pieces and builds there are;
+    # every piece of one degree reads one azimuthal spectrum, whose Z_k is
+    # separated by the addition theorem once (one factor table), however
+    # many pieces and builds there are;
     # each distinct window edge is summed once, only over the pairs whose
     # range it cuts, so never at phi = 0 or pi; and each piece matrix is
     # exactly symmetric
@@ -217,8 +216,8 @@ def test_one_spectrum_per_degree(monkeypatch):
 
 
 def test_pieces_memory():
-    # the spectrum keeps one factor table per degree and the values of G at
-    # each edge, and sums an edge over blocks of the pairs it cuts, so the
+    # the spectrum keeps one factor table and the values of G at each
+    # edge, and sums an edge over blocks of the pairs it cuts, so the
     # piece matrices are most of the peak; a table of per-pair coefficients
     # alone would be 19 MiB here
     sphere = zl.SphereSpec(3)
@@ -232,6 +231,26 @@ def test_pieces_memory():
         tracemalloc.stop()
     assert len(matrices) == 9
     assert peak <= 16 * 2 ** 20
+
+
+def test_piece_norm_slopes_memory():
+    # one pass over the pieces holds the running sum and one piece matrix
+    # (0.6 MiB each here), not all nine, through the fit and the
+    # restricted weak-type image, as dyadic-certify runs them
+    sphere = zl.SphereSpec(3)
+    grid = zl.make_grid(sphere, 272)
+    p_pt, q_pt = zl.stein_point(3, 0.6)
+    tracemalloc.start()
+    try:
+        fit, op = zl.piece_norm_slopes(sphere, 64, 0.6, grid)
+        data = zl.interp_from_fit((p_pt, q_pt), fit)
+        lam = zl.eigenvalue(3, 64)
+        caps = [zl.cap(grid, th) for th in (1.0 / lam, 1.0 / 8.0, 0.5)]
+        zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2 ** 20
 
 
 def test_piece_norm_slopes_rejects_low_degree(sphere3, grid80):

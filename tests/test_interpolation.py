@@ -115,8 +115,10 @@ def pieces16(sphere3, grid144):
 
 
 @pytest.fixture(scope="module")
-def ops16(pieces16):
-    return [p.operator() for p in pieces16]
+def op16(pieces16, grid144):
+    """T = sum_j T_j over every piece of degree 16."""
+    return ZonalOperator(grid144, np.sum([p.operator().matrix
+                                          for p in pieces16], axis=0))
 
 
 class TestCertify:
@@ -130,42 +132,42 @@ class TestCertify:
         m2 = zl.norm_lower(op, p_pt.r, p_pt.s).value
         data = zl.InterpolationData(q_pt, p_pt, m1, m2, 1.0, 1.0)
         caps = [zl.cap(grid144, th) for th in (1 / 17, 1 / 8, 0.5)]
-        report = zl.certify_restricted_weak([op], data, caps)
+        report = zl.certify_restricted_weak(op, data, caps)
         assert report.c_obs <= 1.02
         assert report.target.x == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_full_sphere_annihilated(self, ops16, grid144):
+    def test_full_sphere_annihilated(self, op16, grid144):
         # the reassembled projector kills constants for k >= 1
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         full = zl.cap(grid144, math.pi)
-        report = zl.certify_restricted_weak(ops16, data, [full])
+        report = zl.certify_restricted_weak(op16, data, [full])
         assert report.c_obs < 1e-6
 
-    def test_absolute_kernel_dominates(self, ops16, grid144):
+    def test_absolute_kernel_dominates(self, op16, pieces16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5)]
-        signed = zl.certify_restricted_weak(ops16, data, caps)
-        abs_ops = [ZonalOperator(grid144, np.abs(op.matrix))
-                   for op in ops16]
-        rectified = zl.certify_restricted_weak(abs_ops, data, caps)
+        signed = zl.certify_restricted_weak(op16, data, caps)
+        abs_op = ZonalOperator(grid144, np.sum(
+            [np.abs(p.operator().matrix) for p in pieces16], axis=0))
+        rectified = zl.certify_restricted_weak(abs_op, data, caps)
         assert rectified.c_obs >= signed.c_obs * (1 - 1e-12)
 
-    def test_empty_cap_rejected(self, ops16, grid144):
+    def test_empty_cap_rejected(self, op16, grid144):
         # no node lies this close to the pole: mu(E) = 0 has no constant
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         empty = zl.cap(grid144, 1e-4)
         assert not empty.values.any()
         with pytest.raises(ValueError):
-            zl.certify_restricted_weak(ops16, data, [empty])
+            zl.certify_restricted_weak(op16, data, [empty])
 
-    def test_report_structure(self, ops16, grid144):
+    def test_report_structure(self, op16, grid144):
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
         caps = [zl.cap(grid144, 0.5)]
-        report = zl.certify_restricted_weak(ops16, data, caps)
+        report = zl.certify_restricted_weak(op16, data, caps)
         entry = report.cap_reports[0]
         for key in ("mu_e", "weak", "c_obs", "threshold", "mu_a", "rho",
                     "branch", "finite_part", "tail_part"):
@@ -173,7 +175,7 @@ class TestCertify:
         assert entry["mu_e"] > 0 and entry["weak"] > 0
         assert report.hypothesis_violations == []
 
-    def test_cap_weak_sweep_matches_brute_force(self, ops16, grid144):
+    def test_cap_weak_sweep_matches_brute_force(self, op16, grid144):
         # the cap report's weak norm, threshold and superlevel measure are
         # those of weak_lq, and of a sup over the image's node values:
         # weak = max_v v mu(|image| >= v)^{1/q}, attained at threshold v
@@ -182,9 +184,9 @@ class TestCertify:
         q = data.target.s
         w = grid144.weights
         caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5, 1.5)]
-        report = zl.certify_restricted_weak(ops16, data, caps)
+        report = zl.certify_restricted_weak(op16, data, caps)
         for capfn, entry in zip(caps, report.cap_reports):
-            image = np.sum([op.apply(capfn.values) for op in ops16], axis=0)
+            image = op16.apply(capfn.values)
             f = zl.ZonalFunction(grid144, image)
             assert entry["weak"] == zl.weak_lq(f, q)
             a = np.abs(image)
@@ -196,16 +198,14 @@ class TestCertify:
             assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
 
     def test_envelope_screening(self, sphere3, grid80, monkeypatch):
-        fit, pieces, _ = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80,
-                                              restarts=4)
+        fit, op = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80, restarts=4)
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         caps = [zl.cap(grid80, 0.5)]
-        ops = [p.operator() for p in pieces]
-        report = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
+        report = zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
         # a two-parameter fit of three well-behaved norms leaves no outliers
         assert report.hypothesis_violations == []
         # tightening the envelope factor far enough must flag pieces
         monkeypatch.setattr(interpolation, "ENVELOPE_FACTOR", 0.5)
-        strict = zl.certify_restricted_weak(ops, data, caps, piece_fit=fit)
+        strict = zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
         assert len(strict.hypothesis_violations) >= 1
