@@ -303,6 +303,10 @@ class Config:
         if self.command == "exponent-map":
             # the endpoint E leaves the triangle at n = 2 for sigma > 3/4
             segment_endpoints(self.n, self.sigma)
+        for flag, values in (("k", self.ks), ("lambda", self.lambdas)):
+            if values is not None and len(set(values)) < len(values):
+                raise ValueError(f"{self.command} lists a --{flag} value "
+                                 f"twice: {values}")
         if self.ks is not None and min(self.ks) < 1:
             raise ValueError(f"{self.command} needs degrees k >= 1, "
                              f"got {self.ks}")

@@ -12,10 +12,11 @@ piece j = 0 keeps everything at theta <= 1/lambda_k.
 Piece operators integrate the azimuthal average only over the annulus.  All
 pieces of one degree share one azimuthal spectrum of Z_k, built on first use
 from the addition theorem; each piece integrates it exactly between the
-azimuths of its annulus edges, and an edge shared by two annuli is summed
-once, so the piece matrices sum to the spectral e_k e_k^T up to rounding.
-`piece_norm_slopes` builds each piece once, so at most their running sum
-T = sum_j T_j and one piece matrix are held at a time.
+azimuths of its annulus edges, so the piece matrices sum to the spectral
+e_k e_k^T up to rounding.  `piece_norm_slopes` builds each piece once, in
+order of j, so an edge shared by two annuli is summed once, and at most
+their running sum T = sum_j T_j, one piece matrix and two edges are held at
+a time.
 """
 
 import math

@@ -15,6 +15,7 @@ whole argument against the summed measured pieces on cap inputs.
 import math
 from dataclasses import dataclass, field
 
+from .errors import NumericalError
 from .exponents import ExponentPoint
 from .norms import lp_norm, weak_sweep
 
@@ -53,14 +54,16 @@ def interp_from_fit(sigma_points, fit):
 
     sigma_points is the (decay, growth) anchor pair; fit carries slopes and
     log2-intercepts.  The decay-side slope must be negative and the
-    growth-side positive for the family hypotheses to hold.
+    growth-side positive for the family hypotheses to hold; a measured fit
+    that breaks them is a NumericalError, as piece_norm_slopes's own fit
+    failures are.
     """
     p_pt, q_pt = sigma_points
     if fit.slope_growth <= 0:
-        raise ValueError(
+        raise NumericalError(
             f"growth-side slope {fit.slope_growth:.3f} is not positive")
     if fit.slope_decay >= 0:
-        raise ValueError(
+        raise NumericalError(
             f"decay-side slope {fit.slope_decay:.3f} is not negative")
     return InterpolationData(
         growth=q_pt, decay=p_pt,

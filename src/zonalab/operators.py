@@ -243,8 +243,9 @@ class AzimuthalSpectrum:
     holds for every n >= 2: on the circle (a = 0) the m-th term is
     w_m sin(m phi) with kappa_m = 1 / (pi^2 m).  G(0) = 0 and
     G(pi) = w_0 I(pi).  The spectrum keeps only the factor table A; `edge`
-    computes the weights of just the pairs it cuts and keeps G there, so an
-    edge shared by two windows is summed once.
+    computes the weights of just the pairs it cuts and keeps G at the two
+    latest edges, so an edge shared by two consecutive windows is summed
+    once.
     """
 
     def __init__(self, grid, k):
@@ -283,7 +284,8 @@ class AzimuthalSpectrum:
 
     def edge(self, gamma):
         """G, per pair, at the azimuth where the relative angle reaches
-        gamma clipped to the pair's range [d, s]; kept per gamma.
+        gamma clipped to the pair's range [d, s]; kept for the two latest
+        gamma, the oldest dropped before a new one is summed.
 
         Clipped edges take the end values, G(0) = 0 wherever gamma <= d and
         G(pi) = w_0 I(pi) wherever gamma >= s.  Inside the range the edge maps
@@ -295,6 +297,8 @@ class AzimuthalSpectrum:
         gamma = float(gamma)
         G = self._edges.get(gamma)
         if G is None:
+            if len(self._edges) == 2:
+                del self._edges[next(iter(self._edges))]
             d, s = self.ranges
             G = np.zeros(d.size)
             top = np.flatnonzero(gamma >= s)
@@ -348,11 +352,13 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     clipped to the pair's range (`AzimuthalSpectrum.edge`).  A window that
     misses a pair's range clips both edges to the same end, so the entry is
     exactly 0.  The matrix is filled from the pairs i <= j, so it is exactly
-    symmetric.
+    symmetric.  The lower edge is read first: windows walked upwards then
+    find it among the spectrum's two kept edges.
     """
     i, j = spectrum.pairs
+    lo = spectrum.edge(support[0])
     A = np.empty((spectrum.grid.points,) * 2)
-    A[i, j] = A[j, i] = spectrum.edge(support[1]) - spectrum.edge(support[0])
+    A[i, j] = A[j, i] = spectrum.edge(support[1]) - lo
     return A
 
 

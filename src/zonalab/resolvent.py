@@ -9,14 +9,11 @@ The canonical closed form fixes the sign convention; the time integral
 reproduces it and is kept as a cross-check.  The tail multiplier keeps only
 t >= 1/2 through a smooth cutoff and decays rapidly off tau = lambda.
 
-Both integrals run a 12-point Gauss-Legendre rule on equal panels, refined
-once by doubling the panels as a check.  The full integral's e^{ct} cos(tau t)
-is summed per panel rather than per node (`_wave_rule`), so a refinement
-costs O(panels) transcendentals; the tail is summed node by node only on its
-cutoff part [1/2, 1], and is in closed form beyond t = 1.
+Both run through one routine (`_wave_integral`): up to t = 1 a 12-point
+Gauss-Legendre rule on equal panels, refined once by doubling the panels as a
+check, and beyond t = 1, where the weight is 1, the integral in closed form.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,48 +69,22 @@ def smooth_cutoff(t):
     return hx / (hx + h1)
 
 
-def _panels(a, b, panels):
-    """Midpoints and half-width of `panels` equal panels of [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1] - edges[0])
-
-
 def _panel_integral(fn, a, b, panels):
     """The 12-point Gauss-Legendre rule on each of `panels` equal panels."""
     x, u = _PANEL_RULE
-    mid, half = _panels(a, b, panels)
+    edges = np.linspace(a, b, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1] - edges[0])
     t = (mid[:, None] + half * x[None, :]).ravel()
     return half * np.sum(fn(t).reshape(panels, -1) * u)
 
 
-def _wave_rule(c, tau):
-    """The rule of `_panel_integral` for e^{ct} cos(tau t), summed per panel.
-
-    At the nodes t = m + h x of the panel around m, e^{ct} = e^{cm} e^{chx}
-    and cos(tau t) = cos(tau m) cos(tau h x) - sin(tau m) sin(tau h x); the
-    sums over x are the same on every panel, so a refinement costs
-    transcendentals per panel rather than per node.
-    """
-    x, u = _PANEL_RULE
-
-    def rule(a, b, panels):
-        mid, half = _panels(a, b, panels)
-        node = u * np.exp(c * half * x)
-        cos_sum = node @ np.cos(tau * half * x)
-        sin_sum = node @ np.sin(tau * half * x)
-        return half * np.sum(np.exp(c * mid) * (
-            np.cos(tau * mid) * cos_sum - np.sin(tau * mid) * sin_sum))
-
-    return rule
-
-
-def _refined_integral(rule, a, b, freq):
-    """A panel rule(a, b, panels) at panels sized to the oscillation and at
-    twice as many, with a doubling check on the real and the imaginary part,
-    each against its own scale."""
+def _refined_integral(fn, a, b, freq):
+    """The panel rule for fn on [a, b] at panels sized to the oscillation and
+    at twice as many, with a doubling check on the real and the imaginary
+    part, each against its own scale."""
     panels = max(8, math.ceil((b - a) * (freq + 1.0) / 3.0))
-    v1 = rule(a, b, panels)
-    v2 = rule(a, b, 2 * panels)
+    v1 = _panel_integral(fn, a, b, panels)
+    v2 = _panel_integral(fn, a, b, 2 * panels)
     for p1, p2 in ((v1.real, v2.real), (v1.imag, v2.imag)):
         if abs(p1 - p2) > _REL_TOL * max(abs(p2), 1e-300) + 1e-15:
             raise QuadratureError(
@@ -121,42 +92,44 @@ def _refined_integral(rule, a, b, freq):
     return v2
 
 
-def _wave_integrand(params, tau):
-    """(c, prefactor, tmax, freq) of the wave integral in the module
-    docstring: its integrand is e^{ct} cos(tau t), truncated at tmax, where
-    e^{-|mu| t} has fallen to 1e-14, and oscillating at most at freq."""
+def _wave_integral(params, tau, start, weight):
+    """The wave integral of the module docstring from t = start on, its
+    integrand e^{ct} cos(tau t) times a weight that is 1 from t = 1 on.
+
+    [start, 1] runs through the panel rule, with panels sized to the fastest
+    oscillation, lam + |tau| + |mu|.  On [1, inf), with c+- = c +- i tau and
+    Re c+- = -|mu| < 0,
+
+        int_1^inf e^{ct} cos(tau t) dt = 1/2 sum_+- -e^{c+-} / c+-.
+    """
     sgn = 1.0 if params.mu >= 0 else -1.0
     c = complex(-abs(params.mu), sgn * params.lam)
     prefac = sgn / (1j * complex(params.lam, params.mu))
-    tmax = 14.0 * math.log(10.0) / abs(params.mu)
     freq = params.lam + abs(tau) + abs(params.mu)
-    return c, prefac, tmax, freq
+
+    def fn(t):
+        return np.exp(c * t) * np.cos(t * tau) * weight(t)
+
+    near = _refined_integral(fn, start, 1.0, freq)
+    far = -0.5 * sum(np.exp(c + d) / (c + d) for d in (1j * tau, -1j * tau))
+    return prefac * (near + far)
 
 
 def multiplier_from_integral(params, tau):
     """Direct numeric evaluation of the wave-trace integral for m(tau)."""
-    c, prefac, tmax, freq = _wave_integrand(params, tau)
-    return prefac * _refined_integral(_wave_rule(c, tau), 0.0, tmax, freq)
+    return _wave_integral(params, tau, 0.0, lambda t: 1.0)
 
 
 def tail_multiplier(params, tau):
     """The t >= 1/2 part of the wave integral; decays fast off tau = lambda.
 
-    The integral is split at t = 1 so the cutoff's transition knots sit
-    on panel edges; interior to a panel they would stall convergence.  On
-    [1/2, 1] the integrand carries 1 - rho and is summed node by node.  On
-    [1, inf) 1 - rho is 1, and with c+- = c +- i tau, Re c+- = -|mu| < 0,
-    int_1^inf e^{ct} cos(tau t) dt = 1/2 sum_+- -e^{c+-} / c+-.
+    The integrand carries 1 - rho, which is 1 from t = 1 on; starting the
+    panels at t = 1/2 and ending them at t = 1 puts the cutoff's transition
+    knots on panel edges, where interior to a panel they would stall
+    convergence.
     """
-    c, prefac, _, freq = _wave_integrand(params, tau)
-
-    def fn(t):
-        return np.exp(c * t) * np.cos(t * tau) * (1.0 - smooth_cutoff(t))
-
-    near = _refined_integral(functools.partial(_panel_integral, fn), 0.5, 1.0,
-                             freq)
-    far = -0.5 * sum(np.exp(c + d) / (c + d) for d in (1j * tau, -1j * tau))
-    return prefac * (near + far)
+    return _wave_integral(params, tau, 0.5,
+                          lambda t: 1.0 - smooth_cutoff(t))
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,21 @@ class TestFailureModes:
         assert header[0] == "k" and [row[0] for row in rows] == ["16"]
         assert not js.exists()
 
+    @pytest.mark.parametrize("n,sigma,k", [("3", "3/5", "5"),
+                                           ("4", "9/20", "4")])
+    def test_wrong_sign_slope_is_numerical_failure(self, tmp_path, capsys,
+                                                   n, sigma, k):
+        # the lowest degrees that Config admits fit a decay-side slope
+        # above zero; that is found after the CSV opens
+        code, out, js = _run(tmp_path, "sgn", "dyadic-certify", "--n", n,
+                             "--sigma", sigma, "--k", k)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "is not negative" in err
+        header, rows = _read_csv(out)
+        assert header[0] == "k" and rows == []
+        assert not js.exists()
+
 
 def _strict_json(text):
     def refuse(name):
@@ -343,6 +358,22 @@ class TestRejectedBeforeCsv:
         code, out, js = _run(tmp_path, "kl", *argv)
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("proj-scaling", "--sigma", "3/5", "--k", "8,8,8"), "k"),
+        (("dyadic-certify", "--sigma", "3/5", "--k", "16,32,16"), "k"),
+        (("envelope", "--k", "8,16,8"), "k"),
+        (("multiplier-check", "--lambda", "8,8"), "lambda"),
+        (("resolvent-scaling", "--sigma", "3/5", "--lambda", "8,16,8.0"),
+         "lambda"),
+    ], ids=["proj", "dyadic", "envelope", "multiplier", "resolvent"])
+    def test_repeated_value(self, tmp_path, capsys, argv, flag):
+        # a repeated degree or spectral parameter would write the same row
+        # twice, and a sweep of one repeated value cannot fit its slope
+        code, out, js = _run(tmp_path, "rep", *argv)
+        assert code == 2
+        assert f"lists a --{flag} value twice" in capsys.readouterr().err
         assert not out.exists() and not js.exists()
 
     @pytest.mark.parametrize("n,sigma,k,least", [

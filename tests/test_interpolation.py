@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
 from zonalab import interpolation
+from zonalab.errors import NumericalError
 from zonalab.exponents import ExponentPoint
 from zonalab.interpolation import optimal_split
 from zonalab.operators import ZonalOperator
@@ -60,10 +61,12 @@ class TestInterpFromFit:
         assert data.growth == q and data.decay == p
 
     def test_rejects_wrong_signs(self):
+        # a measured slope of the wrong sign is a numerical failure, not a
+        # bad argument
         p, q = zl.stein_point(3, 0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="growth-side slope -0.100"):
             zl.interp_from_fit((p, q), self._fit(-0.1, -0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="decay-side slope 0.200"):
             zl.interp_from_fit((p, q), self._fit(0.1, 0.2))
 
 

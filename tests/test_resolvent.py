@@ -1,14 +1,55 @@
-import functools
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import zonalab as zl
 from zonalab.errors import QuadratureError, TailDominanceError
-from zonalab.resolvent import (_panel_integral, _refined_integral,
-                               _wave_integrand, _wave_rule)
+from zonalab.resolvent import _refined_integral
+
+
+def _wave(params):
+    """(c, prefactor) of the wave integral: m(tau) = prefactor times the
+    integral of e^{ct} cos(tau t) over t >= 0."""
+    sgn = 1.0 if params.mu >= 0 else -1.0
+    return (complex(-abs(params.mu), sgn * params.lam),
+            sgn / (1j * complex(params.lam, params.mu)))
+
+
+def _quad(fn, a, b):
+    """Adaptive quadrature of a complex integrand, part by part."""
+    return complex(*(quad(lambda t: part(fn(t)), a, b, epsabs=0.0,
+                          epsrel=1e-13, limit=1000)[0]
+                     for part in (np.real, np.imag)))
+
+
+# tail_multiplier(ResolventParams(lam, mu), tau) as (lam, mu, tau, real part,
+# imaginary part), the bits of the tail's first closed-form version
+_TAIL_VALUES = [
+    (8.0, 1.0, 0.0, '0x1.3e559d3055776p-8', '-0x1.a99581b6b8cfcp-9'),
+    (8.0, 1.0, 8.0, '-0x1.a70eb3c9da387p-9', '-0x1.e68f782281b66p-6'),
+    (8.0, 1.0, 24.5, '-0x1.4c0e824d60dd8p-11', '-0x1.b12207de55ce8p-14'),
+    (8.0, -1.0, 0.0, '0x1.3e559d3055776p-8', '0x1.a99581b6b8cfcp-9'),
+    (8.0, -1.0, 8.0, '-0x1.a70eb3c9da387p-9', '0x1.e68f782281b66p-6'),
+    (8.0, -1.0, 24.5, '-0x1.4c0e824d60dd8p-11', '0x1.b12207de55ce8p-14'),
+    (8.0, 40.0, 0.0, '-0x1.3b4b6ec69b84dp-50', '0x1.06c7b2221a3c8p-49'),
+    (8.0, 40.0, 8.0, '-0x1.27c3b3eae980cp-51', '0x1.044dd507097d2p-51'),
+    (8.0, 40.0, 24.5, '0x1.71a14882277e6p-51', '-0x1.3eeda9539b5b2p-50'),
+    (8.0, -50.0, 0.0, '-0x1.711f785d5ada0p-60', '-0x1.d09d9879d65c6p-59'),
+    (8.0, -50.0, 8.0, '-0x1.1fc8421cc7e42p-61', '-0x1.3e64033a0f3bep-61'),
+    (8.0, -50.0, 24.5, '0x1.00a00aae3bdd3p-60', '0x1.ecda09710bf65p-60'),
+    (64.0, 1.0, 0.0, '0x1.388592ca85beap-24', '0x1.90ab284395ea4p-22'),
+    (64.0, 1.0, 64.0, '-0x1.e5318a4deaf5dp-15', '-0x1.e5370f103d666p-9'),
+    (64.0, 1.0, 192.5, '-0x1.2f2af3dfd18e7p-28', '-0x1.1d8ec8322399cp-28'),
+    (64.0, -1.0, 0.0, '0x1.388592ca85beap-24', '-0x1.90ab284395ea4p-22'),
+    (64.0, -1.0, 64.0, '-0x1.e5318a4deaf5dp-15', '0x1.e5370f103d666p-9'),
+    (64.0, -1.0, 192.5, '-0x1.2f2af3dfd18e7p-28', '0x1.1d8ec8322399cp-28'),
+    (64.0, 40.0, 0.0, '0x1.2b20b46af7b99p-54', '-0x1.c4b6023ec2c3ep-54'),
+    (64.0, 40.0, 64.0, '-0x1.77dbee15b2237p-52', '-0x1.2ad329cddef60p-51'),
+    (64.0, 40.0, 192.5, '-0x1.8199ff1bfb537p-61', '-0x1.a574aa5ad37b6p-59'),
+    (64.0, -50.0, 0.0, '0x1.752ea31dd6880p-68', '0x1.907348cb746b8p-62'),
+    (64.0, -50.0, 64.0, '-0x1.96c827ff0da80p-61', '0x1.ff827a265d1e6p-61'),
+    (64.0, -50.0, 192.5, '0x1.01781d5df2630p-70', '0x1.9d736c0ecf831p-67'),
+]
 
 
 class TestParams:
@@ -71,37 +112,49 @@ class TestWaveIntegral:
     def test_refinement_check_fires(self):
         # a jump interior to the panels cannot pass the doubling test
         with pytest.raises(QuadratureError):
-            _refined_integral(
-                functools.partial(_panel_integral,
-                                  lambda t: np.sign(t - 0.37)),
-                0.0, 1.0, 0.0)
+            _refined_integral(lambda t: np.sign(t - 0.37), 0.0, 1.0, 0.0)
 
     def test_refinement_check_per_part(self):
         # the jump sits in the imaginary part only; measured against the
         # whole value's scale its error would pass
         with pytest.raises(QuadratureError):
-            _refined_integral(
-                functools.partial(_panel_integral,
-                                  lambda t: 1e6 + 1j * np.sign(t - 0.37)),
-                0.0, 1.0, 0.0)
+            _refined_integral(lambda t: 1e6 + 1j * np.sign(t - 0.37),
+                              0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("lam", [8.0, 16.0, 32.0, 64.0, 128.0])
-    @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0])
-    def test_panel_rule_matches_node_rule(self, lam, mu):
-        # the per-panel sums of the wave rule are the 12-point rule node by
-        # node, at the panels `_refined_integral` takes and at twice as many,
-        # for the five tau of `multiplier-check`
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0, 40.0, -50.0])
+    def test_matches_closed_form_at_check_points(self, lam, mu):
+        # the five tau of `multiplier-check`, 0 and resonance; at mu = 40
+        # and -50 e^{-|mu| t} falls below 1e-14 before t = 1, so the panel
+        # rule carries nearly all of the integral and the closed-form far
+        # part nearly none
         params = zl.ResolventParams(lam, mu)
-        for tau in np.unique(np.round(np.linspace(1.0, 2.0 * lam, 5))):
-            tau = float(tau)
-            c, _, tmax, freq = _wave_integrand(params, tau)
-            panels = max(8, math.ceil(tmax * (freq + 1.0) / 3.0))
-            for count in (panels, 2 * panels):
-                got = _wave_rule(c, tau)(0.0, tmax, count)
-                want = _panel_integral(
-                    lambda t: np.exp(c * t) * np.cos(t * tau),
-                    0.0, tmax, count)
-                assert abs(got - want) <= 1e-13 * abs(want), (tau, count)
+        taus = np.unique(np.round(np.linspace(1.0, 2.0 * lam, 5)))
+        for tau in [*taus, 0.0, lam, lam + 0.5]:
+            got = zl.multiplier_from_integral(params, float(tau))
+            want = zl.resolvent_multiplier(params, float(tau))
+            assert abs(got - want) <= 1e-12 * abs(want), (tau, got, want)
+
+
+class TestLocal:
+    # at this tolerance QUADPACK reports roundoff on some parts; the 1e-10
+    # comparison bounds the reference's error and the local part's together
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0, 40.0, -50.0])
+    def test_matches_adaptive_quadrature(self, mu):
+        # the local part of the wave integral, the full multiplier less its
+        # tail, is prefactor times the integral of rho e^{ct} cos(tau t)
+        # over [0, 1], where rho falls from 1 to 0 on [1/2, 1]
+        params = zl.ResolventParams(8.0, mu)
+        c, prefac = _wave(params)
+        for tau in (0.0, 5.0, 8.0, 24.0, 28.0):
+            want = prefac * sum(
+                _quad(lambda t: np.exp(c * t) * np.cos(t * tau)
+                      * zl.smooth_cutoff(t), a, b)
+                for a, b in ((0.0, 0.5), (0.5, 1.0)))
+            got = (zl.multiplier_from_integral(params, tau)
+                   - zl.tail_multiplier(params, tau))
+            assert abs(got - want) <= 1e-10 * abs(want), (mu, tau)
 
 
 class TestCutoff:
@@ -136,30 +189,34 @@ class TestTail:
     @pytest.mark.parametrize("mu", [1.0, -1.0, 3.0, 40.0, -50.0])
     def test_matches_node_rule(self, mu):
         # adaptive quadrature of the real and imaginary parts on [1/2, 1]
-        # and [1, inf) as the reference; a tail cut at the truncation tmax,
-        # which falls below 1 past |mu| = 14 ln 10, misses it by 1e-3 at
-        # mu = 40 and by 0.2 at mu = -50
+        # and [1, inf) as the reference; a tail cut where e^{-|mu| t} falls
+        # to 1e-14, which is below t = 1 past |mu| = 14 ln 10, misses it by
+        # 1e-3 at mu = 40 and by 0.2 at mu = -50
         params = zl.ResolventParams(8.0, mu)
+        c, prefac = _wave(params)
         for tau in (0.0, 5.0, 8.0, 24.0, 28.0):
-            c, prefac, _, _ = _wave_integrand(params, tau)
 
             def wave(t):
                 return np.exp(c * t) * np.cos(t * tau)
 
-            want = prefac * sum(
-                complex(*(quad(lambda t: part(fn(t)), a, b, epsabs=0.0,
-                               epsrel=1e-13, limit=1000)[0]
-                          for part in (np.real, np.imag)))
-                for fn, a, b in (
-                    (lambda t: wave(t) * (1.0 - zl.smooth_cutoff(t)), 0.5,
-                     1.0),
-                    (wave, 1.0, np.inf)))
+            want = prefac * (
+                _quad(lambda t: wave(t) * (1.0 - zl.smooth_cutoff(t)), 0.5,
+                      1.0)
+                + _quad(wave, 1.0, np.inf))
             got = zl.tail_multiplier(params, tau)
             assert abs(got - want) <= 1e-12 * abs(want), (mu, tau)
 
     def test_finite_at_zero(self):
         p = zl.ResolventParams(8.0, 1.0)
         assert np.isfinite(abs(zl.tail_multiplier(p, 0.0)))
+
+    def test_stored_bits(self):
+        # the tail's sums run in the order of its first closed-form version,
+        # so the values are the same to the bit
+        for lam, mu, tau, re, im in _TAIL_VALUES:
+            got = zl.tail_multiplier(zl.ResolventParams(lam, mu), tau)
+            assert (got.real, got.imag) == (float.fromhex(re),
+                                            float.fromhex(im)), (lam, mu, tau)
 
 
 def test_default_degree_cutoff():
