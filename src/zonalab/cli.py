@@ -2,10 +2,11 @@
 
 Each run writes two files: a CSV with one row per swept parameter and a JSON
 summary {config, rows, slope, residual, wall_seconds, version, env}, where
-env names the python, numpy and zonalab versions that ran.  The CSV is
-byte-identical for identical config + seed; timestamps live only in the JSON,
-which is strict (s = inf is null).  Each subcommand takes only the flags it
-reads (COMMANDS), plus --seed and --out; any other flag exits 2.
+env names the python, numpy and zonalab versions that ran.  Each row is one
+record, its JSON row; the CSV row prints the record's header columns.  The
+CSV is byte-identical for identical config + seed; timestamps live only in
+the JSON, which is strict (s = inf is null).  Each subcommand takes only the
+flags it reads (COMMANDS), plus --seed and --out; any other flag exits 2.
 
 Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 3 numerical failure (partial CSV rows are flushed before exiting).
@@ -15,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import platform
 import sys
 import time
@@ -71,22 +73,33 @@ def _fmt(x):
 
 
 class _CsvSink:
-    """Row writer that flushes eagerly so failures keep partial results."""
+    """Keeps each row's record and writes its header columns, flushing
+    eagerly so failures keep partial results."""
 
     def __init__(self, path, header):
         self.fh = open(path, "w", newline="")
         self.writer = csv.writer(self.fh)
+        self.header = header
         self.writer.writerow(header)
         self.fh.flush()
         self.rows = []
 
-    def emit(self, row):
-        self.writer.writerow([_fmt(v) for v in row])
+    def emit(self, record):
+        self.writer.writerow([_fmt(record[name]) for name in self.header])
         self.fh.flush()
-        self.rows.append(row)
+        self.rows.append(record)
 
     def close(self):
         self.fh.close()
+
+
+def _null_inf(value):
+    """value with every infinite float, as s = inf, made None."""
+    if isinstance(value, dict):
+        return {key: _null_inf(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_inf(v) for v in value]
+    return None if isinstance(value, float) and math.isinf(value) else value
 
 
 def _grid(cfg):
@@ -105,24 +118,18 @@ def _grid(cfg):
 
 
 # ---------------------------------------------------------------------------
-# commands; each returns its JSON rows
+# commands; each emits one record per row
 
 def _sweep(cfg, sink, params, build, exponent):
     """One certificate at cfg.point per parameter, predicted param**exponent;
     build(grid, param) gives (operator, label, extra JSON fields)."""
     grid = _grid(cfg)
-    point = cfg.point
-    json_rows = []
     for param in sorted(params):
         op, label, extra = build(grid, param)
-        cert = norm_certificate(op, point, restarts=cfg.restarts,
+        cert = norm_certificate(op, cfg.point, restarts=cfg.restarts,
                                 seed=cfg.seed, label=label)
-        predicted = float(param) ** exponent
-        sink.emit((param, point.r, point.s, cert.lower, cert.upper,
-                   predicted))
-        json_rows.append({**cert.to_record(), **extra,
-                          "predicted": predicted})
-    return json_rows
+        sink.emit({**cert.to_record(), **extra,
+                   "predicted": float(param) ** exponent})
 
 
 def _run_proj_scaling(cfg, sink):
@@ -131,7 +138,7 @@ def _run_proj_scaling(cfg, sink):
         return op, f"H_{k}", {"k": k}
 
     exp_proj, _ = predicted_exponents(cfg.n, cfg.sigma)
-    return _sweep(cfg, sink, cfg.ks, build, exp_proj)
+    _sweep(cfg, sink, cfg.ks, build, exp_proj)
 
 
 def _run_resolvent_scaling(cfg, sink):
@@ -144,15 +151,14 @@ def _run_resolvent_scaling(cfg, sink):
                  "tail_ratio": result.tail_ratio})
 
     _, exp_res = predicted_exponents(cfg.n, cfg.sigma)
-    return _sweep(cfg, sink, cfg.lambdas, build, exp_res)
+    _sweep(cfg, sink, cfg.lambdas, build, exp_res)
 
 
 def _run_dyadic_certify(cfg, sink):
     grid = _grid(cfg)
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
-    json_rows = []
     for k in sorted(cfg.ks):
-        fit, op = piece_norm_slopes(cfg.sphere, k, cfg.sigma, grid,
+        fit, op = piece_norm_slopes(k, cfg.sigma, grid,
                                     restarts=cfg.restarts, seed=cfg.seed)
         data = interp_from_fit((p_pt, q_pt), fit)
         lam = eigenvalue(cfg.n, k)
@@ -160,34 +166,28 @@ def _run_dyadic_certify(cfg, sink):
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
         report = certify_restricted_weak(op, data, caps, piece_fit=fit)
-        sink.emit((k, fit.slope_growth, fit.slope_decay, data.theta,
-                   data.m_growth, data.m_decay, report.c_obs))
-        json_rows.append({
+        sink.emit({
             "k": k, "sigma": cfg.sigma,
             "growth_endpoint": [q_pt.x, q_pt.y],
             "decay_endpoint": [p_pt.x, p_pt.y],
             "target": [report.target.x, report.target.y],
             "m1": data.m_growth, "m2": data.m_decay,
             "beta1": data.beta_growth, "beta2": data.beta_decay,
+            "slope_growth": fit.slope_growth, "slope_decay": fit.slope_decay,
             "theta": data.theta, "c_obs": report.c_obs,
             "caps": report.cap_reports,
             "hypothesis_violations": report.hypothesis_violations,
         })
-    return json_rows
 
 
 def _run_envelope(cfg, sink):
-    json_rows = []
     for k in sorted(cfg.ks):
         env = envelope_check(cfg.sphere, k)
-        sink.emit((k, env.c_flat, env.c_osc, env.c_antipodal))
-        json_rows.append({"k": k, "c_flat": env.c_flat, "c_osc": env.c_osc,
-                          "c_antipodal": env.c_antipodal})
-    return json_rows
+        sink.emit({"k": k, "c_flat": env.c_flat, "c_osc": env.c_osc,
+                   "c_antipodal": env.c_antipodal})
 
 
 def _run_multiplier_check(cfg, sink):
-    json_rows = []
     for lam in sorted(cfg.lambdas):
         params = ResolventParams(lam, cfg.mu)
         taus = np.unique(np.round(np.linspace(1.0, 2.0 * lam, 5)))
@@ -195,11 +195,9 @@ def _run_multiplier_check(cfg, sink):
             closed = resolvent_multiplier(params, float(tau))
             numeric = multiplier_from_integral(params, float(tau))
             rel = abs(abs(numeric) - abs(closed)) / abs(closed)
-            sink.emit((lam, cfg.mu, tau, abs(closed), abs(numeric), rel))
-            json_rows.append({"lambda": lam, "mu": cfg.mu, "tau": float(tau),
-                              "abs_closed": abs(closed),
-                              "abs_integral": abs(numeric), "rel_err": rel})
-    return json_rows
+            sink.emit({"lambda": lam, "mu": cfg.mu, "tau": float(tau),
+                       "abs_closed": abs(closed),
+                       "abs_integral": abs(numeric), "rel_err": rel})
 
 
 def _run_exponent_map(cfg, sink):
@@ -207,11 +205,8 @@ def _run_exponent_map(cfg, sink):
     p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     e_pt, e_dual = segment_endpoints(cfg.n, cfg.sigma)
     named.update({"P": p_pt, "Q": q_pt, "E": e_pt, "E*": e_dual})
-    json_rows = []
     for name, pt in named.items():
-        sink.emit((name, pt.x, pt.y))
-        json_rows.append({"name": name, "x": pt.x, "y": pt.y})
-    return json_rows
+        sink.emit({"name": name, "x": pt.x, "y": pt.y})
 
 
 def _int_list(text):
@@ -388,10 +383,11 @@ def main(argv=None):
     sink = _CsvSink(cfg.out, COMMANDS[cfg.command].header)
     slope = residual = None
     try:
-        json_rows = COMMANDS[cfg.command].run(cfg, sink)
+        COMMANDS[cfg.command].run(cfg, sink)
         # the two sweeps fit a slope; with fewer than 3 rows it is null
         if cfg.point is not None and len(sink.rows) >= 3:
-            slope, _, residual = fit_slope((r[0], r[3]) for r in sink.rows)
+            slope, _, residual = fit_slope((rec[sink.header[0]], rec["lower"])
+                                           for rec in sink.rows)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -403,7 +399,7 @@ def main(argv=None):
     wall = time.perf_counter() - t0
     summary = {
         "config": cfg.echo(),
-        "rows": json_rows,
+        "rows": sink.rows,
         "slope": slope,
         "residual": residual,
         "wall_seconds": wall,
@@ -411,8 +407,9 @@ def main(argv=None):
         "env": {"python": platform.python_version(),
                 "numpy": np.__version__, "zonalab": __version__},
     }
-    # strict JSON: a non-finite value raises rather than writing Infinity
-    text = json.dumps(summary, indent=2, default=float, allow_nan=False)
+    # strict JSON: an infinite value, s = inf, is null; NaN raises
+    text = json.dumps(_null_inf(summary), indent=2, default=float,
+                      allow_nan=False)
     cfg.out.with_suffix(".json").write_text(text + "\n")
     return 0
 

@@ -7,7 +7,8 @@ bit and each piece j >= 1 is supported exactly on
 (2^{j-1}/lambda_k, 2^j/lambda_k].  (A smooth profile supported inside one
 dyadic block cannot sum to 1 over dilates; the indicator is the profile that
 satisfies the support and partition requirements simultaneously.)  The flat
-piece j = 0 keeps everything at theta <= 1/lambda_k.
+piece j = 0 keeps everything at theta <= 1/lambda_k.  The grid decides the
+dimension: the pieces cut Z_k on the grid's sphere.
 
 Piece operators integrate the azimuthal average only over the annulus.  All
 pieces of one degree share one azimuthal spectrum of Z_k, built on first use
@@ -30,7 +31,7 @@ from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
                         norm_lower)
 from .specfun import eigenvalue, zonal_value
 
-# points per window of envelope_check, a quarter of it in the flat one
+# points per window of envelope_check
 _SAMPLES = 4096
 
 
@@ -65,13 +66,13 @@ class DyadicPiece:
             label=f"piece k={self.base} j={self.j}")
 
 
-def dyadic_decompose(sphere, k, grid):
+def dyadic_decompose(k, grid):
     """All pieces j = 0..J of the degree-k projector kernel on the grid."""
     if k > grid.kexact:
         raise ValueError(
             f"degree {k} exceeds grid exactness {grid.kexact}")
-    lam = eigenvalue(sphere.n, k)
-    J = piece_count(sphere.n, k)
+    lam = eigenvalue(grid.sphere.n, k)
+    J = piece_count(grid.sphere.n, k)
     spectrum = AzimuthalSpectrum(grid, k)
     pieces = []
     for j in range(J + 1):
@@ -127,7 +128,7 @@ def fit_line(x, y):
     return float(coeff[0]), float(coeff[1]), rms
 
 
-def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
+def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
     """Measure ||T_j|| at the Stein points P and Q and fit log2-slopes in j.
 
     Needs at least four pieces so that a middle range remains after the
@@ -138,11 +139,11 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
     a fresh running sum and dropped.  Returns (fit, T), T the operator of
     that sum, H_k reassembled for the restricted weak-type image.
     """
-    pieces = dyadic_decompose(sphere, k, grid)
+    pieces = dyadic_decompose(k, grid)
     if len(pieces) < 4:
         raise ValueError(f"degree {k} yields fewer than four dyadic pieces")
     js = [p.j for p in fit_pieces(pieces)]
-    p_pt, q_pt = stein_point(sphere.n, sigma)
+    p_pt, q_pt = stein_point(grid.sphere.n, sigma)
     norms = []
     total = np.zeros((grid.points,) * 2)
     for piece in pieces:
@@ -167,27 +168,26 @@ def piece_norm_slopes(sphere, k, sigma, grid, restarts=8, seed=1):
 
 @dataclass
 class EnvelopeConstants:
-    c_flat: float       # sup |Z_k| / k^{n-1} near the pole
+    c_flat: float       # sup |Z_k| / k^{n-1} = Z_k(1) / k^{n-1}
     c_osc: float        # sup |Z_k| theta^{(n-1)/2} / lambda^{(n-1)/2} mid-range
     c_antipodal: float  # same with pi - theta near the far pole
 
 
 def envelope_check(sphere, k):
-    """Empirical constants of the pointwise kernel envelope at degree k."""
+    """Constants of the pointwise kernel envelope at degree k: c_flat exact,
+    as |Z_k| peaks at t = 1, c_osc and c_antipodal sampled on their windows."""
     if k < 1:
         raise ValueError("envelope constants need degree k >= 1")
     n = sphere.n
     lam = eigenvalue(n, k)
     half = (n - 1) / 2
-    th_flat = np.linspace(1e-9, 1.0 / lam, _SAMPLES // 4)
     th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, _SAMPLES)
     th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, _SAMPLES)
-    # one recurrence over the three windows; it runs elementwise, so each
-    # window gets the bits of a recurrence over that window alone
-    th = np.concatenate((th_flat, th_osc, th_anti))
-    z_flat, z_osc, z_anti = np.split(zonal_value(n, k, np.cos(th)),
-                                     (th_flat.size, th_flat.size + _SAMPLES))
-    c_flat = np.abs(z_flat).max() / k ** (n - 1)
+    # one recurrence over both windows; it runs elementwise, so each window
+    # gets the bits of a recurrence over that window alone
+    z_osc, z_anti = np.split(
+        zonal_value(n, k, np.cos(np.concatenate((th_osc, th_anti)))), 2)
+    c_flat = zonal_value(n, k, 1.0) / k ** (n - 1)
     c_osc = np.abs(z_osc * th_osc ** half).max() / lam ** half
     c_anti = np.abs(z_anti * (np.pi - th_anti) ** half).max() / lam ** half
     return EnvelopeConstants(float(c_flat), float(c_osc), float(c_anti))

@@ -197,7 +197,10 @@ def _row_lp(op, p):
 
 def operator_from_kernel(kernel, grid):
     """Spectral factors of a multiplier kernel, A = sum_k m_k e_k e_k^T over
-    the degrees with m_k != 0."""
+    the degrees with m_k != 0; the kernel and grid share one sphere."""
+    if kernel.sphere != grid.sphere:
+        raise ValueError(f"kernel on S^{kernel.sphere.n} against a grid on "
+                         f"S^{grid.sphere.n}")
     kmax = kernel.max_degree
     if kmax > grid.kexact:
         raise ValueError(
@@ -591,8 +594,7 @@ class NormCertificate:
             "n": self.n,
             "label": self.label,
             "r": self.point.r,
-            # null at s = inf, which strict JSON cannot hold
-            "s": None if math.isinf(self.point.s) else self.point.s,
+            "s": self.point.s,
             "lower": self.lower,
             "upper": self.upper,
             "witness_grid": self.grid_ref,

@@ -169,18 +169,9 @@ class ZonalKernel:
         return self.coeffs.shape[0] - 1
 
     def values(self, t):
-        """Pointwise kernel values sum_k m_k Z_k(t) at cosines t.
-
-        A kernel of one degree evaluates that degree alone; the recurrence
-        runs row by row, so the values equal the table route's bit for bit.
-        """
+        """Pointwise kernel values sum_k m_k Z_k(t) at cosines t."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        nz = np.flatnonzero(self.coeffs)
-        if nz.size == 1:
-            k = int(nz[0])
-            return self.coeffs[k] * zonal_value(self.sphere.n, k, t)
-        tab = zonal_table(self.sphere.n, self.max_degree, t)
-        return self.coeffs @ tab
+        return self.coeffs @ zonal_table(self.sphere.n, self.max_degree, t)
 
 
 def projector_kernel(sphere, k):

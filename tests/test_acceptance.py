@@ -30,13 +30,13 @@ def _pair(sigma):
 
 
 @pytest.fixture(scope="module")
-def fit16(sphere3, grid144):
-    return zl.piece_norm_slopes(sphere3, 16, 0.6, grid144)
+def fit16(grid144):
+    return zl.piece_norm_slopes(16, 0.6, grid144)
 
 
 @pytest.fixture(scope="module")
-def fit32(sphere3, grid144):
-    return zl.piece_norm_slopes(sphere3, 32, 0.6, grid144)
+def fit32(grid144):
+    return zl.piece_norm_slopes(32, 0.6, grid144)
 
 
 def test_criterion_1_projector_normalization(sphere3, grid144):
@@ -95,10 +95,10 @@ def test_criterion_3_envelope_constants(sphere3):
                     f"oscillatory spread {spread_osc:.3f}")
 
 
-def test_criterion_4_piece_slopes(sphere3, grid144, fit32):
+def test_criterion_4_piece_slopes(grid144, fit32):
     """Measured dyadic piece-norm slopes land in the predicted windows."""
     fit06, _ = fit32
-    fit05, _ = zl.piece_norm_slopes(sphere3, 32, 0.5, grid144)
+    fit05, _ = zl.piece_norm_slopes(32, 0.5, grid144)
     checks = [
         ("growth@3/5", fit06.slope_growth, 0.2, 0.2),
         ("decay@3/5", fit06.slope_decay, -0.2, 0.2),

@@ -257,10 +257,10 @@ class TestFailureModes:
         # was written (a degree too low to fit exits 2 before the CSV opens)
         slopes = cli.piece_norm_slopes
 
-        def failing(sphere, k, *args, **kwargs):
+        def failing(k, *args, **kwargs):
             if k == 32:
                 raise NumericalError("vanishing piece norm; cannot fit slopes")
-            return slopes(sphere, k, *args, **kwargs)
+            return slopes(k, *args, **kwargs)
 
         monkeypatch.setattr(cli, "piece_norm_slopes", failing)
         code, out, js = _run(tmp_path, "num", "dyadic-certify",
@@ -301,6 +301,29 @@ def test_json_is_strict_at_s_infinity(tmp_path):
     rows = _strict_json(js.read_text())["rows"]
     assert [row["s"] for row in rows] == [None, None]
     assert [row["r"] for row in rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("proj-scaling", "--n", "2", "--sigma", "1", "--r", "1", "--k", "4,8"),
+    ("resolvent-scaling", "--sigma", "2/3", "--lambda", "2,3",
+     "--restarts", "2"),
+    ("dyadic-certify", "--sigma", "3/5", "--k", "16"),
+    ("envelope", "--k", "8,16"),
+    ("multiplier-check", "--lambda", "2"),
+    ("exponent-map", "--sigma", "3/5"),
+], ids=lambda argv: argv[0])
+def test_csv_row_is_json_row_projected(tmp_path, argv):
+    # every CSV column is a key of the row's JSON record, printed by _fmt;
+    # a JSON null is s = inf, which the CSV prints as inf
+    code, out, js = _run(tmp_path, "rec", *argv)
+    assert code == 0
+    header, rows = _read_csv(out)
+    assert tuple(header) == cli.COMMANDS[argv[0]].header
+    records = _strict_json(js.read_text())["rows"]
+    assert len(records) == len(rows) > 0
+    for row, rec in zip(rows, records):
+        assert row == [cli._fmt(math.inf if rec[col] is None else rec[col])
+                       for col in header]
 
 
 class TestRejectedBeforeCsv:

@@ -26,15 +26,15 @@ def test_every_piece_meets_the_sphere(n):
     sphere = zl.SphereSpec(n)
     for k in (0, 1, 8, 16, 33, 128):
         grid = zl.make_grid(sphere, 2 * k + 1)
-        pieces = zl.dyadic_decompose(sphere, k, grid)
+        pieces = zl.dyadic_decompose(k, grid)
         assert all(p.support[0] < np.pi for p in pieces), k
         assert pieces[-1].clipped, k
         assert not any(p.clipped for p in pieces[:-1]), k
 
 
 @pytest.fixture(scope="module")
-def pieces16(sphere3, grid144):
-    return zl.dyadic_decompose(sphere3, 16, grid144)
+def pieces16(grid144):
+    return zl.dyadic_decompose(16, grid144)
 
 
 class TestDecompose:
@@ -60,9 +60,9 @@ class TestDecompose:
         scale = np.abs(spectral).max()
         np.testing.assert_allclose(summed, spectral, atol=1e-12 * scale)
 
-    def test_degree_budget(self, sphere3, grid80):
+    def test_degree_budget(self, grid80):
         with pytest.raises(ValueError):
-            zl.dyadic_decompose(sphere3, 40, grid80)
+            zl.dyadic_decompose(40, grid80)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def built():
         if (n, k) not in cache:
             sphere = zl.SphereSpec(n)
             grid = zl.make_grid(sphere, 2 * k + 1)
-            pieces = zl.dyadic_decompose(sphere, k, grid)
+            pieces = zl.dyadic_decompose(k, grid)
             cache[n, k] = grid, pieces, [p.operator().matrix for p in pieces]
         return cache[n, k]
 
@@ -140,22 +140,22 @@ class TestPieceExactness:
 
 
 class TestFitWindow:
-    def test_middle_range_for_k32(self, sphere3, grid144):
-        pieces = zl.dyadic_decompose(sphere3, 32, grid144)
+    def test_middle_range_for_k32(self, grid144):
+        pieces = zl.dyadic_decompose(32, grid144)
         assert [p.j for p in fit_pieces(pieces)] == [3, 4, 5, 6]
 
-    def test_middle_range_for_k16(self, sphere3, grid144):
-        pieces = zl.dyadic_decompose(sphere3, 16, grid144)
+    def test_middle_range_for_k16(self, grid144):
+        pieces = zl.dyadic_decompose(16, grid144)
         assert [p.j for p in fit_pieces(pieces)] == [3, 4, 5]
 
-    def test_low_degree_fails(self, sphere3, grid80):
-        pieces = zl.dyadic_decompose(sphere3, 4, grid80)
+    def test_low_degree_fails(self, grid80):
+        pieces = zl.dyadic_decompose(4, grid80)
         with pytest.raises(NumericalError):
             fit_pieces(pieces)
 
 
-def test_piece_norm_slopes_smoke(sphere3, grid80):
-    fit, op = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80, restarts=4)
+def test_piece_norm_slopes_smoke(grid80):
+    fit, op = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
     np.testing.assert_array_equal(fit.js, [3, 4, 5])
     # the summed pieces j = 0..6 reassemble the projector e_k e_k^T
     e = grid80.basis(16)[16]
@@ -198,7 +198,7 @@ def test_one_spectrum_per_degree(monkeypatch):
         grid = zl.make_grid(sphere, 40, kexact=k)
         tables.clear()
         summed.clear()
-        pieces = zl.dyadic_decompose(sphere, k, grid)
+        pieces = zl.dyadic_decompose(k, grid)
         for piece in pieces:
             A = piece.operator().matrix
             assert np.array_equal(A, A.T)
@@ -223,7 +223,7 @@ def test_pieces_memory():
     grid = zl.make_grid(sphere, 272)
     tracemalloc.start()
     try:
-        pieces = zl.dyadic_decompose(sphere, 64, grid)
+        pieces = zl.dyadic_decompose(64, grid)
         matrices = [p.operator().matrix for p in pieces]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -242,7 +242,7 @@ def test_piece_norm_slopes_memory():
     p_pt, q_pt = zl.stein_point(3, 0.6)
     tracemalloc.start()
     try:
-        fit, op = zl.piece_norm_slopes(sphere, 64, 0.6, grid)
+        fit, op = zl.piece_norm_slopes(64, 0.6, grid)
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         lam = zl.eigenvalue(3, 64)
         caps = [zl.cap(grid, th) for th in (1.0 / lam, 1.0 / 8.0, 0.5)]
@@ -253,14 +253,14 @@ def test_piece_norm_slopes_memory():
     assert peak <= 5.5 * 2 ** 20
 
 
-def test_piece_norm_slopes_rejects_low_degree(sphere3, grid80):
+def test_piece_norm_slopes_rejects_low_degree(grid80):
     # degree 2 decomposes, but leaves no middle range to fit
     with pytest.raises(NumericalError):
-        zl.piece_norm_slopes(sphere3, 2, 0.6, grid80)
+        zl.piece_norm_slopes(2, 0.6, grid80)
     # on S^2 the lowest degrees do not even fill four pieces
     grid2 = zl.make_grid(zl.SphereSpec(2), 20)
     with pytest.raises(ValueError):
-        zl.piece_norm_slopes(zl.SphereSpec(2), 0, 0.6, grid2)
+        zl.piece_norm_slopes(0, 0.6, grid2)
 
 
 class TestEnvelope:

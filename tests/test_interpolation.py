@@ -113,8 +113,8 @@ class TestOptimalSplit:
 
 
 @pytest.fixture(scope="module")
-def pieces16(sphere3, grid144):
-    return zl.dyadic_decompose(sphere3, 16, grid144)
+def pieces16(grid144):
+    return zl.dyadic_decompose(16, grid144)
 
 
 @pytest.fixture(scope="module")
@@ -200,8 +200,8 @@ class TestCertify:
             assert entry["threshold"] == a[best]
             assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
 
-    def test_envelope_screening(self, sphere3, grid80, monkeypatch):
-        fit, op = zl.piece_norm_slopes(sphere3, 16, 0.6, grid80, restarts=4)
+    def test_envelope_screening(self, grid80, monkeypatch):
+        fit, op = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.interp_from_fit((p_pt, q_pt), fit)
         caps = [zl.cap(grid80, 0.5)]

@@ -56,6 +56,12 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError):
             operator_from_kernel(zl.projector_kernel(sphere3, 40), grid80)
 
+    @pytest.mark.parametrize("kind", ["projector", "resolvent"])
+    def test_rejects_kernel_of_another_dimension(self, grid144, kind):
+        # the n = 4 kernel's degrees fit the n = 3 grid, but its Z_k do not
+        with pytest.raises(ValueError, match="S\\^4 against a grid on S\\^3"):
+            operator_from_kernel(_kernel(4, kind), grid144)
+
     def test_profile_route_matches_spectral(self):
         # the azimuthal average of Z_8 over the full support must reproduce
         # the spectral reduced matrix, and its upper bounds, on every sphere

@@ -34,14 +34,14 @@ def test_span_resolves(span, module, attr):
     assert tracing._bindings(module, attr), f"{span}: nothing to patch"
 
 
-def test_traced_pieces_count_every_layer(sphere3, grid80):
+def test_traced_pieces_count_every_layer(grid80):
     # the spans the dyadic workload reads see one build and one azimuthal
     # matrix per piece; a build reads the kernel only through the spectrum,
     # so it samples no profile points
     build = zl.DyadicPiece.operator
     tracer = tracing.Tracer()
     with tracing.patched(tracer.wrap):
-        pieces = zl.dyadic_decompose(sphere3, 8, grid80)
+        pieces = zl.dyadic_decompose(8, grid80)
         for piece in pieces:
             piece.operator()
     metrics = tracer.metrics()

@@ -164,19 +164,6 @@ class TestZonalKernel:
         assert kern.max_degree == 4
         np.testing.assert_array_equal(kern.coeffs, [0, 0, 0, 0, 1])
 
-    @pytest.mark.parametrize("k", [0, 1, 8, 128])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_one_degree_matches_table(self, n, k):
-        # a kernel of one degree evaluates that degree alone; the 0..k table
-        # gives the same bits, at grid cosines and at the dense sup angles
-        proj = zl.projector_kernel(SphereSpec(n), k)
-        grid = zl.make_grid(SphereSpec(n), 2 * k + 1)
-        dense = np.cos(np.linspace(0.0, np.pi, 8 * k + 64))
-        for kern in (proj, ZonalKernel(SphereSpec(n), -2.5 * proj.coeffs)):
-            for t in (grid.cosines, dense):
-                table = kern.coeffs @ zl.zonal_table(n, k, t)
-                assert np.array_equal(kern.values(t), table)
-
     def test_rejects_empty_coeffs(self, sphere3):
         with pytest.raises(ValueError):
             ZonalKernel(sphere3, np.array([]))
