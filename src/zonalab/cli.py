@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import platform
@@ -26,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import envelope_check, fit_line, fit_range, piece_norm_slopes
+from .dyadic import (envelope_check, fit_line, least_fit_degree,
+                     piece_norm_slopes)
 from .errors import NumericalError
 from .exponents import (ExponentPoint, admissible, check_sigma,
                         predicted_exponents, segment_endpoints,
@@ -156,27 +156,28 @@ def _run_resolvent_scaling(cfg, sink):
 
 def _run_dyadic_certify(cfg, sink):
     grid = _grid(cfg)
-    p_pt, q_pt = stein_point(cfg.n, cfg.sigma)
     for k in sorted(cfg.ks):
         fit, op = piece_norm_slopes(k, cfg.sigma, grid,
                                     restarts=cfg.restarts, seed=cfg.seed)
-        data = interp_from_fit((p_pt, q_pt), fit)
+        data = interp_from_fit(fit)
         lam = eigenvalue(cfg.n, k)
         caps = [c for c in (cap(grid, th)
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
-        report = certify_restricted_weak(op, data, caps, piece_fit=fit)
+        report = certify_restricted_weak(op, data, caps)
         sink.emit({
             "k": k, "sigma": cfg.sigma,
-            "growth_endpoint": [q_pt.x, q_pt.y],
-            "decay_endpoint": [p_pt.x, p_pt.y],
-            "target": [report.target.x, report.target.y],
+            "growth_endpoint": [fit.growth.x, fit.growth.y],
+            "decay_endpoint": [fit.decay.x, fit.decay.y],
+            "target": [data.target.x, data.target.y],
             "m1": data.m_growth, "m2": data.m_decay,
             "beta1": data.beta_growth, "beta2": data.beta_decay,
             "slope_growth": fit.slope_growth, "slope_decay": fit.slope_decay,
+            "residual_growth": fit.residual_growth,
+            "residual_decay": fit.residual_decay,
             "theta": data.theta, "c_obs": report.c_obs,
             "caps": report.cap_reports,
-            "hypothesis_violations": report.hypothesis_violations,
+            "hypothesis_violations": fit.violations(),
         })
 
 
@@ -314,8 +315,7 @@ class Config:
                 "coincide at sigma = 1, and at sigma = 2/3 the P-side piece "
                 "norms grow with j, so the decay hypothesis fails")
         if self.command == "dyadic-certify":
-            least = next(k for k in itertools.count(1)
-                         if len(fit_range(self.n, k)) > 1)
+            least = least_fit_degree(self.n)
             if min(self.ks) < least:
                 raise ValueError(
                     f"dyadic-certify needs degrees k >= {least} at "

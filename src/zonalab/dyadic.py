@@ -18,15 +18,20 @@ e_k e_k^T up to rounding.  `piece_norm_slopes` builds each piece once, in
 order of j, so an edge shared by two annuli is summed once, and at most
 their running sum T = sum_j T_j, one piece matrix and two edges are held at
 a time.
+
+The fit (`PieceNormFit`) carries the Stein points it was measured at and
+screens its pieces against its own lines; `least_fit_degree` is the one rule
+for the degrees it can fit: `fit_range` must hold at least two pieces.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .exponents import stein_point
+from .exponents import ExponentPoint, stein_point
 from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
                         norm_lower)
 from .specfun import eigenvalue, zonal_value
@@ -97,25 +102,39 @@ def fit_range(n, k):
     return range(math.ceil(math.log2(math.pi)) + 1, piece_count(n, k))
 
 
-def fit_pieces(pieces):
-    """The pieces of `fit_range`; NumericalError if fewer than two."""
-    js = fit_range(pieces[0].grid.sphere.n, pieces[0].base)
-    if len(js) < 2:
-        raise NumericalError("not enough dyadic pieces to fit a slope")
-    return [pieces[j] for j in js]
+def least_fit_degree(n):
+    """The least degree whose `fit_range` holds at least two pieces, the
+    fewest a line is fitted through; every higher degree holds more."""
+    return next(k for k in itertools.count() if len(fit_range(n, k)) >= 2)
+
+
+# a measured piece norm above this multiple of its fitted exponential
+# envelope is reported as a hypothesis violation
+ENVELOPE_FACTOR = 1.6
 
 
 @dataclass
 class PieceNormFit:
+    growth: ExponentPoint      # the size endpoint Q
+    decay: ExponentPoint       # the oscillation endpoint P
     js: np.ndarray
-    norms_growth: np.ndarray   # at the size endpoint Q
-    norms_decay: np.ndarray    # at the oscillation endpoint P
+    norms_growth: np.ndarray   # at Q
+    norms_decay: np.ndarray    # at P
     slope_growth: float
     slope_decay: float
     intercept_growth: float    # log2 of the fitted prefactor
     intercept_decay: float
     residual_growth: float
     residual_decay: float
+
+    def violations(self):
+        """The j whose measured norm sits above its fitted line by more than
+        ENVELOPE_FACTOR, at Q or at P."""
+        line_g = 2.0 ** (self.intercept_growth + self.slope_growth * self.js)
+        line_d = 2.0 ** (self.intercept_decay + self.slope_decay * self.js)
+        over = ((self.norms_growth > ENVELOPE_FACTOR * line_g)
+                | (self.norms_decay > ENVELOPE_FACTOR * line_d))
+        return [int(j) for j in self.js[over]]
 
 
 def fit_line(x, y):
@@ -131,19 +150,23 @@ def fit_line(x, y):
 def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
     """Measure ||T_j|| at the Stein points P and Q and fit log2-slopes in j.
 
-    Needs at least four pieces so that a middle range remains after the
-    pre-asymptotic annuli near the pole and the clipped ones at the far
-    pole are dropped; in practice this means k of order 16 or larger.
+    The degree must leave at least two pieces in `fit_range`, so that a
+    middle range remains after the pre-asymptotic annuli near the pole and
+    the clipped one at the far pole are dropped (`least_fit_degree`);
+    ValueError otherwise, before any piece is built.
 
     Each piece j = 0..J is built once, measured if it is fitted, added into
     a fresh running sum and dropped.  Returns (fit, T), T the operator of
     that sum, H_k reassembled for the restricted weak-type image.
     """
+    n = grid.sphere.n
+    least = least_fit_degree(n)
+    if k < least:
+        raise ValueError(f"degree {k} leaves fewer than two dyadic pieces "
+                         f"to fit at n = {n}; the fit needs k >= {least}")
     pieces = dyadic_decompose(k, grid)
-    if len(pieces) < 4:
-        raise ValueError(f"degree {k} yields fewer than four dyadic pieces")
-    js = [p.j for p in fit_pieces(pieces)]
-    p_pt, q_pt = stein_point(grid.sphere.n, sigma)
+    js = fit_range(n, k)
+    p_pt, q_pt = stein_point(n, sigma)
     norms = []
     total = np.zeros((grid.points,) * 2)
     for piece in pieces:
@@ -159,7 +182,7 @@ def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
         raise NumericalError("vanishing piece norm; cannot fit slopes")
     sg, ig, rg = fit_line(js, np.log2(nq))
     sd, idc, rd = fit_line(js, np.log2(npp))
-    fit = PieceNormFit(js, nq, npp, sg, sd, ig, idc, rg, rd)
+    fit = PieceNormFit(q_pt, p_pt, js, nq, npp, sg, sd, ig, idc, rg, rd)
     return fit, ZonalOperator(grid, total, label=f"pieces k={k} summed")
 
 

@@ -10,10 +10,12 @@ in (1/r, 1/s) coordinates.  The proof mechanism splits the dyadic sum at an
 index rho chosen so the finite geometric part and the tail part balance;
 optimal_split reproduces that index, and certify_restricted_weak replays the
 whole argument against the summed measured pieces on cap inputs.
+interp_from_fit takes the endpoints, prefactors and rates from a measured
+`dyadic.PieceNormFit` alone, which carries the points it was measured at.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NumericalError
 from .exponents import ExponentPoint
@@ -49,16 +51,14 @@ class InterpolationData:
             th * self.growth.y + (1.0 - th) * self.decay.y)
 
 
-def interp_from_fit(sigma_points, fit):
-    """InterpolationData from a measured piece-norm fit.
+def interp_from_fit(fit):
+    """InterpolationData from a measured piece-norm fit, at the endpoints
+    the fit was measured at.
 
-    sigma_points is the (decay, growth) anchor pair; fit carries slopes and
-    log2-intercepts.  The decay-side slope must be negative and the
-    growth-side positive for the family hypotheses to hold; a measured fit
-    that breaks them is a NumericalError, as piece_norm_slopes's own fit
-    failures are.
+    The decay-side slope must be negative and the growth-side positive for
+    the family hypotheses to hold; a measured fit that breaks them is a
+    NumericalError, as piece_norm_slopes's own fit failures are.
     """
-    p_pt, q_pt = sigma_points
     if fit.slope_growth <= 0:
         raise NumericalError(
             f"growth-side slope {fit.slope_growth:.3f} is not positive")
@@ -66,7 +66,7 @@ def interp_from_fit(sigma_points, fit):
         raise NumericalError(
             f"decay-side slope {fit.slope_decay:.3f} is not negative")
     return InterpolationData(
-        growth=q_pt, decay=p_pt,
+        growth=fit.growth, decay=fit.decay,
         m_growth=2.0 ** fit.intercept_growth,
         m_decay=2.0 ** fit.intercept_decay,
         beta_growth=fit.slope_growth,
@@ -98,29 +98,20 @@ def optimal_split(data, mu_e, mu_a):
 # ---------------------------------------------------------------------------
 # end-to-end certification on measured operators
 
-# a measured piece norm above this multiple of its fitted exponential
-# envelope is reported as a hypothesis violation
-ENVELOPE_FACTOR = 1.6
-
-
 @dataclass
 class CertificationReport:
     data: InterpolationData
-    target: ExponentPoint
     cap_reports: list
     c_obs: float
-    hypothesis_violations: list = field(default_factory=list)
 
 
-def certify_restricted_weak(op, data, caps, piece_fit=None):
+def certify_restricted_weak(op, data, caps):
     """Replay the restricted weak-type bound on op, the summed pieces T.
 
     For each cap indicator E the image T 1_E is measured in weak L^q at the
     target; C_obs normalizes by the interpolated prefactor
     M1^theta M2^{1-theta} mu(E)^{1/p}.  Per cap, the two-term split bound at
     the optimal rho is reported to expose the finite-part/tail-part balance.
-    piece_fit, when given, is scanned for pieces whose measured norms sit
-    above the fitted exponential envelopes by more than ENVELOPE_FACTOR.
     A cap that holds no grid node has zero measure and raises ValueError.
     """
     target = data.target
@@ -154,14 +145,4 @@ def certify_restricted_weak(op, data, caps, piece_fit=None):
             })
         reports.append(entry)
         c_obs = max(c_obs, entry["c_obs"])
-    violations = []
-    if piece_fit is not None:
-        for j, nq, npp in zip(piece_fit.js, piece_fit.norms_growth,
-                              piece_fit.norms_decay):
-            line_g = 2.0 ** (piece_fit.intercept_growth
-                             + piece_fit.slope_growth * j)
-            line_d = 2.0 ** (piece_fit.intercept_decay
-                             + piece_fit.slope_decay * j)
-            if nq > ENVELOPE_FACTOR * line_g or npp > ENVELOPE_FACTOR * line_d:
-                violations.append(int(j))
-    return CertificationReport(data, target, reports, c_obs, violations)
+    return CertificationReport(data, reports, c_obs)

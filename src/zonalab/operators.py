@@ -30,9 +30,9 @@ Norms:
     with the duality map of the row of largest Hoelder norm, a point mass
     when r = 1; for m e e^T that row is e, so it costs O(points) and no
     dense matrix.  Everything else runs a nonlinear power ascent over zonal
-    inputs, whose restarts run as the columns of one block (apply,
-    apply_adjoint and the norms act column by column) and leave it at their
-    own stops; the restart that reached the largest ratio gives the witness.
+    inputs, whose restarts run as the columns of one block (apply and the
+    norms act column by column) and leave it at their own stops; the
+    restart that reached the largest ratio gives the witness.
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -442,7 +442,8 @@ def _ascent(op, r, s, starts):
             if not live.size:
                 break
         prev = ratio
-        f = _dual_power(op.apply_adjoint(_dual_power(g, s)), rp)
+        # the duality map of T*v = conj(T conj v), v = conj _dual_power(g, s)
+        f = _dual_power(op.apply(_dual_power(g, s)), rp)
         nrm = weighted_lp(w, f, r)
         if not nrm.all():
             stop(live[nrm == 0], step, "zero")
@@ -575,11 +576,9 @@ class NormCertificate:
     point: ExponentPoint
     lower: float
     upper: float
-    witness: ZonalFunction
     grid_ref: str
     seed: int
     iterations: int
-    restarts: int
     stops: dict = field(default_factory=dict)   # as in LowerBound
 
     def __post_init__(self):
@@ -613,10 +612,8 @@ def norm_certificate(op, point, restarts=8, seed=1, label=None):
         point=point,
         lower=low.value,
         upper=norm_upper(op, point),
-        witness=low.witness,
         grid_ref=f"{op.grid.rule}/kexact={op.grid.kexact}",
         seed=seed,
         iterations=low.iterations,
-        restarts=low.restarts,
         stops=low.stops,
     )

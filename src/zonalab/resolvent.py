@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, TailDominanceError
-from .specfun import ZonalKernel, eigenvalue
+from .specfun import ZonalKernel
 
 _TAIL_RATIO_MAX = 1e-2
 _REL_TOL = 1e-8
@@ -49,12 +49,8 @@ class ResolventParams:
 def resolvent_multiplier(params, tau):
     """Closed-form multiplier 1/(zeta - tau^2); tau scalar or array."""
     tau = np.asarray(tau, dtype=np.float64)
-    den = params.zeta - tau.astype(np.complex128) ** 2
-    # unreachable under the |mu| >= 1 invariant, which keeps |den| >= 2 lam
-    if np.abs(den).min() < 1e-12:
-        raise ValueError(f"multiplier pole: |zeta - tau^2| < 1e-12 at "
-                         f"zeta={params.zeta}")
-    out = 1.0 / den
+    # |zeta - tau^2| >= 2 lam |mu| >= 2 under ResolventParams: no pole
+    out = 1.0 / (params.zeta - tau.astype(np.complex128) ** 2)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -155,16 +151,15 @@ def resolvent_kernel(sphere, params, kmax=None):
     """
     if kmax is None:
         kmax = default_degree_cutoff(params.lam)
-    n = sphere.n
-    lam_k = np.array([eigenvalue(n, k) for k in range(kmax + 1)])
+    half = (sphere.n - 1) / 2.0
+    lam_k = np.arange(kmax + 1) + half
     coeffs = 1.0 / (params.zeta - lam_k.astype(np.complex128) ** 2)
     peak = float(np.abs(coeffs).max())
-    # beyond lambda_k^2 > 2|zeta| the multiplier modulus is monotone
-    # decreasing; scan degrees up to that point and bound the rest
-    azeta = abs(params.zeta)
-    scan_to = kmax + 1 + math.ceil(2.0 * math.sqrt(azeta))
-    ks = np.arange(kmax + 1, scan_to + 1)
-    lam_tail = ks + (n - 1) / 2.0
+    # |zeta - x^2| grows as x^2 leaves Re zeta on either side: the discarded
+    # sup sits at kmax + 1 or at the degrees next to sqrt(Re zeta) - (n-1)/2
+    k0 = math.sqrt(max(params.zeta.real, 0.0)) - half
+    ks = np.maximum(kmax + 1, [kmax + 1, math.floor(k0), math.ceil(k0)])
+    lam_tail = ks + half
     tail_sup = float(np.abs(1.0 / (params.zeta - lam_tail ** 2)).max())
     tail_ratio = tail_sup / peak
     if tail_ratio > _TAIL_RATIO_MAX:
@@ -179,7 +174,7 @@ def resolvent_kernel(sphere, params, kmax=None):
 def helmholtz_kernel(sphere, params, kmax):
     """Multiplier kernel of the shifted operator itself, zeta - lambda_k^2;
     composing with the resolvent is the identity on band-limited functions."""
-    lam_k = np.array([eigenvalue(sphere.n, k) for k in range(kmax + 1)])
+    lam_k = np.arange(kmax + 1) + (sphere.n - 1) / 2.0
     coeffs = params.zeta - lam_k.astype(np.complex128) ** 2
     return ZonalKernel(sphere, coeffs,
                        description=f"helmholtz zeta={params.zeta:.6g}")

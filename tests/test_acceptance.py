@@ -131,10 +131,10 @@ def test_criterion_5_split_and_certify(grid144, sphere3, fit16, fit32):
         bad += 0 if good else 1
     c_obs = {}
     for k, (fit, op) in ((16, fit16), (32, fit32)):
-        data = zl.interp_from_fit((p_pt, q_pt), fit)
+        data = zl.interp_from_fit(fit)
         lam = zl.eigenvalue(3, k)
         caps = [zl.cap(grid144, th) for th in (1 / lam, 1 / 8, 0.5)]
-        report = zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
+        report = zl.certify_restricted_weak(op, data, caps)
         c_obs[k] = report.c_obs
     ratio = c_obs[32] / c_obs[16]
     ok = bad == 0 and 0.5 <= ratio <= 2.0

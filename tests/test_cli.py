@@ -192,6 +192,8 @@ class TestDyadicCertify:
         assert [row["k"] for row in rows] == [16, 32]
         for row in rows:
             assert math.isfinite(row["c_obs"])
+            # the rms residuals of the two log2 fits
+            assert row["residual_growth"] >= 0 and row["residual_decay"] >= 0
             assert row["caps"]
             for entry in row["caps"]:
                 assert entry["mu_e"] > 0 and math.isfinite(entry["c_obs"])

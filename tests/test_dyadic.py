@@ -9,8 +9,8 @@ from scipy.special import eval_gegenbauer
 
 import zonalab as zl
 from zonalab import operators
-from zonalab.dyadic import fit_pieces
-from zonalab.errors import NumericalError
+from zonalab.cli import Config, build_parser
+from zonalab.dyadic import fit_range, least_fit_degree
 
 
 def test_piece_count():
@@ -140,18 +140,17 @@ class TestPieceExactness:
 
 
 class TestFitWindow:
-    def test_middle_range_for_k32(self, grid144):
-        pieces = zl.dyadic_decompose(32, grid144)
-        assert [p.j for p in fit_pieces(pieces)] == [3, 4, 5, 6]
+    def test_middle_range_for_k32(self):
+        assert list(fit_range(3, 32)) == [3, 4, 5, 6]
 
-    def test_middle_range_for_k16(self, grid144):
-        pieces = zl.dyadic_decompose(16, grid144)
-        assert [p.j for p in fit_pieces(pieces)] == [3, 4, 5]
+    def test_middle_range_for_k16(self):
+        assert list(fit_range(3, 16)) == [3, 4, 5]
 
     def test_low_degree_fails(self, grid80):
-        pieces = zl.dyadic_decompose(4, grid80)
-        with pytest.raises(NumericalError):
-            fit_pieces(pieces)
+        # degree 4 decomposes, but leaves one piece to fit
+        assert list(fit_range(3, 4)) == [3]
+        with pytest.raises(ValueError, match="needs k >= 5"):
+            zl.piece_norm_slopes(4, 0.6, grid80)
 
 
 def test_piece_norm_slopes_smoke(grid80):
@@ -239,28 +238,56 @@ def test_piece_norm_slopes_memory():
     # image, as dyadic-certify runs them
     sphere = zl.SphereSpec(3)
     grid = zl.make_grid(sphere, 272)
-    p_pt, q_pt = zl.stein_point(3, 0.6)
     tracemalloc.start()
     try:
         fit, op = zl.piece_norm_slopes(64, 0.6, grid)
-        data = zl.interp_from_fit((p_pt, q_pt), fit)
+        data = zl.interp_from_fit(fit)
         lam = zl.eigenvalue(3, 64)
         caps = [zl.cap(grid, th) for th in (1.0 / lam, 1.0 / 8.0, 0.5)]
-        zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
+        zl.certify_restricted_weak(op, data, caps)
+        fit.violations()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 2 ** 20
 
 
-def test_piece_norm_slopes_rejects_low_degree(grid80):
-    # degree 2 decomposes, but leaves no middle range to fit
-    with pytest.raises(NumericalError):
+def test_piece_norm_slopes_rejects_low_degree(grid80, monkeypatch):
+    # degree 2 decomposes, but leaves no middle range to fit; the degree is
+    # refused before any piece is built
+    monkeypatch.setattr(zl.DyadicPiece, "operator", None)
+    with pytest.raises(ValueError, match="fewer than two dyadic pieces"):
         zl.piece_norm_slopes(2, 0.6, grid80)
-    # on S^2 the lowest degrees do not even fill four pieces
+    # on S^2 degree 0 leaves not even one
     grid2 = zl.make_grid(zl.SphereSpec(2), 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fewer than two dyadic pieces"):
         zl.piece_norm_slopes(0, 0.6, grid2)
+
+
+@pytest.mark.parametrize("n,text,sigma", [(3, "3/5", 0.6), (4, "9/20", 0.45),
+                                          (5, "2/5", 0.4)])
+def test_one_degree_rule(n, text, sigma, tmp_path):
+    # the least degree that Config admits for dyadic-certify is the least
+    # that piece_norm_slopes accepts; below it both refuse with ValueError
+    def admitted(k):
+        args = build_parser().parse_args(
+            ["dyadic-certify", "--n", str(n), "--sigma", text, "--k",
+             str(k), "--out", str(tmp_path / "x.csv")])
+        try:
+            Config(args)
+        except ValueError:
+            return False
+        return True
+
+    least = least_fit_degree(n)
+    assert least > 1
+    assert [admitted(k) for k in (least - 1, least)] == [False, True]
+    grid = zl.make_grid(zl.SphereSpec(n), 4 * least + 16)
+    for k in range(least):
+        with pytest.raises(ValueError, match=f"needs k >= {least}"):
+            zl.piece_norm_slopes(k, sigma, grid)
+    fit, _ = zl.piece_norm_slopes(least, sigma, grid, restarts=2)
+    assert fit.js.size == 2
 
 
 class TestEnvelope:

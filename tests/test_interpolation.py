@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
-from zonalab import interpolation
+from zonalab import dyadic
 from zonalab.errors import NumericalError
 from zonalab.exponents import ExponentPoint
 from zonalab.interpolation import optimal_split
@@ -46,14 +46,15 @@ class TestMakeInterp:
 class TestInterpFromFit:
     def _fit(self, sg, sd):
         from zonalab.dyadic import PieceNormFit
+        p, q = zl.stein_point(3, 0.6)
         js = np.array([3.0, 4.0, 5.0])
-        return PieceNormFit(js, np.ones(3), np.ones(3), sg, sd,
+        return PieceNormFit(q, p, js, np.ones(3), np.ones(3), sg, sd,
                             intercept_growth=-1.0, intercept_decay=2.0,
                             residual_growth=0.0, residual_decay=0.0)
 
     def test_prefactors_from_intercepts(self):
         p, q = zl.stein_point(3, 0.6)
-        data = zl.interp_from_fit((p, q), self._fit(0.25, -0.2))
+        data = zl.interp_from_fit(self._fit(0.25, -0.2))
         assert data.m_growth == pytest.approx(0.5)
         assert data.m_decay == pytest.approx(4.0)
         assert data.beta_growth == pytest.approx(0.25)
@@ -63,11 +64,10 @@ class TestInterpFromFit:
     def test_rejects_wrong_signs(self):
         # a measured slope of the wrong sign is a numerical failure, not a
         # bad argument
-        p, q = zl.stein_point(3, 0.6)
         with pytest.raises(NumericalError, match="growth-side slope -0.100"):
-            zl.interp_from_fit((p, q), self._fit(-0.1, -0.2))
+            zl.interp_from_fit(self._fit(-0.1, -0.2))
         with pytest.raises(NumericalError, match="decay-side slope 0.200"):
-            zl.interp_from_fit((p, q), self._fit(0.1, 0.2))
+            zl.interp_from_fit(self._fit(0.1, 0.2))
 
 
 class TestOptimalSplit:
@@ -137,7 +137,7 @@ class TestCertify:
         caps = [zl.cap(grid144, th) for th in (1 / 17, 1 / 8, 0.5)]
         report = zl.certify_restricted_weak(op, data, caps)
         assert report.c_obs <= 1.02
-        assert report.target.x == pytest.approx(2 / 3, abs=1e-12)
+        assert report.data.target.x == pytest.approx(2 / 3, abs=1e-12)
 
     def test_full_sphere_annihilated(self, op16, grid144):
         # the reassembled projector kills constants for k >= 1
@@ -176,7 +176,6 @@ class TestCertify:
                     "branch", "finite_part", "tail_part"):
             assert key in entry
         assert entry["mu_e"] > 0 and entry["weak"] > 0
-        assert report.hypothesis_violations == []
 
     def test_cap_weak_sweep_matches_brute_force(self, op16, grid144):
         # the cap report's weak norm, threshold and superlevel measure are
@@ -201,14 +200,13 @@ class TestCertify:
             assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
 
     def test_envelope_screening(self, grid80, monkeypatch):
-        fit, op = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
+        fit, _ = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
+        # the fit carries the Stein points it was measured at
         p_pt, q_pt = zl.stein_point(3, 0.6)
-        data = zl.interp_from_fit((p_pt, q_pt), fit)
-        caps = [zl.cap(grid80, 0.5)]
-        report = zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
+        assert (fit.growth, fit.decay) == (q_pt, p_pt)
         # a two-parameter fit of three well-behaved norms leaves no outliers
-        assert report.hypothesis_violations == []
+        assert fit.violations() == []
         # tightening the envelope factor far enough must flag pieces
-        monkeypatch.setattr(interpolation, "ENVELOPE_FACTOR", 0.5)
-        strict = zl.certify_restricted_weak(op, data, caps, piece_fit=fit)
-        assert len(strict.hypothesis_violations) >= 1
+        monkeypatch.setattr(dyadic, "ENVELOPE_FACTOR", 0.5)
+        strict = fit.violations()
+        assert len(strict) >= 1 and set(strict) <= set(fit.js)

@@ -631,8 +631,7 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             NormCertificate(n=3, label="broken",
                             point=ExponentPoint(0.5, 0.5), lower=2.0,
-                            upper=1.0, witness=None, grid_ref="g", seed=1,
-                            iterations=0, restarts=1)
+                            upper=1.0, grid_ref="g", seed=1, iterations=0)
 
 
 def _kernel_values(kernel, t):
@@ -818,7 +817,7 @@ def _ascent_one(op, r, s, f0):
         if ratio == 0.0 or ratio <= prev * (1.0 + operators._STAGNATION):
             break
         prev = ratio
-        u = op.apply_adjoint(_dual_power(g, s))
+        u = op.apply(_dual_power(g, s))
         fnew = _dual_power(u, rp)
         nrm = weighted_lp(w, fnew, r)
         if nrm == 0:
@@ -893,6 +892,37 @@ class TestBlockAscent:
         # a run cut short is not reported as converged
         assert rec["stops"]["stagnation"] < 8
         assert rec["iterations"] <= 2 * 8
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.floats(1.05, 8.0),
+       ds=st.floats(0.0, 12.0))
+@settings(max_examples=100, deadline=None)
+def test_ascent_never_descends(seed, r, ds):
+    # Hoelder's inequality twice: on a complex symmetric operator no step
+    # of the ascent lowers the ratio ||Tf||_s / ||f||_r
+    s = r + ds
+    op = _random_symmetric(seed, True)
+    w = op.grid.weights
+    calls = []
+    apply = op.apply
+
+    def recorded(values):
+        out = apply(values)
+        calls.append((values, out))
+        return out
+
+    op.apply = recorded
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(op.grid.points) + 1j * rng.standard_normal(
+        op.grid.points)
+    operators._ascent(op, r, s, [start])
+    # the calls alternate: the image g = Tf of a step's input f, then T
+    # applied to the duality map of g
+    ratios = [float(weighted_lp(w, g, s)[0] / weighted_lp(w, f, r)[0])
+              for f, g in calls[::2]]
+    assert len(ratios) >= 2
+    for before, after in zip(ratios, ratios[1:]):
+        assert after >= before * (1.0 - 1e-12)
 
 
 class TestBlockApply:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import zonalab as zl
+from zonalab import resolvent
 from zonalab.errors import QuadratureError, TailDominanceError
 from zonalab.resolvent import _refined_integral
 
@@ -243,6 +246,24 @@ class TestSpectralKernel:
         result = zl.resolvent_kernel(sphere3, zl.ResolventParams(8.0, 1.0))
         assert result.kmax == 48
         assert 0 < result.tail_ratio < 1e-2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mu", [1.0, -1.0, 2.5, 10.0, 40.0])
+    def test_tail_sup_matches_scan(self, monkeypatch, n, mu):
+        # the sup over the discarded degrees, taken at kmax + 1 and next to
+        # sqrt(Re zeta), is that of a scan far past both, also for cutoffs
+        # below lam, where the gate would fire
+        monkeypatch.setattr(resolvent, "_TAIL_RATIO_MAX", math.inf)
+        sphere = zl.SphereSpec(n)
+        for lam in (1.0, 3.0, 8.5, 33.3):
+            params = zl.ResolventParams(lam, mu)
+            for kmax in {0, 2, int(lam) - 1, int(lam) + 1,
+                         zl.default_degree_cutoff(lam)} - {-1}:
+                result = zl.resolvent_kernel(sphere, params, kmax)
+                lam_k = np.arange(kmax + 1, kmax + 4000) + (n - 1) / 2.0
+                scan = np.abs(1.0 / (params.zeta - lam_k ** 2)).max()
+                peak = np.abs(result.kernel.coeffs).max()
+                assert result.tail_ratio == scan / peak, (lam, kmax)
 
     def test_tail_gate_fires(self, sphere3):
         with pytest.raises(TailDominanceError):
