@@ -157,14 +157,15 @@ def _run_resolvent_scaling(cfg, sink):
 def _run_dyadic_certify(cfg, sink):
     grid = _grid(cfg)
     for k in sorted(cfg.ks):
-        fit, op = piece_norm_slopes(k, cfg.sigma, grid,
-                                    restarts=cfg.restarts, seed=cfg.seed)
+        fit = piece_norm_slopes(k, cfg.sigma, grid, restarts=cfg.restarts,
+                                seed=cfg.seed)
         data = interp_from_fit(fit)
         lam = eigenvalue(cfg.n, k)
         caps = [c for c in (cap(grid, th)
                             for th in (1.0 / lam, 1.0 / 8.0, 0.5))
                 if c.values.any()]
-        report = certify_restricted_weak(op, data, caps)
+        h_k = operator_from_kernel(projector_kernel(cfg.sphere, k), grid)
+        report = certify_restricted_weak(h_k, data, caps)
         sink.emit({
             "k": k, "sigma": cfg.sigma,
             "growth_endpoint": [fit.growth.x, fit.growth.y],

@@ -15,9 +15,9 @@ pieces of one degree share one azimuthal spectrum of Z_k, built on first use
 from the addition theorem; each piece integrates it exactly between the
 azimuths of its annulus edges, so the piece matrices sum to the spectral
 e_k e_k^T up to rounding.  `piece_norm_slopes` builds each piece once, in
-order of j, so an edge shared by two annuli is summed once, and at most
-their running sum T = sum_j T_j, one piece matrix and two edges are held at
-a time.
+order of j, so an edge shared by two annuli is summed once, and at most one
+piece matrix and two edges are held at a time; as the pieces sum to the
+rank-one H_k, the restricted weak-type image is taken from H_k itself.
 
 The fit (`PieceNormFit`) carries the Stein points it was measured at and
 screens its pieces against its own lines; `least_fit_degree` is the one rule
@@ -55,11 +55,11 @@ class DyadicPiece:
     j: int
     support: tuple            # (lo, hi]; the piece vanishes outside
     grid: object
-    clipped: bool             # annulus truncated by theta = pi
     spectrum: AzimuthalSpectrum   # of Z_k on the grid, shared by all pieces
 
     def profile(self, gamma, cos_gamma):
-        """The piece's kernel at relative angles gamma."""
+        """The piece's kernel at relative angles gamma.  No library code
+        calls it; it stays for the tracer's span alone."""
         lo, hi = self.support
         zk = zonal_value(self.grid.sphere.n, self.base, cos_gamma)
         return zk * ((gamma > lo) & (gamma <= hi))
@@ -86,7 +86,7 @@ def dyadic_decompose(k, grid):
         else:
             lo, hi = 2.0 ** (j - 1) / lam, 2.0 ** j / lam
         pieces.append(DyadicPiece(base=k, j=j, support=(lo, hi), grid=grid,
-                                  clipped=hi > np.pi, spectrum=spectrum))
+                                  spectrum=spectrum))
     return pieces
 
 
@@ -155,9 +155,8 @@ def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
     the clipped one at the far pole are dropped (`least_fit_degree`);
     ValueError otherwise, before any piece is built.
 
-    Each piece j = 0..J is built once, measured if it is fitted, added into
-    a fresh running sum and dropped.  Returns (fit, T), T the operator of
-    that sum, H_k reassembled for the restricted weak-type image.
+    Each piece j = 0..J is built once, measured if it is fitted, and
+    dropped.  Returns the `PieceNormFit`.
     """
     n = grid.sphere.n
     least = least_fit_degree(n)
@@ -168,13 +167,12 @@ def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
     js = fit_range(n, k)
     p_pt, q_pt = stein_point(n, sigma)
     norms = []
-    total = np.zeros((grid.points,) * 2)
+    # every piece is built, as the benchmark's piece_sum_err sums them all
     for piece in pieces:
         op = piece.operator()
         if piece.j in js:
             norms.append([norm_lower(op, pt.r, pt.s, restarts=restarts,
                                      seed=seed).value for pt in (q_pt, p_pt)])
-        total += op.matrix
         del op  # before the next piece is built
     js = np.asarray(js, dtype=np.float64)
     nq, npp = np.array(norms).T
@@ -182,8 +180,7 @@ def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
         raise NumericalError("vanishing piece norm; cannot fit slopes")
     sg, ig, rg = fit_line(js, np.log2(nq))
     sd, idc, rd = fit_line(js, np.log2(npp))
-    fit = PieceNormFit(q_pt, p_pt, js, nq, npp, sg, sd, ig, idc, rg, rd)
-    return fit, ZonalOperator(grid, total, label=f"pieces k={k} summed")
+    return PieceNormFit(q_pt, p_pt, js, nq, npp, sg, sd, ig, idc, rg, rd)
 
 
 # ---------------------------------------------------------------------------

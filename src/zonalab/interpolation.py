@@ -9,7 +9,8 @@ restricted inputs into weak Lebesgue space at the intermediate point
 in (1/r, 1/s) coordinates.  The proof mechanism splits the dyadic sum at an
 index rho chosen so the finite geometric part and the tail part balance;
 optimal_split reproduces that index, and certify_restricted_weak replays the
-whole argument against the summed measured pieces on cap inputs.
+whole argument on cap inputs against the operator the pieces sum to (the
+rank-one H_k = e_k e_k^T for the pieces of a projector kernel).
 interp_from_fit takes the endpoints, prefactors and rates from a measured
 `dyadic.PieceNormFit` alone, which carries the points it was measured at.
 """
@@ -100,13 +101,13 @@ def optimal_split(data, mu_e, mu_a):
 
 @dataclass
 class CertificationReport:
-    data: InterpolationData
     cap_reports: list
     c_obs: float
 
 
 def certify_restricted_weak(op, data, caps):
-    """Replay the restricted weak-type bound on op, the summed pieces T.
+    """Replay the restricted weak-type bound on op, the operator T that the
+    pieces sum to (for the pieces of Z_k, the rank-one H_k, in O(points)).
 
     For each cap indicator E the image T 1_E is measured in weak L^q at the
     target; C_obs normalizes by the interpolated prefactor
@@ -145,4 +146,4 @@ def certify_restricted_weak(op, data, caps):
             })
         reports.append(entry)
         c_obs = max(c_obs, entry["c_obs"])
-    return CertificationReport(data, reports, c_obs)
+    return CertificationReport(reports, c_obs)

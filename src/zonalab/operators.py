@@ -78,13 +78,13 @@ _ROW_SUM_MIN = 2.0 ** -900
 class ZonalOperator:
     """A zonal kernel bound to a grid.
 
-    Either the dense reduced matrix is given (profile kernels), or the
-    spectral factors (rows, kept) with A = rows.T @ diag(kept) @ rows, the
-    rows orthonormal in L^2(w) and kept the nonzero multipliers (multiplier
-    kernels); the latter apply through the factors, and no norm bound builds
-    `matrix` from them (it is built on first read, for callers that read
-    it).  Every norm bound reads only the matrix or the factors, so it is a
-    bound for this discrete operator.
+    Either the dense reduced matrix is given, for windows of Z_k (dyadic
+    pieces), or the spectral factors (rows, kept) with
+    A = rows.T @ diag(kept) @ rows, the rows orthonormal in L^2(w) and kept
+    the nonzero multipliers (multiplier kernels); the latter apply through
+    the factors, and no norm bound builds `matrix` from them (it is built on
+    first read, for callers that read it).  Every norm bound reads only the
+    matrix or the factors, so it is a bound for this discrete operator.
     """
 
     def __init__(self, grid, matrix=None, natural_degree=None, label="",
@@ -112,7 +112,8 @@ class ZonalOperator:
 
     def apply_adjoint(self, values):
         """The adjoint of T, on a vector or on each column of a block: A is
-        symmetric, so it is T with the input and the output conjugated."""
+        symmetric, so it is T with the input and the output conjugated.
+        No library code calls it; it stays for the tracer's span alone."""
         return np.conj(self.apply(np.conj(values)))
 
     def __repr__(self):
@@ -389,7 +390,6 @@ class LowerBound:
     value: float
     witness: ZonalFunction
     iterations: int
-    restarts: int
     exact: bool = False
     # restarts per ascent stop reason; empty on the exact routes
     stops: dict = field(default_factory=dict)
@@ -526,7 +526,7 @@ def norm_lower(op, r, s, restarts=8, seed=1):
     exact = bool((op.factors is not None and op.factors[1].size == 1)
                  or np.isinf(s) or r == 1.0)
     if exact:
-        f, steps, restarts, stops = _exact_witness(op, r, s), 0, 1, {}
+        f, steps, stops = _exact_witness(op, r, s), 0, {}
     else:
         values, witnesses, counts, reasons = _ascent(
             op, r, s, _start_values(op, restarts, seed))
@@ -537,7 +537,7 @@ def norm_lower(op, r, s, restarts=8, seed=1):
     nrm = weighted_lp(w, f, r)
     value = weighted_lp(w, op.apply(f), s) / nrm if nrm > 0 else 0.0
     return LowerBound(float(value), ZonalFunction(op.grid, f), steps,
-                      restarts, exact=exact, stops=stops)
+                      exact=exact, stops=stops)
 
 
 # ---------------------------------------------------------------------------

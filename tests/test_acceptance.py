@@ -97,11 +97,10 @@ def test_criterion_3_envelope_constants(sphere3):
 
 def test_criterion_4_piece_slopes(grid144, fit32):
     """Measured dyadic piece-norm slopes land in the predicted windows."""
-    fit06, _ = fit32
-    fit05, _ = zl.piece_norm_slopes(32, 0.5, grid144)
+    fit05 = zl.piece_norm_slopes(32, 0.5, grid144)
     checks = [
-        ("growth@3/5", fit06.slope_growth, 0.2, 0.2),
-        ("decay@3/5", fit06.slope_decay, -0.2, 0.2),
+        ("growth@3/5", fit32.slope_growth, 0.2, 0.2),
+        ("decay@3/5", fit32.slope_decay, -0.2, 0.2),
         ("decay@1/2", fit05.slope_decay, 0.0, 0.15),
     ]
     ok = all(abs(v - mid) <= width for _, v, mid, width in checks)
@@ -130,11 +129,12 @@ def test_criterion_5_split_and_certify(grid144, sphere3, fit16, fit32):
                     <= choice.rho + 1 + 1e-12 and choice.rho >= 0)
         bad += 0 if good else 1
     c_obs = {}
-    for k, (fit, op) in ((16, fit16), (32, fit32)):
+    for k, fit in ((16, fit16), (32, fit32)):
         data = zl.interp_from_fit(fit)
         lam = zl.eigenvalue(3, k)
         caps = [zl.cap(grid144, th) for th in (1 / lam, 1 / 8, 0.5)]
-        report = zl.certify_restricted_weak(op, data, caps)
+        h_k = operator_from_kernel(zl.projector_kernel(sphere3, k), grid144)
+        report = zl.certify_restricted_weak(h_k, data, caps)
         c_obs[k] = report.c_obs
     ratio = c_obs[32] / c_obs[16]
     ok = bad == 0 and 0.5 <= ratio <= 2.0

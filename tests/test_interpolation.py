@@ -137,7 +137,36 @@ class TestCertify:
         caps = [zl.cap(grid144, th) for th in (1 / 17, 1 / 8, 0.5)]
         report = zl.certify_restricted_weak(op, data, caps)
         assert report.c_obs <= 1.02
-        assert report.data.target.x == pytest.approx(2 / 3, abs=1e-12)
+        assert data.target.x == pytest.approx(2 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("n,sigma", [(3, 0.6), (4, 0.45)])
+    def test_projector_replays_as_summed_pieces(self, n, sigma):
+        # dyadic-certify replays the bound on the rank-one H_k, which the
+        # pieces sum to: the same report as on their summed matrix, to
+        # rounding, with the CLI's caps and its fitted data
+        k = 16
+        grid = zl.make_grid(zl.SphereSpec(n), 144, kexact=32)
+        data = zl.interp_from_fit(zl.piece_norm_slopes(k, sigma, grid))
+        lam = zl.eigenvalue(n, k)
+        caps = [c for c in (zl.cap(grid, th) for th in (1 / lam, 1 / 8, 0.5))
+                if c.values.any()]
+        h_k = zl.operator_from_kernel(zl.projector_kernel(grid.sphere, k),
+                                      grid)
+        summed = ZonalOperator(grid, np.sum(
+            [p.operator().matrix for p in zl.dyadic_decompose(k, grid)],
+            axis=0))
+        rank_one = zl.certify_restricted_weak(h_k, data, caps)
+        pieces = zl.certify_restricted_weak(summed, data, caps)
+        assert rank_one.c_obs == pytest.approx(pieces.c_obs, rel=1e-12)
+        assert len(rank_one.cap_reports) == len(pieces.cap_reports) == 3
+        for got, want in zip(rank_one.cap_reports, pieces.cap_reports):
+            assert got.keys() == want.keys()
+            assert "rho" in got
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert got[key] == pytest.approx(value, rel=1e-12), key
+                else:
+                    assert got[key] == value, key
 
     def test_full_sphere_annihilated(self, op16, grid144):
         # the reassembled projector kills constants for k >= 1
@@ -200,7 +229,7 @@ class TestCertify:
             assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
 
     def test_envelope_screening(self, grid80, monkeypatch):
-        fit, _ = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
+        fit = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)
         # the fit carries the Stein points it was measured at
         p_pt, q_pt = zl.stein_point(3, 0.6)
         assert (fit.growth, fit.decay) == (q_pt, p_pt)
