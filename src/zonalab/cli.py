@@ -2,11 +2,13 @@
 
 Each run writes two files: a CSV with one row per swept parameter and a JSON
 summary {config, rows, slope, residual, wall_seconds, version, env}, where
-env names the python, numpy and zonalab versions that ran.  Each row is one
-record, its JSON row; the CSV row prints the record's header columns.  The
-CSV is byte-identical for identical config + seed; timestamps live only in
-the JSON, which is strict (s = inf is null).  Each subcommand takes only the
-flags it reads (COMMANDS), plus --seed and --out; any other flag exits 2.
+env names the python, numpy and zonalab versions that ran and the SciPy that
+computed the run's quadrature grid (null if the run built none: no grid, or
+one read from --cache-dir).  Each row is one record, its JSON row; the CSV
+row prints the record's header columns.  The CSV is byte-identical for
+identical config + seed; timestamps live only in the JSON, which is strict
+(s = inf is null).  Each subcommand takes only the flags it reads (COMMANDS),
+plus --seed and --out; any other flag exits 2.
 
 Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
 3 numerical failure (partial CSV rows are flushed before exiting).
@@ -103,17 +105,31 @@ def _null_inf(value):
 
 
 def _grid(cfg):
-    """The grid of cfg.grid_points nodes, exact to degree cfg.band."""
+    """The grid of cfg.grid_points nodes, exact to degree cfg.band.
+
+    A cached grid must match that key; a grid built here records the SciPy
+    version that computed it in cfg.scipy.
+    """
     points, kmax = cfg.grid_points, cfg.band
-    if cfg.cache_dir is None:
-        return make_grid(cfg.sphere, points, kmax)
-    cache_dir = Path(cfg.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"grid_n{cfg.n}_p{points}_k{kmax}.csv"
-    if path.exists():
-        return load_grid(path)
+    path = None
+    if cfg.cache_dir is not None:
+        cache_dir = Path(cfg.cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        path = cache_dir / f"grid_n{cfg.n}_p{points}_k{kmax}.csv"
+        if path.exists():
+            grid = load_grid(path)
+            found = (grid.sphere.n, grid.points, grid.kexact, grid.rule)
+            key = (cfg.n, points, kmax, f"gauss-jacobi-{points}")
+            if found != key:
+                raise ValueError(
+                    f"grid cache {path} holds (n, points, kexact, rule) = "
+                    f"{found}, not {key}")
+            return grid
     grid = make_grid(cfg.sphere, points, kmax)
-    save_grid(grid, path)
+    import scipy  # loaded by make_grid
+    cfg.scipy = scipy.__version__
+    if path is not None:
+        save_grid(grid, path)
     return grid
 
 
@@ -294,6 +310,8 @@ class Config:
         self.seed = args.seed
         self.out = Path(args.out)
         self.cache_dir = flags.get("cache_dir")
+        # the SciPy version that built this run's grid; None until one does
+        self.scipy = None
         self.sphere = SphereSpec(self.n) if self.n is not None else None
         if self.sigma is not None:
             check_sigma(self.n, self.sigma)
@@ -406,7 +424,8 @@ def main(argv=None):
         "wall_seconds": wall,
         "version": __version__,
         "env": {"python": platform.python_version(),
-                "numpy": np.__version__, "zonalab": __version__},
+                "numpy": np.__version__, "zonalab": __version__,
+                "scipy": cfg.scipy},
     }
     # strict JSON: an infinite value, s = inf, is null; NaN raises
     text = json.dumps(_null_inf(summary), indent=2, default=float,

@@ -3,14 +3,16 @@
 A zonal function on S^n depends only on the polar angle theta; integration
 reduces to vol(S^{n-1}) * int_0^pi f(theta) sin^{n-1}(theta) dtheta, which a
 Gauss-Jacobi rule in t = cos(theta) with weight (1-t^2)^{(n-2)/2} evaluates
-exactly for polynomial integrands.
+exactly for polynomial integrands.  SciPy computes that rule and is imported
+only when make_grid runs, so a process that builds no grid never loads it.
 """
 
 import io
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .specfun import SphereSpec, zonal_table
 
@@ -85,6 +87,8 @@ def make_grid(sphere, points, kexact=None):
         raise ValueError(
             f"{points} nodes cannot carry declared exactness {kexact}; "
             f"need points >= {2 * kexact + 1}")
+    # deferred: importing scipy.special costs more than most whole runs
+    from scipy.special import roots_jacobi
     a = (sphere.n - 2) / 2
     t, v = roots_jacobi(points, a, a)
     # theta increasing from the pole
@@ -116,24 +120,47 @@ def cap(grid, theta0):
 
 
 def save_grid(grid, path):
-    """Write the grid as a "theta,weight" table; full float precision."""
-    with open(path, "w") as fh:
-        fh.write(f"# n={grid.sphere.n} rule={grid.rule} kexact={grid.kexact}\n")
-        fh.write("theta,weight\n")
-        for th, w in zip(grid.nodes, grid.weights):
-            fh.write(f"{float(th)!r},{float(w)!r}\n")
+    """Write the grid as a "theta,weight" table; full float precision.
+
+    The table goes to a temporary file in the same directory, which then
+    replaces path, so a reader sees the whole file or none.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"# n={grid.sphere.n} rule={grid.rule} "
+                     f"kexact={grid.kexact}\n")
+            fh.write("theta,weight\n")
+            for th, w in zip(grid.nodes, grid.weights):
+                fh.write(f"{float(th)!r},{float(w)!r}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_grid(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"malformed grid file {path}: missing metadata line")
-        meta = dict(item.split("=", 1) for item in header[1:].split())
-        cols = fh.readline().strip()
-        if cols != "theta,weight":
-            raise ValueError(f"malformed grid file {path}: bad column header")
-        data = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
-    sphere = SphereSpec(int(meta["n"]))
-    return ZonalGrid(sphere, data[:, 0], data[:, 1], meta["rule"],
-                     int(meta["kexact"]))
+    """The grid save_grid wrote to path; a malformed file raises ValueError
+    naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if not header.startswith("#"):
+                raise ValueError("missing metadata line")
+            meta = dict(item.split("=", 1) for item in header[1:].split())
+            if fh.readline().strip() != "theta,weight":
+                raise ValueError("bad column header")
+            body = fh.read()
+        if not body.strip():
+            raise ValueError("no nodes")
+        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError("rows must be theta,weight pairs")
+        return ZonalGrid(SphereSpec(int(meta["n"])), data[:, 0], data[:, 1],
+                         meta["rule"], int(meta["kexact"]))
+    except KeyError as exc:
+        raise ValueError(f"malformed grid file {path}: no {exc} in its "
+                         f"metadata line") from None
+    except ValueError as exc:
+        raise ValueError(f"malformed grid file {path}: {exc}") from None

@@ -101,12 +101,21 @@ class TestExponentMap:
         assert len(summary["rows"]) == 8
 
     def test_json_env(self, tmp_path):
-        # what ran: the python, numpy and zonalab versions, in the JSON only
+        # what ran: the python, numpy and zonalab versions, in the JSON only,
+        # and the SciPy that built the grid, null when the run built none
+        import scipy
         code, out, js = _run(tmp_path, "map", "exponent-map", "--sigma", "1/2")
         env = json.loads(js.read_text())["env"]
         assert env == {"python": platform.python_version(),
-                       "numpy": np.__version__, "zonalab": zl.__version__}
+                       "numpy": np.__version__, "zonalab": zl.__version__,
+                       "scipy": None}
         assert "python" not in out.read_text()
+        sweep = ("proj-scaling", "--sigma", "2/3", "--k", "2,4",
+                 "--grid-points", "40", "--restarts", "1",
+                 "--cache-dir", str(tmp_path / "cache"))
+        built = [json.loads(_run(tmp_path, name, *sweep)[2].read_text())
+                 ["env"]["scipy"] for name in ("cold", "warm")]
+        assert built == [scipy.__version__, None]
 
 
 class TestEnvelopeCommand:
@@ -171,6 +180,27 @@ class TestProjScaling:
         # second run loads the cached grid and must reproduce the bytes
         _, out2, _ = _run(tmp_path, "c2", *args)
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "header"])
+    def test_grid_cache_must_match_its_key(self, tmp_path, capsys, damage):
+        # a cached grid that is not the grid its name promises exits 2,
+        # naming the file, instead of certifying on the wrong grid
+        cache = tmp_path / "cache"
+        args = ("proj-scaling", "--sigma", "2/3", "--k", "2,4",
+                "--grid-points", "40", "--restarts", "1",
+                "--cache-dir", str(cache))
+        assert _run(tmp_path, "c1", *args)[0] == 0
+        path, = cache.glob("grid_*.csv")
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "truncate":
+            lines = lines[:2 + 19]
+        else:
+            lines[0] = lines[0].replace("kexact=4", "kexact=3")
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        code, _, js = _run(tmp_path, "c2", *args)
+        assert code == 2 and not js.exists()
+        assert str(path) in capsys.readouterr().err
 
     def test_slope_reported_for_three_rows(self, tmp_path):
         code, out, js = _run(tmp_path, "p3", "proj-scaling",
@@ -538,16 +568,54 @@ def test_benchmark_command_lines_parse(tmp_path, spec):
     assert args.command == spec["command"] and args.seed == 7
 
 
-def test_console_script_smoke(tmp_path):
-    out = tmp_path / "smoke.csv"
-    # the child imports the zonalab this test imported, installed or not
+def _child_env():
+    """Environment in which a child imports the zonalab this test imported,
+    installed or not."""
     src = str(Path(zl.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_script_smoke(tmp_path):
+    out = tmp_path / "smoke.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "zonalab.cli", "exponent-map",
          "--sigma", "1/2", "--out", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and out.with_suffix(".json").exists()
+
+
+# a fresh interpreter runs commands through main and reports, after each
+# stage, whether SciPy has been imported
+_SCIPY_PROBE = """
+import sys
+import zonalab, zonalab.cli
+out, cache = sys.argv[1], sys.argv[2]
+sweep = ["proj-scaling", "--sigma", "2/3", "--k", "2,4", "--grid-points",
+         "40", "--restarts", "1"]
+no_grid = [["envelope", "--k", "4,8"], ["multiplier-check", "--lambda", "8"],
+           ["exponent-map", "--sigma", "1/2"],
+           ["dyadic-certify", "--n", "2", "--sigma", "1", "--k", "8"],
+           sweep + ["--cache-dir", cache]]
+codes = [zonalab.cli.main(argv + ["--out", out]) for argv in no_grid]
+print(codes, "scipy" in sys.modules)
+print([zonalab.cli.main(sweep + ["--out", out])], "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_to_build_a_grid(tmp_path):
+    # commands that build no grid, a sweep on a warm cache and an argument
+    # error never import SciPy; building a grid does
+    cache = tmp_path / "cache"
+    assert _run(tmp_path, "warm", "proj-scaling", "--sigma", "2/3", "--k",
+                "2,4", "--grid-points", "40", "--restarts", "1",
+                "--cache-dir", str(cache))[0] == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "probe.csv"),
+         str(cache)], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 2, 0] False",
+                                        "[0] True"]

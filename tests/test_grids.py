@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,6 +116,30 @@ class TestSerialization:
         np.testing.assert_array_equal(back.weights, grid80.weights)
         assert back.rule == grid80.rule and back.kexact == grid80.kexact
 
+    def test_interrupted_save_leaves_no_file(self, grid80, tmp_path):
+        # the table is written aside and moved into place whole, so a save
+        # that fails midway leaves nothing a later load could trust
+        def failing_weights():
+            yield from grid80.weights[:10]
+            raise OSError("disk full")
+
+        def broken():
+            return SimpleNamespace(sphere=grid80.sphere, rule=grid80.rule,
+                                   kexact=grid80.kexact, nodes=grid80.nodes,
+                                   weights=failing_weights())
+
+        path = tmp_path / "g.csv"
+        with pytest.raises(OSError, match="disk full"):
+            zl.save_grid(broken(), path)
+        assert list(tmp_path.iterdir()) == []
+        # nor does it touch a grid already saved there
+        zl.save_grid(grid80, path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            zl.save_grid(broken(), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("theta,weight\n0.5,1.0\n")
@@ -125,4 +150,16 @@ class TestSerialization:
         path = tmp_path / "bad2.csv"
         path.write_text("# n=3 rule=custom kexact=0\nx,y\n0.5,1.0\n")
         with pytest.raises(ValueError):
+            zl.load_grid(path)
+
+    @pytest.mark.parametrize("text", [
+        "# n=3 kexact=0\ntheta,weight\n0.5,1.0\n",
+        "# n=3 rule=custom kexact=0\ntheta,weight\n",
+        "# n=3 rule=custom kexact=0\ntheta,weight\n0.5\n",
+        "# n=3 rule=custom kexact=0\ntheta,weight\n0.5,1.0\n0.7,"])
+    def test_malformed_file_named(self, tmp_path, text):
+        # a missing key, no nodes, one column or a cut row: ValueError
+        path = tmp_path / "bad3.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad3.csv"):
             zl.load_grid(path)
