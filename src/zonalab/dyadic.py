@@ -67,7 +67,6 @@ class DyadicPiece:
     def operator(self):
         return ZonalOperator(
             self.grid, azimuthal_matrix(self.spectrum, self.support),
-            natural_degree=self.base,
             label=f"piece k={self.base} j={self.j}")
 
 

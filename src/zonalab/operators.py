@@ -30,9 +30,10 @@ Norms:
     with the duality map of the row of largest Hoelder norm, a point mass
     when r = 1; for m e e^T that row is e, so it costs O(points) and no
     dense matrix.  Everything else runs a nonlinear power ascent over zonal
-    inputs, whose restarts run as the columns of one block (apply and the
-    norms act column by column) and leave it at their own stops; the
-    restart that reached the largest ratio gives the witness.
+    inputs.  Its first start is that same row witness, the others seeded
+    random draws; they run as the columns of one block (apply and the
+    norms act column by column) and leave it at their own stops, and the
+    start that reached the largest ratio gives the witness.
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -40,12 +41,14 @@ Norms:
 
 Both read the row norms of a factored operator from tiles of A, built from
 the factors and reduced one at a time (`_row_lp`), so the temporaries stay
-bounded whatever the number of points.  |A| is symmetric, so only the tiles
-on and above the diagonal are built, each scaled by the a-priori bound
-C = max_i sum_k |m_k| e_k(t_i)^2 >= max |A_ij|, and a tile's powered entries
-are summed into the rows on both of its sides.  A row whose sum underflows
-against C, or overflows at a huge exponent, is rebuilt whole and scaled by
-its own max (the fallback rows), so every exponent keeps its meaning.
+bounded whatever the number of points; the operator keeps them by exponent,
+so where 1/r + 1/s = 1 one certificate builds them once.  |A| is symmetric,
+so only the tiles on and above the diagonal are built, each scaled by the
+a-priori bound C = max_i sum_k |m_k| e_k(t_i)^2 >= max |A_ij|, and a tile's
+powered entries are summed into the rows on both of its sides.  A row whose
+sum underflows against C, or overflows at a huge exponent, is rebuilt whole
+and scaled by its own max (the fallback rows), so every exponent keeps its
+meaning.
 """
 
 import functools
@@ -59,7 +62,7 @@ from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp, weighted_row_lp
-from .specfun import addition_factors, eigenvalue, zonal_value
+from .specfun import addition_factors
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
@@ -84,22 +87,29 @@ class ZonalOperator:
     the nonzero multipliers (multiplier kernels); the latter apply through
     the factors, and no norm bound builds `matrix` from them (it is built on
     first read, for callers that read it).  Every norm bound reads only the
-    matrix or the factors, so it is a bound for this discrete operator.
+    matrix or the factors, so it is a bound for this discrete operator.  The
+    row norms that `_row_lp` builds are kept by p, as `matrix` is kept, so
+    the ascent's first start and the upper bound of one certificate share
+    one pass.
     """
 
-    def __init__(self, grid, matrix=None, natural_degree=None, label="",
-                 factors=None):
+    def __init__(self, grid, matrix=None, label="", factors=None):
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
         self.factors = factors
-        self.natural_degree = natural_degree
         self.label = label
+        self.row_norms = {}
 
     @functools.cached_property
     def matrix(self):
         rows, kept = self.factors
         return _real_matmul(rows.T, _scale_rows(kept, rows))
+
+    @property
+    def rank_one(self):
+        """Whether the operator is factored as one row, A = m e e^T."""
+        return self.factors is not None and self.factors[1].size == 1
 
     def apply(self, values):
         """T applied to a vector of node values, or to each column of a
@@ -143,6 +153,15 @@ def _entry_bound(rows, kept):
 
 
 def _row_lp(op, p):
+    """The L^p(w) norm of every row of A, built once per operator and p
+    (`_build_row_lp`) and kept in `op.row_norms`."""
+    out = op.row_norms.get(p)
+    if out is None:
+        out = op.row_norms[p] = _build_row_lp(op, p)
+    return out
+
+
+def _build_row_lp(op, p):
     """The L^p(w) norm of every row of A.
 
     A factored operator's entries are built from the factors in tiles of at
@@ -212,9 +231,7 @@ def operator_from_kernel(kernel, grid):
     # a view of the grid's table when every degree is kept
     if nz.size < rows.shape[0]:
         rows = rows[nz]
-    factors = (rows, coeffs[nz])
-    peak = int(np.argmax(np.abs(coeffs)))
-    return ZonalOperator(grid, factors=factors, natural_degree=peak,
+    return ZonalOperator(grid, factors=(rows, coeffs[nz]),
                          label=kernel.description or f"multiplier kmax={kmax}")
 
 
@@ -375,6 +392,15 @@ def apply_kernel(kernel, f):
 # ---------------------------------------------------------------------------
 # lower bounds: nonlinear power ascent
 
+def _conjugate(r):
+    """The Hoelder conjugate r' = r / (r - 1), 1 at r = inf and inf at r = 1;
+    the lower and the upper bound both take it from here, so the row norms
+    they share are kept under one p."""
+    if math.isinf(r):
+        return 1.0
+    return math.inf if r == 1.0 else r / (r - 1.0)
+
+
 def _dual_power(g, p):
     """|g|^{p-1} sgn(conj g), the duality map used by the ascent, of a vector
     or of each column of a block, divided by the column's max|g|^{p-1} so
@@ -409,7 +435,7 @@ def _ascent(op, r, s, starts):
     best ratio, the input attaining it, the steps taken and the stop reason.
     """
     w = op.grid.weights
-    rp = r / (r - 1.0)
+    rp = _conjugate(r)
     f = np.stack(starts, axis=1)
     nrm = weighted_lp(w, f, r)
     best = np.zeros(len(starts))
@@ -466,11 +492,13 @@ def _exact_witness(op, r, s):
     by a point mass, and |A| is symmetric, so it is the largest L^s row
     norm.  A rank-one row is m e_i e, largest where |e_i| is, and its
     duality map is that of e, read from the factors.  Any other factored
-    row is one 1 x points product of the factors, so A is never built.
+    row is A's column i, |A| being symmetric: one product of rows.T with
+    the K-vector kept * rows[:, i], so neither A nor a K x points temporary
+    is built.
     """
     w = op.grid.weights
-    p = s if r == 1.0 else r / (r - 1.0)
-    if op.factors is not None and op.factors[1].size == 1:
+    p = s if r == 1.0 else _conjugate(r)
+    if op.rank_one:
         (row,), _ = op.factors
         i = int(np.argmax(np.abs(row)))
     else:
@@ -479,7 +507,7 @@ def _exact_witness(op, r, s):
             row = op.matrix[i]
         else:
             rows, kept = op.factors
-            row = _real_matmul(rows.T[i:i + 1], _scale_rows(kept, rows))[0]
+            row = _real_matmul(rows.T, kept * rows[:, i])
     if r == 1.0:
         f = np.zeros(op.grid.points)
         f[i] = 1.0 / w[i]
@@ -489,25 +517,13 @@ def _exact_witness(op, r, s):
     return f / nrm if nrm > 0 else f
 
 
-def _start_values(op, restarts, seed):
-    """Deterministic starts (characteristic caps, the kernel's own harmonic)
-    padded with seeded random draws."""
-    grid = op.grid
-    starts = []
-    lam = 1.0
-    if op.natural_degree is not None:
-        starts.append(zonal_value(grid.sphere.n, op.natural_degree,
-                                  grid.cosines))
-        lam = eigenvalue(grid.sphere.n, op.natural_degree)
-    for theta0 in (1.0 / lam, min(8.0 / lam, 0.5 * np.pi), np.pi / 3):
-        ind = (grid.nodes <= theta0).astype(np.float64)
-        if ind.any():
-            starts.append(ind)
-    starts = starts[:restarts]
+def _start_values(op, r, s, restarts, seed):
+    """The row witness of `_exact_witness` (the duality map of the row of
+    largest L^{r'} norm, which attains the norm where s = inf) followed by
+    seeded random draws, `restarts` starts in all."""
     rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        starts.append(rng.standard_normal(grid.points))
-    return starts
+    return [_exact_witness(op, r, s)] + [
+        rng.standard_normal(op.grid.points) for _ in range(restarts - 1)]
 
 
 def norm_lower(op, r, s, restarts=8, seed=1):
@@ -523,13 +539,12 @@ def norm_lower(op, r, s, restarts=8, seed=1):
         raise ValueError("need at least one restart")
     if np.isinf(r):
         raise ValueError("r = inf is not supported")
-    exact = bool((op.factors is not None and op.factors[1].size == 1)
-                 or np.isinf(s) or r == 1.0)
+    exact = bool(op.rank_one or np.isinf(s) or r == 1.0)
     if exact:
         f, steps, stops = _exact_witness(op, r, s), 0, {}
     else:
         values, witnesses, counts, reasons = _ascent(
-            op, r, s, _start_values(op, restarts, seed))
+            op, r, s, _start_values(op, r, s, restarts, seed))
         f = np.ascontiguousarray(witnesses[int(np.argmax(values))])
         steps = sum(counts)
         stops = {reason: reasons.count(reason) for reason in _STOPS}
@@ -554,11 +569,12 @@ def norm_upper(op, point):
     operator, |m| ||e||_{r'} ||e||_s, and of any operator when r = 1 or
     s = inf.
     """
+    rp, s = _conjugate(point.r), point.s
     if point.x + point.y > 1.0:
-        point = point.dual()
-    rp, s = point.dual().s, point.s
+        # the dual point (1/s', 1/r'): its r' is s and its s is r'
+        rp, s = s, rp
     w = op.grid.weights
-    if op.factors is not None and op.factors[1].size == 1:
+    if op.rank_one:
         (row,), (m,) = op.factors
         return float(abs(m) * weighted_lp(w, row, rp) * weighted_lp(w, row, s))
     return weighted_lp(w, _row_lp(op, rp), s)

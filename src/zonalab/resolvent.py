@@ -152,15 +152,13 @@ def resolvent_kernel(sphere, params, kmax=None):
     if kmax is None:
         kmax = default_degree_cutoff(params.lam)
     half = (sphere.n - 1) / 2.0
-    lam_k = np.arange(kmax + 1) + half
-    coeffs = 1.0 / (params.zeta - lam_k.astype(np.complex128) ** 2)
+    coeffs = resolvent_multiplier(params, np.arange(kmax + 1) + half)
     peak = float(np.abs(coeffs).max())
     # |zeta - x^2| grows as x^2 leaves Re zeta on either side: the discarded
     # sup sits at kmax + 1 or at the degrees next to sqrt(Re zeta) - (n-1)/2
     k0 = math.sqrt(max(params.zeta.real, 0.0)) - half
     ks = np.maximum(kmax + 1, [kmax + 1, math.floor(k0), math.ceil(k0)])
-    lam_tail = ks + half
-    tail_sup = float(np.abs(1.0 / (params.zeta - lam_tail ** 2)).max())
+    tail_sup = float(np.abs(resolvent_multiplier(params, ks + half)).max())
     tail_ratio = tail_sup / peak
     if tail_ratio > _TAIL_RATIO_MAX:
         raise TailDominanceError(

@@ -245,6 +245,25 @@ class TestDyadicCertify:
         assert set(builds) == expected
         assert set(builds.values()) == {1}
 
+    def test_one_restart_fits_as_eight(self, tmp_path):
+        # the row witness alone reaches the P-side norms of the fitted
+        # pieces at n = 3, k = 16, so one start fits the 8-start line.
+        # Known gap: at n = 4, sigma = 9/20, k = 16 the witness stops at
+        # 0.566 on piece j = 5, where a random start reaches 0.607, and one
+        # restart fits slope_decay -0.119 against -0.0697 with 2 or 8
+        runs = []
+        for restarts in ("1", "8"):
+            code, out, _ = _run(tmp_path, f"r{restarts}", "dyadic-certify",
+                                "--n", "3", "--sigma", "3/5", "--k", "16",
+                                "--restarts", restarts)
+            assert code == 0
+            runs.append(_read_csv(out))
+        (header, one), (header8, eight) = runs
+        assert header == header8 and len(one) == len(eight) == 1
+        np.testing.assert_allclose(np.array(one, dtype=float),
+                                   np.array(eight, dtype=float),
+                                   rtol=1e-8, atol=0)
+
 
 class TestFailureModes:
     def test_inadmissible_sigma(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ import zonalab as zl
 from zonalab import operators
 from zonalab.cli import Config, build_parser
 from zonalab.dyadic import fit_range, least_fit_degree
+from zonalab.exponents import stein_point
 
 
 def test_piece_count():
@@ -160,6 +161,21 @@ def test_piece_norm_slopes_smoke(grid80):
     assert np.all(fit.norms_growth > 0) and np.all(fit.norms_decay > 0)
     # fitted lines should track the measured norms closely
     assert fit.residual_growth < 0.5 and fit.residual_decay < 0.5
+
+
+def test_row_witness_reaches_the_decay_norms(grid80):
+    # n = 3, sigma = 3/5, k = 16 on the CLI's 80-node grid: the row witness,
+    # the first start of every ascent, reaches the P-side norms of the
+    # fitted pieces by itself, where the kernel's harmonic and the cap at
+    # 1/lambda stopped at 0.366, 0.315 and 0.488
+    p_pt, _ = stein_point(3, 0.6)
+    for piece in zl.dyadic_decompose(16, grid80):
+        if piece.j in (3, 4, 5):
+            op = piece.operator()
+            one, eight = (zl.norm_lower(op, p_pt.r, p_pt.s,
+                                        restarts=restarts).value
+                          for restarts in (1, 8))
+            assert one == pytest.approx(eight, rel=1e-9, abs=0), piece.j
 
 
 def test_one_spectrum_per_degree(monkeypatch):

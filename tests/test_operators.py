@@ -34,6 +34,17 @@ def h3(grid80, sphere3):
     return operator_from_kernel(zl.projector_kernel(sphere3, 3), grid80)
 
 
+@pytest.fixture(scope="module")
+def lam64():
+    """The 1040-point grid and the lambda = 64 resolvent kernel of
+    `resolvent-scaling --lambda 8,16,32,64`; each test builds its own
+    operator, which keeps its own row norms."""
+    sphere = zl.SphereSpec(3)
+    kern = zl.resolvent_kernel(sphere, zl.ResolventParams(64, 1),
+                               kmax=256).kernel
+    return zl.make_grid(sphere, 1040, kexact=256), kern
+
+
 class TestOperatorConstruction:
     def test_projector_idempotent(self, h3, grid80):
         HW = h3.matrix * grid80.weights[None, :]
@@ -185,7 +196,9 @@ class TestFactoredRoute:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("p", [1.01, 2.0, 5.0, 1e300, np.inf])
     def test_row_norms_match_dense(self, n, kind, p, monkeypatch):
-        # 64 rows in blocks of 5: twelve full blocks and a partial one
+        # 64 rows in blocks of 5: twelve full blocks and a partial one; this
+        # test and the two below build their own operators, since an
+        # operator keeps the row norms it has built, whatever the block size
         monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
         grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
         if kind == "complex":
@@ -250,15 +263,12 @@ class TestFactoredRoute:
         bound = operators._entry_bound(rows, kept)
         assert np.abs(op.matrix).max() <= bound * (1.0 + 1e-14)
 
-    def test_upper_memory_stays_below_dense_matrix(self):
+    def test_upper_memory_stays_below_dense_matrix(self, lam64):
         # the complex lambda = 64 resolvent operator on the 1040-point grid
         # of `resolvent-scaling --lambda 8,16,32,64`: the real P x P matrix
         # |A| alone takes P^2 * 8 bytes, and no certificate may allocate
         # that much
-        sphere = zl.SphereSpec(3)
-        grid = zl.make_grid(sphere, 1040, kexact=256)
-        kern = zl.resolvent_kernel(sphere, zl.ResolventParams(64, 1),
-                                   kmax=256).kernel
+        grid, kern = lam64
         op = operator_from_kernel(kern, grid)
         r = default_r(3, 0.6)
         point = ExponentPoint(1 / r, 1 / r - 0.6)
@@ -269,6 +279,44 @@ class TestFactoredRoute:
         finally:
             tracemalloc.stop()
         assert peak < grid.points ** 2 * 8
+
+    def test_first_start_allocates_no_factor_product(self, lam64):
+        # the row witness that starts the ascent is A's column i, one product
+        # of rows.T with the K-vector kept * rows[:, i]: the complex K x P
+        # product kept * rows (4.1 MiB here) is never formed, and the row
+        # norms' tiles stay below it
+        grid, kern = lam64
+        op = operator_from_kernel(kern, grid)
+        rows, _ = op.factors
+        r = default_r(3, 0.6)
+        tracemalloc.start()
+        try:
+            zl.norm_lower(op, r, 1 / (1 / r - 0.6), restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size * 16
+
+    @pytest.mark.parametrize("sigma", [0.6, 2 / 3])
+    def test_certificate_builds_row_norms_once(self, grid144, sphere3,
+                                               sigma, monkeypatch):
+        # at the CLI's default pair, 1/r + 1/s = 1, the ascent's row witness
+        # and the upper bound read the same L^{r'} row norms: one pass
+        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
+                                   kmax=32).kernel
+        op = operator_from_kernel(kern, grid144)
+        r = default_r(3, sigma)
+        point = ExponentPoint(1 / r, 1 / r - sigma)
+        passes = []
+        build = operators._build_row_lp
+
+        def counted(op, p):
+            passes.append(p)
+            return build(op, p)
+
+        monkeypatch.setattr(operators, "_build_row_lp", counted)
+        zl.norm_certificate(op, point, restarts=2)
+        assert passes == [point.r / (point.r - 1.0)]
 
     @given(k=st.integers(0, 16), r=st.floats(1.05, 20.0),
            s=st.floats(1.0, 20.0))
@@ -426,7 +474,8 @@ class TestNormLower:
         grid = zl.make_grid(sphere3, points, (points - 16) // 4)
         op = operator_from_kernel(kern, grid)
         values = operators._ascent(op, 1.2, 6.0,
-                                   operators._start_values(op, 8, seed=7))[0]
+                                   operators._start_values(op, 1.2, 6.0, 8,
+                                                           seed=7))[0]
         low = zl.norm_lower(op, 1.2, 6.0, restarts=8, seed=7)
         assert low.value >= max(values) * (1.0 - 1e-12)
 
@@ -852,14 +901,7 @@ class TestBlockAscent:
     @pytest.mark.parametrize("r,s", [(1.25, 5.0), (1.2, 6.0), (3.0, 4.0)])
     def test_columns_follow_single_starts(self, case, r, s):
         _, op = case
-        starts = operators._start_values(op, 8, seed=5)
-        if op.natural_degree is not None:
-            # the kernel's own harmonic starts the ascent next to a critical
-            # point of the resolvent's ratio: a random relative change of
-            # 1e-16 in that start moves the single-start result by up to
-            # 1.5e-5 and its step count by one (n = 4, (1.25, 5)), so no two
-            # summation orders agree there
-            starts = starts[1:]
+        starts = operators._start_values(op, r, s, 8, seed=5)
         starts.append(np.zeros(op.grid.points))     # leaves at once
         values, witnesses, steps, stops = operators._ascent(op, r, s, starts)
         for i, f0 in enumerate(starts):
