@@ -202,11 +202,12 @@ def envelope_check(sphere, k):
     half = (n - 1) / 2
     th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, _SAMPLES)
     th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, _SAMPLES)
-    # one recurrence over both windows; it runs elementwise, so each window
-    # gets the bits of a recurrence over that window alone
-    z_osc, z_anti = np.split(
-        zonal_value(n, k, np.cos(np.concatenate((th_osc, th_anti)))), 2)
-    c_flat = zonal_value(n, k, 1.0) / k ** (n - 1)
+    # one recurrence over both windows and t = 1; it runs elementwise, so
+    # each window and Z_k(1) get the bits of a recurrence over them alone
+    z = zonal_value(n, k, np.append(np.cos(np.concatenate((th_osc, th_anti))),
+                                    1.0))
+    z_osc, z_anti = z[:_SAMPLES], z[_SAMPLES:-1]
+    c_flat = z[-1] / k ** (n - 1)
     c_osc = np.abs(z_osc * th_osc ** half).max() / lam ** half
     c_anti = np.abs(z_anti * (np.pi - th_anti) ** half).max() / lam ** half
     return EnvelopeConstants(float(c_flat), float(c_osc), float(c_anti))

@@ -50,6 +50,9 @@ class ZonalGrid:
         Every call slices one table, computed through max(kmax, kexact) the
         first time; the recurrence runs row by row, so a slice has the same
         bits as a table computed through kmax.  The rows are read-only.
+        Only a kernel that keeps every degree reads it
+        (`operators.operator_from_kernel`); a sparse kernel computes its own
+        rows with these bits and never builds the table.
         """
         if self._basis is None or self._basis.shape[0] <= kmax:
             top = max(kmax, self.kexact)

@@ -181,7 +181,7 @@ class TestFactoredRoute:
     def test_rows_are_a_view_when_every_degree_is_kept(self, grid144,
                                                          sphere3):
         # a resolvent keeps every degree and reads the grid's table; a
-        # projector keeps one row, copied out of it
+        # projector keeps one row, computed apart from it with its bits
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
                                    kmax=32).kernel
         rows, _ = operator_from_kernel(kern, grid144).factors
@@ -191,6 +191,41 @@ class TestFactoredRoute:
         (row,), _ = proj.factors
         assert not np.shares_memory(row, grid144.basis(8))
         np.testing.assert_array_equal(row, grid144.basis(8)[8])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("degrees", [[0], [1], [17], [24], [3, 11, 20]])
+    def test_kept_rows_match_grid_table(self, n, degrees):
+        # a sparse kernel's rows come from their own recurrence, yet carry
+        # the bits of the table's rows; [24] is the grid's kexact, and [0]
+        # keeps its every degree, so it reads the table
+        grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
+        coeffs = np.zeros(degrees[-1] + 1)
+        coeffs[degrees] = np.arange(1.0, len(degrees) + 1.0)
+        op = operator_from_kernel(zl.ZonalKernel(grid.sphere, coeffs), grid)
+        rows, kept = op.factors
+        assert (grid._basis is None) == (len(degrees) < coeffs.size)
+        np.testing.assert_array_equal(kept, coeffs[degrees])
+        assert np.array_equal(rows, grid.basis(degrees[-1])[degrees])
+
+    def test_zero_kernel_keeps_no_row(self, grid80, sphere3):
+        op = operator_from_kernel(zl.ZonalKernel(sphere3, np.zeros(5)), grid80)
+        assert op.factors[0].shape == (0, grid80.points)
+        assert not op.apply(np.ones(grid80.points)).any()
+
+    def test_sparse_kernel_never_builds_grid_table(self, sphere3):
+        # H_512 on the 2064-node grid of `proj-scaling --k ...,512`: the
+        # grid's 513 x 2064 table (8.5 MB) is never built, and the build
+        # holds a few rows at most
+        grid = zl.make_grid(sphere3, 4 * 512 + 16, kexact=512)
+        tracemalloc.start()
+        try:
+            op = operator_from_kernel(zl.projector_kernel(sphere3, 512), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid._basis is None
+        assert op.factors[0].shape == (1, grid.points)
+        assert peak < 16 * grid.points * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["real", "complex"])
