@@ -146,6 +146,8 @@ def _sweep(cfg, sink, params, build, exponent):
                                 seed=cfg.seed, label=label)
         sink.emit({**cert.to_record(), **extra,
                    "predicted": float(param) ** exponent})
+        # the next build must not run while this operator's rows are held
+        del op
 
 
 def _run_proj_scaling(cfg, sink):
@@ -236,9 +238,12 @@ def _float_list(text):
 
 
 def _real(text):
-    """Plain decimal or a fraction like 2/3, so range endpoints stay exact."""
+    """Plain decimal or a fraction like 2/3, so range endpoints stay exact;
+    a zero denominator is a ValueError, which argparse reports with exit 2."""
     if "/" in text:
         num, den = text.split("/")
+        if float(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return float(num) / float(den)
     return float(text)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import SphereSpec, zonal_table
+from ._core import _rows
+from .specfun import SphereSpec, sphere_volume
 
 
 class ZonalGrid:
@@ -38,30 +39,34 @@ class ZonalGrid:
         # shared by every caller, so read-only
         self.cosines = np.cos(self.nodes)
         self.cosines.flags.writeable = False
-        self._basis = None
 
     @property
     def points(self):
         return self.nodes.shape[0]
 
-    def basis(self, kmax):
-        """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)), shape (kmax+1, points).
+    def basis(self, degrees):
+        """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)) at the increasing
+        `degrees`, shape (len(degrees), points).
 
-        Every call slices one table, computed through max(kmax, kexact) the
-        first time; the recurrence runs row by row, so a slice has the same
-        bits as a table computed through kmax.  The rows are read-only.
-        Only a kernel that keeps every degree reads it
-        (`operators.operator_from_kernel`); a sparse kernel computes its own
-        rows with these bits and never builds the table.
+        One recurrence runs over the cosines with t = 1 appended; each kept
+        row is scaled by c_{n,k} and divided by the root of its own value at
+        t = 1, so it has the bits of row k of `zonal_table` divided by the
+        root of Z_k(1).  The rows are a fresh array; nothing is cached.
         """
-        if self._basis is None or self._basis.shape[0] <= kmax:
-            top = max(kmax, self.kexact)
-            tab = zonal_table(self.sphere.n, top, self.cosines)
-            z1 = zonal_table(self.sphere.n, top, np.ones(1))[:, 0]
-            tab /= np.sqrt(z1)[:, None]
-            tab.flags.writeable = False
-            self._basis = tab
-        return self._basis[:kmax + 1]
+        degrees = np.asarray(degrees, dtype=np.intp)
+        out = np.empty((degrees.size, self.points))
+        if not degrees.size:
+            return out
+        n = self.sphere.n
+        c = (2 * degrees + n - 1) / ((n - 1) * sphere_volume(n))
+        t = np.append(self.cosines, 1.0)
+        i = 0
+        for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
+            if m == degrees[i]:
+                z = row * c[i]
+                np.divide(z[:-1], np.sqrt(z[-1]), out=out[i])
+                i += 1
+        return out
 
     def integrate(self, values):
         return np.sum(self.weights * values)

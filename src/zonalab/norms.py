@@ -7,8 +7,8 @@ The restricted weak-type argument feeds only such indicators, so their
 L^{p,1} norm is that same closed form mu(E)^{1/p} and needs no layer cake.
 
 One kernel, `weighted_lp`, takes every L^p norm: of a vector, of each column
-of a block, and (`weighted_row_lp`, through the transpose) of each row of a
-matrix.  It copies |v| once and scales and powers that copy in place.
+of a block, and (through the transpose) of each row of a matrix.  It copies
+|v| once and scales and powers that copy in place.
 """
 
 import math
@@ -30,11 +30,6 @@ def weighted_lp(w, v, p):
         np.power(a, p, out=a)
         peak = peak * (w @ a) ** (1.0 / p)
     return float(peak) if v.ndim == 1 else peak
-
-
-def weighted_row_lp(w, A, p):
-    """weighted_lp of every row of A."""
-    return weighted_lp(w, A.T, p)
 
 
 def lp_norm(f, p):

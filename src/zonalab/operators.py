@@ -9,9 +9,8 @@ For a multiplier kernel the reduced matrix has the closed form
 A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
 keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
-application; no norm bound builds the dense matrix.  A kernel that keeps
-every degree reads its rows from the grid's table (`ZonalGrid.basis`); any
-other computes just its kept rows, in O(points x kept degrees) memory.
+application; no norm bound builds the dense matrix.  The kept rows come
+from one recurrence (`ZonalGrid.basis`), in O(points x kept degrees) memory.
 For the degree-k kernel Z_k restricted to a window of relative angles (a
 dyadic piece) the average is integrated into a dense matrix in closed form
 (AzimuthalSpectrum): the Gegenbauer addition theorem separates the
@@ -63,8 +62,8 @@ from ._core import _rows
 from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
-from .norms import weighted_lp, weighted_row_lp
-from .specfun import addition_factors, sphere_volume
+from .norms import weighted_lp
+from .specfun import addition_factors
 
 _STAGNATION = 1e-9
 _MAX_STEPS = 500
@@ -180,7 +179,7 @@ def _build_row_lp(op, p):
     """
     w = op.grid.weights
     if op.factors is None:
-        return weighted_row_lp(w, op.matrix, p)
+        return weighted_lp(w, op.matrix.T, p)
     rows, kept = op.factors
     points = op.grid.points
     out = np.empty(points)
@@ -221,10 +220,9 @@ def operator_from_kernel(kernel, grid):
     """Spectral factors of a multiplier kernel, A = sum_k m_k e_k e_k^T over
     the degrees with m_k != 0; the kernel and grid share one sphere.
 
-    A kernel whose every multiplier is nonzero (a resolvent) takes its rows
-    as a read-only view of the grid's table `ZonalGrid.basis`.  Any other
-    (a projector) gets its kept rows from one recurrence (`_kept_rows`), so
-    it holds O(points x kept degrees) and the table is never built.
+    The kept rows come from one recurrence (`ZonalGrid.basis`), so the
+    operator holds O(points x kept degrees): a projector one row, a
+    resolvent a row per degree.
     """
     if kernel.sphere != grid.sphere:
         raise ValueError(f"kernel on S^{kernel.sphere.n} against a grid on "
@@ -233,35 +231,9 @@ def operator_from_kernel(kernel, grid):
     if kmax > grid.kexact:
         raise ValueError(
             f"kernel degree {kmax} exceeds grid exactness {grid.kexact}")
-    coeffs = kernel.coeffs
-    nz = np.flatnonzero(coeffs)
-    if nz.size == coeffs.size:
-        rows = grid.basis(kmax)
-    else:
-        rows = _kept_rows(grid, nz)
-    return ZonalOperator(grid, factors=(rows, coeffs[nz]),
+    nz = np.flatnonzero(kernel.coeffs)
+    return ZonalOperator(grid, factors=(grid.basis(nz), kernel.coeffs[nz]),
                          label=kernel.description or f"multiplier kmax={kmax}")
-
-
-def _kept_rows(grid, degrees):
-    """The rows e_k = Z_k / sqrt(Z_k(1)) at the increasing `degrees`, shape
-    (len(degrees), points), from one recurrence over the grid's cosines with
-    t = 1 appended.  Each kept row is scaled by c_{n,k} and divided by the
-    root of its own value at t = 1, as `ZonalGrid.basis` does; the
-    recurrence runs elementwise, so a row has the bits of the table's row."""
-    out = np.empty((degrees.size, grid.points))
-    if not degrees.size:
-        return out
-    n = grid.sphere.n
-    c = (2 * degrees + n - 1) / ((n - 1) * sphere_volume(n))
-    where = {int(k): i for i, k in enumerate(degrees)}
-    t = np.append(grid.cosines, 1.0)
-    for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
-        i = where.get(m)
-        if i is not None:
-            z = row * c[i]
-            np.divide(z[:-1], np.sqrt(z[-1]), out=out[i])
-    return out
 
 
 class AzimuthalSpectrum:

@@ -30,12 +30,16 @@ _PANEL_RULE = np.polynomial.legendre.leggauss(12)
 
 @dataclass(frozen=True)
 class ResolventParams:
-    """Spectral parameter zeta = (lam + i mu)^2 with lam >= 1, |mu| >= 1."""
+    """Spectral parameter zeta = (lam + i mu)^2 with finite lam >= 1 and
+    |mu| >= 1."""
 
     lam: float
     mu: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ValueError(f"need finite lam and mu, got lam={self.lam}, "
+                             f"mu={self.mu}")
         if self.lam < 1.0:
             raise ValueError(f"need lam >= 1, got {self.lam}")
         if abs(self.mu) < 1.0:

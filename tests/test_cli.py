@@ -8,8 +8,10 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from zonalab import cli
 from zonalab.cli import build_parser, default_r, fit_slope, main
 from zonalab.dyadic import DyadicPiece
 from zonalab.errors import NumericalError
+from zonalab.exponents import ExponentPoint
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -201,6 +204,25 @@ class TestProjScaling:
         code, _, js = _run(tmp_path, "c2", *args)
         assert code == 2 and not js.exists()
         assert str(path) in capsys.readouterr().err
+
+    def test_sweep_releases_each_operator(self, grid80, sphere3,
+                                          monkeypatch):
+        # the previous operator's rows are gone before the next one is built
+        cfg = SimpleNamespace(point=ExponentPoint(0.8, 0.2), restarts=1,
+                              seed=1)
+        sink = SimpleNamespace(emit=lambda record: None)
+        monkeypatch.setattr(cli, "_grid", lambda cfg: grid80)
+        built = []
+
+        def build(grid, k):
+            assert all(ref() is None for ref in built)
+            op = zl.operator_from_kernel(zl.projector_kernel(sphere3, k),
+                                         grid)
+            built.append(weakref.ref(op))
+            return op, f"H_{k}", {"k": k}
+
+        cli._sweep(cfg, sink, [2, 4, 8], build, 0.0)
+        assert len(built) == 3
 
     def test_slope_reported_for_three_rows(self, tmp_path):
         code, out, js = _run(tmp_path, "p3", "proj-scaling",
@@ -433,6 +455,30 @@ class TestRejectedBeforeCsv:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("resolvent-scaling", "--lambda", "inf", "--sigma", "2/3"),
+        ("multiplier-check", "--lambda", "inf"),
+        ("multiplier-check", "--lambda", "8", "--mu", "nan"),
+    ], ids=["resolvent-lambda-inf", "multiplier-lambda-inf",
+            "multiplier-mu-nan"])
+    def test_nonfinite_spectral_parameter(self, tmp_path, capsys, argv):
+        code, out, js = _run(tmp_path, "nf", *argv)
+        assert code == 2
+        assert "need finite lam and mu" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("exponent-map", "--sigma", "1/0"), "sigma"),
+        (("proj-scaling", "--sigma", "3/5", "--k", "4,8", "--r", "1/0"), "r"),
+    ], ids=["sigma", "r"])
+    def test_zero_denominator(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, "zd", *argv)
+        assert exc.value.code == 2
+        assert (f"argument --{flag}: invalid _real value: '1/0'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "zd.csv").exists()
 
     @pytest.mark.parametrize("argv,flag", [
         (("proj-scaling", "--sigma", "3/5", "--k", "8,8,8"), "k"),

@@ -117,7 +117,7 @@ def _quad_entry(n, k, ti, tj, window, tol):
 class TestPieceExactness:
     def test_pieces_sum_to_projector(self, built, n, k):
         grid, _, matrices = built(n, k)
-        e = grid.basis(k)[k]
+        e = grid.basis([k])[0]
         spectral = np.outer(e, e)
         scale = np.abs(spectral).max()
         np.testing.assert_allclose(np.sum(matrices, axis=0), spectral,
@@ -125,7 +125,7 @@ class TestPieceExactness:
 
     def test_pieces_match_quadrature(self, built, n, k):
         grid, pieces, matrices = built(n, k)
-        e = grid.basis(k)[k]
+        e = grid.basis([k])[0]
         scale = np.abs(e).max() ** 2
         th = grid.nodes
         P = grid.points

@@ -55,32 +55,39 @@ class TestQuadratureExactness:
                 zl.zonal_value(3, k, 1.0), rel=1e-10)
 
     def test_basis_orthonormal(self, grid80):
-        B = grid80.basis(16)
+        B = grid80.basis(range(17))
         gram = (B * grid80.weights) @ B.T
         np.testing.assert_allclose(gram, np.eye(17), atol=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_basis_slices_one_table(self, n):
+        # bit for bit the rows of one zonal_table, each divided by the root
+        # of its value at t = 1, whichever degrees are asked for
         grid = zl.make_grid(zl.SphereSpec(n), 130, kexact=64)
-        for k in (0, 1, 5, 17, 64, 80):
-            tab = zl.zonal_table(n, k, grid.cosines)
-            z1 = zl.zonal_table(n, k, np.ones(1))[:, 0]
-            B = grid.basis(k)
-            assert np.array_equal(B, tab / np.sqrt(z1)[:, None])
-            assert not B.flags.writeable
-        assert np.shares_memory(grid.basis(3), grid.basis(64))
+        tab = zl.zonal_table(n, 80, grid.cosines)
+        z1 = zl.zonal_table(n, 80, np.ones(1))[:, 0]
+        want = tab / np.sqrt(z1)[:, None]
+        for degrees in (range(6), range(65), [0], [64], [65, 80],
+                        [3, 17, 40]):
+            B = grid.basis(degrees)
+            assert B.shape == (len(degrees), grid.points)
+            assert np.array_equal(B, want[list(degrees)])
+        assert grid.basis([]).shape == (0, grid.points)
 
     def test_basis_built_in_place(self, sphere3):
-        # the table is scaled where the recurrence wrote it, so building the
-        # basis holds one table (and a few rows), not two
+        # the rows are scaled and divided into the array that is returned,
+        # so building the lambda = 64 resolvent operator holds its rows and
+        # a few more, not two copies
         grid = zl.make_grid(sphere3, 1040)
+        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(64, 1)).kernel
         tracemalloc.start()
         try:
-            B = grid.basis(grid.kexact)
+            rows, _ = zl.operator_from_kernel(kern, grid).factors
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * B.nbytes
+        assert rows.shape == (kern.coeffs.size, grid.points)
+        assert peak < 1.25 * rows.nbytes
 
     def test_refinement_stable(self, sphere3, grid80, grid144):
         # doubling the rule does not move an exactly integrable product

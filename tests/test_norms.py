@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
-from zonalab.norms import weighted_lp, weighted_row_lp
+from zonalab.norms import weighted_lp
 
 VOL3 = 19.739208802178716
 
@@ -72,15 +72,12 @@ class TestWeightedLp:
             before = v.copy()
             weighted_lp(w, v, p)
             assert np.array_equal(v, before)
-        before = A.copy()
-        weighted_row_lp(w, A, p)
-        assert np.array_equal(A, before)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("p", _EXPONENTS)
     def test_rows_are_weighted_lp(self, complex_, p):
         A, w = _matrix(complex_)
-        rows = weighted_row_lp(w, A, p)
+        rows = weighted_lp(w, A.T, p)
         each = np.array([weighted_lp(w, row, p) for row in A])
         # a whole matrix and a single row sum their terms in different BLAS
         # orders, so only the sum's last bits may differ

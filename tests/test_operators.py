@@ -10,7 +10,7 @@ from zonalab import operators
 from zonalab.cli import default_r
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
-from zonalab.norms import weighted_lp, weighted_row_lp
+from zonalab.norms import weighted_lp
 from zonalab.operators import (NormCertificate, ZonalOperator, _dual_power,
                                operator_from_kernel)
 from zonalab.specfun import addition_factors
@@ -178,34 +178,21 @@ class TestFactoredRoute:
                 assert cert.iterations == 0
                 assert cert.lower == pytest.approx(cert.upper, rel=1e-12)
 
-    def test_rows_are_a_view_when_every_degree_is_kept(self, grid144,
-                                                         sphere3):
-        # a resolvent keeps every degree and reads the grid's table; a
-        # projector keeps one row, computed apart from it with its bits
-        kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(3, 1),
-                                   kmax=32).kernel
-        rows, _ = operator_from_kernel(kern, grid144).factors
-        assert rows.shape[0] == 33
-        assert np.shares_memory(rows, grid144.basis(32))
-        proj = operator_from_kernel(zl.projector_kernel(sphere3, 8), grid144)
-        (row,), _ = proj.factors
-        assert not np.shares_memory(row, grid144.basis(8))
-        np.testing.assert_array_equal(row, grid144.basis(8)[8])
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("degrees", [[0], [1], [17], [24], [3, 11, 20]])
     def test_kept_rows_match_grid_table(self, n, degrees):
-        # a sparse kernel's rows come from their own recurrence, yet carry
-        # the bits of the table's rows; [24] is the grid's kexact, and [0]
-        # keeps its every degree, so it reads the table
+        # the factors are the rows of the degrees with m_k != 0, bit for bit
+        # those of a zonal table on the grid's cosines; [24] is the grid's
+        # kexact, and [0] keeps every degree of its kernel
         grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
         coeffs = np.zeros(degrees[-1] + 1)
         coeffs[degrees] = np.arange(1.0, len(degrees) + 1.0)
         op = operator_from_kernel(zl.ZonalKernel(grid.sphere, coeffs), grid)
         rows, kept = op.factors
-        assert (grid._basis is None) == (len(degrees) < coeffs.size)
         np.testing.assert_array_equal(kept, coeffs[degrees])
-        assert np.array_equal(rows, grid.basis(degrees[-1])[degrees])
+        tab = zl.zonal_table(n, degrees[-1], grid.cosines)[degrees]
+        z1 = zl.zonal_table(n, degrees[-1], np.ones(1))[degrees, 0]
+        assert np.array_equal(rows, tab / np.sqrt(z1)[:, None])
 
     def test_zero_kernel_keeps_no_row(self, grid80, sphere3):
         op = operator_from_kernel(zl.ZonalKernel(sphere3, np.zeros(5)), grid80)
@@ -213,9 +200,9 @@ class TestFactoredRoute:
         assert not op.apply(np.ones(grid80.points)).any()
 
     def test_sparse_kernel_never_builds_grid_table(self, sphere3):
-        # H_512 on the 2064-node grid of `proj-scaling --k ...,512`: the
-        # grid's 513 x 2064 table (8.5 MB) is never built, and the build
-        # holds a few rows at most
+        # H_512 on the 2064-node grid of `proj-scaling --k ...,512`: no
+        # 513 x 2064 table (8.5 MB) is built, and the build holds a few rows
+        # at most
         grid = zl.make_grid(sphere3, 4 * 512 + 16, kexact=512)
         tracemalloc.start()
         try:
@@ -223,7 +210,6 @@ class TestFactoredRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grid._basis is None
         assert op.factors[0].shape == (1, grid.points)
         assert peak < 16 * grid.points * 8
 
@@ -240,10 +226,10 @@ class TestFactoredRoute:
             op = operator_from_kernel(_kernel(n, "resolvent"), grid)
         else:
             kept = np.random.default_rng(n).standard_normal(25)
-            op = ZonalOperator(grid, factors=(grid.basis(24), kept))
+            op = ZonalOperator(grid, factors=(grid.basis(range(25)), kept))
         got = operators._row_lp(op, p)
         assert "matrix" not in op.__dict__
-        want = weighted_row_lp(grid.weights, op.matrix, p)
+        want = weighted_lp(grid.weights, op.matrix.T, p)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("p", [2.0, 5.0])
@@ -264,7 +250,7 @@ class TestFactoredRoute:
         got = operators._row_lp(op, p)
         scale = operators._entry_bound(rows, kept)
         assert ((got[32:] / scale) ** p < operators._ROW_SUM_MIN).all()
-        want = weighted_row_lp(grid.weights, op.matrix, p)
+        want = weighted_lp(grid.weights, op.matrix.T, p)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_row_norms_at_huge_p_with_diagonal_at_scale(self, monkeypatch):
@@ -274,10 +260,10 @@ class TestFactoredRoute:
         monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
         grid = zl.make_grid(zl.SphereSpec(3), 64, kexact=24)
         kept = np.random.default_rng(5).uniform(0.5, 2.0, 25)
-        rows = grid.basis(24)
+        rows = grid.basis(range(25))
         op = ZonalOperator(grid, factors=(rows, kept))
         got = operators._row_lp(op, 1e300)
-        want = weighted_row_lp(grid.weights, op.matrix, 1e300)
+        want = weighted_lp(grid.weights, op.matrix.T, 1e300)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert got.max() == pytest.approx(operators._entry_bound(rows, kept),
                                           rel=1e-15)
@@ -360,7 +346,7 @@ class TestFactoredRoute:
         # H_k f = <f, e_k> e_k, so ||H_k||_{r->s} = ||e_k||_{r'} ||e_k||_s
         op = operator_from_kernel(zl.projector_kernel(sphere3, k), grid80)
         w = grid80.weights
-        e = grid80.basis(k)[k]
+        e = grid80.basis([k])[0]
         exact = weighted_lp(w, e, r / (r - 1.0)) * weighted_lp(w, e, s)
         assert zl.norm_lower(op, r, s).value == pytest.approx(exact,
                                                               rel=1e-12)
@@ -585,7 +571,7 @@ class TestNormUpper:
         # ||H_k||_{r->s} = ||e_k||_{r'} ||e_k||_s
         op = operator_from_kernel(zl.projector_kernel(sphere3, k), grid80)
         r, s = pair
-        w, e = grid80.weights, grid80.basis(k)[k]
+        w, e = grid80.weights, grid80.basis([k])[0]
         rp = r / (r - 1.0) if r > 1 else np.inf
         exact = weighted_lp(w, e, rp) * weighted_lp(w, e, s)
         upper = zl.norm_upper(op, ExponentPoint(1 / r, 1 / s))
@@ -639,8 +625,8 @@ class TestNormUpper:
         r, s = pair
         point = ExponentPoint(1 / r, 1 / s)
         rp = point.dual().s
-        direct = weighted_lp(w, weighted_row_lp(w, A, rp), s)
-        dual = weighted_lp(w, weighted_row_lp(w, A, s), rp)
+        direct = weighted_lp(w, weighted_lp(w, A.T, rp), s)
+        dual = weighted_lp(w, weighted_lp(w, A.T, s), rp)
         chosen, other = ((direct, dual) if point.x + point.y <= 1.0
                          else (dual, direct))
         assert zl.norm_upper(op, point) == pytest.approx(chosen, rel=1e-12)
@@ -664,7 +650,7 @@ class TestNormUpper:
     def test_critical_point_through_dual(self, h8, grid144):
         """The bound at the critical pair is the rank-one closed form
         ||e_8||_{r'} ||e_8||_s, and so is the bound at its dual."""
-        w, e = grid144.weights, grid144.basis(8)[8]
+        w, e = grid144.weights, grid144.basis([8])[0]
         exact = weighted_lp(w, e, 3.0) * weighted_lp(w, e, 15.0)
         point = ExponentPoint(2 / 3, 1 / 15)
         for p in (point, point.dual()):
@@ -672,7 +658,7 @@ class TestNormUpper:
 
     def test_interior_point_direct(self, h8, grid144):
         # on the line 1/r + 1/s = 1 both orientations coincide; r' = s = 10
-        w, e = grid144.weights, grid144.basis(8)[8]
+        w, e = grid144.weights, grid144.basis([8])[0]
         up = zl.norm_upper(h8, ExponentPoint(0.9, 0.1))
         assert up == pytest.approx(weighted_lp(w, e, 10.0) ** 2, rel=1e-12)
 
@@ -875,7 +861,7 @@ class TestClenshawAntiderivative:
                                                        + 1)]
         total = sum(zl.azimuthal_matrix(spectrum, window)
                     for window in zip(edges, edges[1:]))
-        e = grid.basis(k)[k]
+        e = grid.basis([k])[0]
         spectral = np.outer(e, e)
         assert np.abs(total - spectral).max() <= 1e-12 * np.abs(
             spectral).max()
