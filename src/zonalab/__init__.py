@@ -4,7 +4,7 @@ from .dyadic import (DyadicPiece, dyadic_decompose, envelope_check,
                      piece_count, piece_norm_slopes)
 from .exponents import (ExponentPoint, admissible, predicted_exponents,
                         segment_endpoints, special_points, stein_point)
-from .grids import ZonalFunction, ZonalGrid, cap, load_grid, make_grid, save_grid
+from .grids import ZonalFunction, ZonalGrid, load_grid, make_grid, save_grid
 from .interpolation import (InterpolationData, certify_restricted_weak,
                             interp_from_fit, optimal_split)
 from .norms import lp_norm, weak_lq

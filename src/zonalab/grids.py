@@ -54,6 +54,9 @@ class ZonalGrid:
         root of Z_k(1).  The rows are a fresh array; nothing is cached.
         """
         degrees = np.asarray(degrees, dtype=np.intp)
+        if np.any(np.diff(degrees, prepend=-1) <= 0):
+            raise ValueError("degrees must be >= 0 and strictly increasing, "
+                             f"got {degrees.tolist()}")
         out = np.empty((degrees.size, self.points))
         if not degrees.size:
             return out
@@ -117,14 +120,6 @@ class ZonalFunction:
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid nodes")
         object.__setattr__(self, "values", values)
-
-
-def cap(grid, theta0):
-    """Indicator of the polar cap {theta <= theta0} as node values; its
-    measure is the grid measure, grid.integrate(cap(...).values)."""
-    if not 0 < theta0 <= np.pi:
-        raise ValueError(f"cap angle must lie in (0, pi], got {theta0}")
-    return ZonalFunction(grid, (grid.nodes <= theta0).astype(np.float64))
 
 
 def save_grid(grid, path):

@@ -9,8 +9,8 @@ restricted inputs into weak Lebesgue space at the intermediate point
 in (1/r, 1/s) coordinates.  The proof mechanism splits the dyadic sum at an
 index rho chosen so the finite geometric part and the tail part balance;
 optimal_split reproduces that index, and certify_restricted_weak replays the
-whole argument on cap inputs against the operator the pieces sum to (the
-rank-one H_k = e_k e_k^T for the pieces of a projector kernel).
+whole argument over every input set E on the rank-one H_k = e_k e_k^T that
+the pieces of a projector kernel sum to, where that sup has a closed form.
 interp_from_fit takes the endpoints, prefactors and rates from a measured
 `dyadic.PieceNormFit` alone, which carries the points it was measured at.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NumericalError
 from .exponents import ExponentPoint
-from .norms import lp_norm, weak_sweep
+from .norms import set_sweep, weak_sweep
 
 
 @dataclass(frozen=True)
@@ -97,53 +97,35 @@ def optimal_split(data, mu_e, mu_a):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end certification on measured operators
+# end-to-end certification on the operator the pieces sum to
 
-@dataclass
-class CertificationReport:
-    cap_reports: list
-    c_obs: float
+def certify_restricted_weak(op, data):
+    """Replay the restricted weak-type bound on the rank-one op = m e e^T
+    (the H_k that the pieces of Z_k sum to) over every node set E.
 
-
-def certify_restricted_weak(op, data, caps):
-    """Replay the restricted weak-type bound on op, the operator T that the
-    pieces sum to (for the pieces of Z_k, the rank-one H_k, in O(points)).
-
-    For each cap indicator E the image T 1_E is measured in weak L^q at the
-    target; C_obs normalizes by the interpolated prefactor
-    M1^theta M2^{1-theta} mu(E)^{1/p}.  Per cap, the two-term split bound at
-    the optimal rho is reported to expose the finite-part/tail-part balance.
-    A cap that holds no grid node has zero measure and raises ValueError.
+    T 1_E = m <e, 1_E>_w e, so the sup over E is exact from `set_sweep`.
+    The report is the attaining set's, with the two-term split bound at the
+    optimal rho; C_obs divides its weak-type constant by M1^theta
+    M2^{1-theta}.  Any other op is a ValueError.
     """
-    target = data.target
-    q = target.s
-    theta = data.theta
+    if not op.rank_one:
+        raise ValueError("the replay needs a rank-one operator m e e^T")
+    (e,), (m,) = op.factors
+    w, target, theta = op.grid.weights, data.target, data.theta
+    value, level, mu_e, nodes, sign = set_sweep(w, e, target.x)
+    image = abs(m) * (value * mu_e ** target.x) * e   # T 1_E up to sign
+    weak, t_star, mu_a = weak_sweep(w, image, target.s)
     interp_const = data.m_growth ** theta * data.m_decay ** (1.0 - theta)
     c1 = 2.0 ** data.beta_growth / (2.0 ** data.beta_growth - 1.0)
     c2 = 1.0 / (1.0 - 2.0 ** (-data.beta_decay))
-    reports = []
-    c_obs = 0.0
-    for capfn in caps:
-        mu_e = lp_norm(capfn, 1)
-        if mu_e == 0:
-            raise ValueError("cap holds no grid node; its measure is zero")
-        weak, t_star, mu_a = weak_sweep(capfn.grid.weights,
-                                        op.apply(capfn.values), q)
-        entry = {"mu_e": mu_e, "weak": weak,
-                 "c_obs": weak / (interp_const * mu_e ** target.x)}
-        if weak > 0 and t_star > 0:
-            split = optimal_split(data, mu_e, mu_a)
-            g, d = data.growth, data.decay
-            finite = (c1 * data.m_growth * 2.0 ** (data.beta_growth * split.rho)
-                      * mu_e ** g.x * mu_a ** (1.0 - g.y))
-            tail = (c2 * data.m_decay * 2.0 ** (-data.beta_decay * split.rho)
-                    * mu_e ** d.x * mu_a ** (1.0 - d.y))
-            entry.update({
-                "threshold": t_star, "mu_a": mu_a, "rho": split.rho,
-                "branch": split.branch, "finite_part": finite,
-                "tail_part": tail,
-                "split_bound_on_mu_a": (finite + tail) / t_star,
-            })
-        reports.append(entry)
-        c_obs = max(c_obs, entry["c_obs"])
-    return CertificationReport(reports, c_obs)
+    split = optimal_split(data, mu_e, mu_a)
+    g, d = data.growth, data.decay
+    finite = (c1 * data.m_growth * 2.0 ** (data.beta_growth * split.rho)
+              * mu_e ** g.x * mu_a ** (1.0 - g.y))
+    tail = (c2 * data.m_decay * 2.0 ** (-data.beta_decay * split.rho)
+            * mu_e ** d.x * mu_a ** (1.0 - d.y))
+    return {"mu_e": mu_e, "nodes": nodes, "level": level, "sign": sign,
+            "weak": weak, "c_obs": weak / (interp_const * mu_e ** target.x),
+            "threshold": t_star, "mu_a": mu_a, "rho": split.rho,
+            "branch": split.branch, "finite_part": finite,
+            "tail_part": tail, "split_bound_on_mu_a": (finite + tail) / t_star}

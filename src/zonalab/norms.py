@@ -60,6 +60,30 @@ def weak_sweep(w, v, q):
     return float(scores[i]), float(levels[i]), float(mass[i])
 
 
+def set_sweep(w, v, x):
+    """(sup over non-empty node sets E of |sum_E w v| / mu(E)^x, the level
+    of v at the edge of the attaining set {sign v >= level}, its measure,
+    node count and sign) for node weights w and 0 < x < 1.
+
+    sum_E w v <= F(mu(E)) = int_0^{mu(E)} v*.  F is concave, F(0) = 0, so
+    between breakpoints F = a + b mu with a >= 0, and F / mu^x peaks at a
+    breakpoint, where a superlevel set attains F: one descending pass over
+    v and one over -v give the sup exactly.
+    """
+    best = (-math.inf,)
+    for sign in (1, -1):
+        order = np.argsort(-sign * v, kind="stable")
+        desc, cumw = sign * v[order], np.cumsum(w[order])
+        scores = np.cumsum(w[order] * desc) / cumw ** x
+        # only the last index of a run of equal values is a breakpoint
+        last = np.nonzero(np.diff(desc, append=-np.inf))[0]
+        i = last[int(np.argmax(scores[last]))]
+        if scores[i] > best[0]:
+            best = (float(scores[i]), float(desc[i]), float(cumw[i]),
+                    int(i) + 1, sign)
+    return best
+
+
 def weak_lq(f, q):
     """Weak-L^q norm sup_t t mu(|f| > t)^{1/q} against the grid measure."""
     if q < 1:

@@ -235,8 +235,9 @@ class TestProjScaling:
 
 
 class TestDyadicCertify:
-    def test_caps_without_nodes_are_skipped(self, tmp_path):
-        # at n=5, k=32 the cap theta <= 1/lambda_k holds no grid node
+    def test_each_row_reports_one_attaining_set(self, tmp_path):
+        # at n=5, k=32 no grid node lies within 1/lambda_k of the pole; the
+        # attaining set still holds at least one node
         code, out, js = _run(tmp_path, "dy5", "dyadic-certify", "--n", "5",
                              "--k", "16,32", "--sigma", "0.36")
         assert code == 0
@@ -246,9 +247,34 @@ class TestDyadicCertify:
             assert math.isfinite(row["c_obs"])
             # the rms residuals of the two log2 fits
             assert row["residual_growth"] >= 0 and row["residual_decay"] >= 0
-            assert row["caps"]
-            for entry in row["caps"]:
-                assert entry["mu_e"] > 0 and math.isfinite(entry["c_obs"])
+            [entry] = row["caps"]
+            assert entry["mu_e"] > 0 and entry["nodes"] >= 1
+            assert entry["c_obs"] == row["c_obs"]
+
+    def test_attaining_set_rebuilds_c_obs(self, tmp_path):
+        # H_k applied to the set {sign e_k >= level} has the row's weak
+        # norm, and the row's m1, m2, theta and target turn it into c_obs
+        code, out, js = _run(tmp_path, "dy3", "dyadic-certify",
+                             "--k", "16,32", "--sigma", "3/5")
+        assert code == 0
+        summary = json.loads(js.read_text())
+        sphere = zl.SphereSpec(3)
+        grid = zl.make_grid(sphere, summary["config"]["grid_points"])
+        for row in summary["rows"]:
+            [entry] = row["caps"]
+            e = grid.basis([row["k"]])[0]
+            ind = (entry["sign"] * e >= entry["level"]).astype(float)
+            assert ind.sum() == entry["nodes"]
+            mu_e = grid.weights @ ind
+            h_k = zl.operator_from_kernel(
+                zl.projector_kernel(sphere, row["k"]), grid)
+            x, y = row["target"]
+            weak = zl.weak_lq(zl.ZonalFunction(grid, h_k.apply(ind)), 1 / y)
+            prefactor = row["m1"] ** row["theta"] * row["m2"] ** (
+                1 - row["theta"])
+            assert weak == pytest.approx(entry["weak"], rel=1e-12)
+            assert (weak / (prefactor * mu_e ** x)
+                    == pytest.approx(row["c_obs"], rel=1e-12))
 
     def test_each_piece_operator_built_once(self, tmp_path, monkeypatch):
         builds = Counter()

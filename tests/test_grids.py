@@ -74,6 +74,13 @@ class TestQuadratureExactness:
             assert np.array_equal(B, want[list(degrees)])
         assert grid.basis([]).shape == (0, grid.points)
 
+    @pytest.mark.parametrize("degrees", [[3, 3], [5, 3], [-1]])
+    def test_basis_rejects_bad_degrees(self, sphere3, degrees):
+        # repeated, decreasing and negative degrees name no row
+        grid = zl.make_grid(sphere3, 40)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            grid.basis(degrees)
+
     def test_basis_built_in_place(self, sphere3):
         # the rows are scaled and divided into the array that is returned,
         # so building the lambda = 64 resolvent operator holds its rows and
@@ -94,18 +101,6 @@ class TestQuadratureExactness:
         v1 = grid80.integrate(zl.zonal_value(3, 8, grid80.cosines) ** 2)
         v2 = grid144.integrate(zl.zonal_value(3, 8, grid144.cosines) ** 2)
         assert v1 == pytest.approx(v2, rel=1e-10)
-
-
-class TestCap:
-    def test_indicator_values(self, grid80):
-        f = zl.cap(grid80, 0.7)
-        np.testing.assert_array_equal(f.values, (grid80.nodes <= 0.7) * 1.0)
-
-    def test_rejects_bad_angle(self, grid80):
-        with pytest.raises(ValueError):
-            zl.cap(grid80, 0.0)
-        with pytest.raises(ValueError):
-            zl.cap(grid80, 4.0)
 
 
 def test_zonal_function_shape_check(grid80):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +7,7 @@ from zonalab import dyadic
 from zonalab.errors import NumericalError
 from zonalab.exponents import ExponentPoint
 from zonalab.interpolation import optimal_split
+from zonalab.norms import weak_sweep
 from zonalab.operators import ZonalOperator
 
 
@@ -113,120 +112,114 @@ class TestOptimalSplit:
 
 
 @pytest.fixture(scope="module")
-def pieces16(grid144):
-    return zl.dyadic_decompose(16, grid144)
+def h16(grid144):
+    """The rank-one H_16 = e_16 e_16^T that the pieces of Z_16 sum to."""
+    return zl.operator_from_kernel(zl.projector_kernel(grid144.sphere, 16),
+                                   grid144)
 
 
-@pytest.fixture(scope="module")
-def op16(pieces16, grid144):
-    """T = sum_j T_j over every piece of degree 16."""
-    return ZonalOperator(grid144, np.sum([p.operator().matrix
-                                          for p in pieces16], axis=0))
+def _attaining_set(op, report):
+    """Indicator of the report's set: the first `nodes` nodes of sign * e
+    in a stable descending sort."""
+    e = op.factors[0][0]
+    ind = np.zeros(op.grid.points)
+    ind[np.argsort(-report["sign"] * e, kind="stable")[:report["nodes"]]] = 1
+    return ind
 
 
 class TestCertify:
-    def test_single_piece_midpoint_constant(self, pieces16, grid144):
-        """One piece at balanced rates reduces to the two-endpoint product
-        bound, so the observed constant cannot exceed 1 by more than the
-        lower-bound slack."""
-        op = pieces16[5].operator()
+    def test_exact_endpoint_norms_bound_the_constant(self, h16):
+        """With the exact norms of H_16 at the two Stein points as
+        prefactors, Riesz-Thorin puts its norm at the target below
+        M1^theta M2^{1-theta}, and the restricted weak-type constant lies
+        below that norm, so C_obs cannot exceed 1 beyond rounding."""
         p_pt, q_pt = zl.stein_point(3, 0.6)
-        m1 = zl.norm_lower(op, q_pt.r, q_pt.s).value
-        m2 = zl.norm_lower(op, p_pt.r, p_pt.s).value
+        m1 = zl.norm_lower(h16, q_pt.r, q_pt.s).value
+        m2 = zl.norm_lower(h16, p_pt.r, p_pt.s).value
         data = zl.InterpolationData(q_pt, p_pt, m1, m2, 1.0, 1.0)
-        caps = [zl.cap(grid144, th) for th in (1 / 17, 1 / 8, 0.5)]
-        report = zl.certify_restricted_weak(op, data, caps)
-        assert report.c_obs <= 1.02
+        report = zl.certify_restricted_weak(h16, data)
+        assert 0.5 < report["c_obs"] <= 1 + 1e-12
         assert data.target.x == pytest.approx(2 / 3, abs=1e-12)
 
     @pytest.mark.parametrize("n,sigma", [(3, 0.6), (4, 0.45)])
     def test_projector_replays_as_summed_pieces(self, n, sigma):
         # dyadic-certify replays the bound on the rank-one H_k, which the
-        # pieces sum to: the same report as on their summed matrix, to
-        # rounding, with the CLI's caps and its fitted data
+        # pieces sum to: their summed matrix maps the attaining set to the
+        # same weak norm, threshold and superlevel measure, to rounding,
+        # with the CLI's fitted data
         k = 16
         grid = zl.make_grid(zl.SphereSpec(n), 144, kexact=32)
         data = zl.interp_from_fit(zl.piece_norm_slopes(k, sigma, grid))
-        lam = zl.eigenvalue(n, k)
-        caps = [c for c in (zl.cap(grid, th) for th in (1 / lam, 1 / 8, 0.5))
-                if c.values.any()]
         h_k = zl.operator_from_kernel(zl.projector_kernel(grid.sphere, k),
                                       grid)
         summed = ZonalOperator(grid, np.sum(
             [p.operator().matrix for p in zl.dyadic_decompose(k, grid)],
             axis=0))
-        rank_one = zl.certify_restricted_weak(h_k, data, caps)
-        pieces = zl.certify_restricted_weak(summed, data, caps)
-        assert rank_one.c_obs == pytest.approx(pieces.c_obs, rel=1e-12)
-        assert len(rank_one.cap_reports) == len(pieces.cap_reports) == 3
-        for got, want in zip(rank_one.cap_reports, pieces.cap_reports):
-            assert got.keys() == want.keys()
-            assert "rho" in got
-            for key, value in want.items():
-                if isinstance(value, float):
-                    assert got[key] == pytest.approx(value, rel=1e-12), key
-                else:
-                    assert got[key] == value, key
+        report = zl.certify_restricted_weak(h_k, data)
+        weak, t_star, mu_a = weak_sweep(
+            grid.weights, summed.apply(_attaining_set(h_k, report)),
+            data.target.s)
+        assert weak == pytest.approx(report["weak"], rel=1e-12)
+        assert t_star == pytest.approx(report["threshold"], rel=1e-12)
+        assert mu_a == pytest.approx(report["mu_a"], rel=1e-12)
 
-    def test_full_sphere_annihilated(self, op16, grid144):
-        # the reassembled projector kills constants for k >= 1
+    def test_full_sphere_annihilated(self, h16, grid144):
+        # H_16 kills constants, so the whole sphere scores 0 and the
+        # attaining set is a proper subset of the nodes
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        full = zl.cap(grid144, math.pi)
-        report = zl.certify_restricted_weak(op16, data, [full])
-        assert report.c_obs < 1e-6
+        report = zl.certify_restricted_weak(h16, data)
+        ones = np.ones(grid144.points)
+        assert np.abs(h16.apply(ones)).max() < 1e-10 * report["weak"]
+        assert 0 < report["nodes"] < grid144.points
 
-    def test_absolute_kernel_dominates(self, op16, pieces16, grid144):
+    def test_dense_operator_rejected(self, grid144):
+        # a piece's dense matrix, or factors of more than one row, have no
+        # closed form over all sets
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5)]
-        signed = zl.certify_restricted_weak(op16, data, caps)
-        abs_op = ZonalOperator(grid144, np.sum(
-            [np.abs(p.operator().matrix) for p in pieces16], axis=0))
-        rectified = zl.certify_restricted_weak(abs_op, data, caps)
-        assert rectified.c_obs >= signed.c_obs * (1 - 1e-12)
+        piece = zl.dyadic_decompose(16, grid144)[5].operator()
+        two = ZonalOperator(grid144, factors=(grid144.basis([2, 3]),
+                                              np.ones(2)))
+        for op in (piece, two):
+            with pytest.raises(ValueError, match="rank-one"):
+                zl.certify_restricted_weak(op, data)
 
-    def test_empty_cap_rejected(self, op16, grid144):
-        # no node lies this close to the pole: mu(E) = 0 has no constant
-        p_pt, q_pt = zl.stein_point(3, 0.6)
-        data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
-        empty = zl.cap(grid144, 1e-4)
-        assert not empty.values.any()
-        with pytest.raises(ValueError):
-            zl.certify_restricted_weak(op16, data, [empty])
-
-    def test_report_structure(self, op16, grid144):
+    def test_report_structure(self, h16):
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
-        caps = [zl.cap(grid144, 0.5)]
-        report = zl.certify_restricted_weak(op16, data, caps)
-        entry = report.cap_reports[0]
-        for key in ("mu_e", "weak", "c_obs", "threshold", "mu_a", "rho",
-                    "branch", "finite_part", "tail_part"):
+        entry = zl.certify_restricted_weak(h16, data)
+        for key in ("mu_e", "nodes", "level", "sign", "weak", "c_obs",
+                    "threshold", "mu_a", "rho", "branch", "finite_part",
+                    "tail_part", "split_bound_on_mu_a"):
             assert key in entry
         assert entry["mu_e"] > 0 and entry["weak"] > 0
+        assert entry["level"] > 0 and entry["sign"] in (1, -1)
 
-    def test_cap_weak_sweep_matches_brute_force(self, op16, grid144):
-        # the cap report's weak norm, threshold and superlevel measure are
-        # those of weak_lq, and of a sup over the image's node values:
-        # weak = max_v v mu(|image| >= v)^{1/q}, attained at threshold v
+    def test_set_weak_sweep_matches_brute_force(self, h16, grid144):
+        # the report's weak norm, threshold and superlevel measure are
+        # those of weak_lq on H_16 applied to the rebuilt set, and of a sup
+        # over the image's node values: weak = max_v v mu(|image| >= v)^{1/q}
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 2.0, 1.5, 0.25, 0.2)
         q = data.target.s
         w = grid144.weights
-        caps = [zl.cap(grid144, th) for th in (1 / 8, 0.5, 1.5)]
-        report = zl.certify_restricted_weak(op16, data, caps)
-        for capfn, entry in zip(caps, report.cap_reports):
-            image = op16.apply(capfn.values)
-            f = zl.ZonalFunction(grid144, image)
-            assert entry["weak"] == zl.weak_lq(f, q)
-            a = np.abs(image)
-            mass = np.array([w[a >= v].sum() for v in a])
-            scores = a * mass ** (1.0 / q)
-            best = int(np.argmax(scores))
-            assert entry["weak"] == pytest.approx(scores[best], rel=1e-13)
-            assert entry["threshold"] == a[best]
-            assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
+        entry = zl.certify_restricted_weak(h16, data)
+        ind = _attaining_set(h16, entry)
+        e = h16.factors[0][0]
+        np.testing.assert_array_equal(ind > 0, entry["sign"] * e
+                                      >= entry["level"])
+        assert entry["mu_e"] == pytest.approx(w @ ind, rel=1e-13)
+        image = h16.apply(ind)
+        assert entry["weak"] == pytest.approx(
+            zl.weak_lq(zl.ZonalFunction(grid144, image), q), rel=1e-13)
+        a = np.abs(image)
+        mass = np.array([w[a >= v].sum() for v in a])
+        scores = a * mass ** (1.0 / q)
+        best = int(np.argmax(scores))
+        assert entry["weak"] == pytest.approx(scores[best], rel=1e-13)
+        assert entry["threshold"] == pytest.approx(a[best], rel=1e-13)
+        assert entry["mu_a"] == pytest.approx(mass[best], rel=1e-13)
 
     def test_envelope_screening(self, grid80, monkeypatch):
         fit = zl.piece_norm_slopes(16, 0.6, grid80, restarts=4)

@@ -1,4 +1,4 @@
-"""Norm layer: quadrature L^p and weak L^q.
+"""Norm layer: quadrature L^p, weak L^q and the sup over node sets.
 
 The discrete identities are exercised on a tiny grid with hand-picked
 weights, where every layer-cake quantity is a two-term closed form.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zonalab as zl
-from zonalab.norms import weighted_lp
+from zonalab.norms import set_sweep, weighted_lp
 
 VOL3 = 19.739208802178716
 
@@ -39,7 +39,7 @@ class TestLp:
         assert zl.lp_norm(z4, 2) == pytest.approx(1.1253953951963827, rel=1e-12)
 
     def test_indicator(self, grid80):
-        f = zl.cap(grid80, 0.9)
+        f = _fn(grid80, (grid80.nodes <= 0.9).astype(float))
         m = grid80.weights[grid80.nodes <= 0.9].sum()
         assert zl.lp_norm(f, 3) == pytest.approx(m ** (1 / 3), rel=1e-12)
 
@@ -100,7 +100,7 @@ class TestWeak:
         assert zl.weak_lq(f, 4) == pytest.approx(0.8 ** 0.25, rel=1e-14)
 
     def test_cap_on_real_grid(self, grid80):
-        f = zl.cap(grid80, 1.1)
+        f = _fn(grid80, (grid80.nodes <= 1.1).astype(float))
         m = grid80.weights[grid80.nodes <= 1.1].sum()
         assert zl.weak_lq(f, 2) == pytest.approx(math.sqrt(m), rel=1e-12)
 
@@ -125,3 +125,41 @@ def test_norm_chain(toy_grid, vals, p):
     """weak L^p <= L^p at matching exponents."""
     f = _fn(toy_grid, vals)
     assert zl.weak_lq(f, p) <= zl.lp_norm(f, p) * (1 + 1e-9)
+
+
+class TestSetSweep:
+    """sup_E |sum_E w v| / mu(E)^x against every non-empty node set."""
+
+    @given(data=st.data(), size=st.integers(1, 12), x=st.floats(0.05, 0.95))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, data, size, x):
+        w = np.array(data.draw(st.lists(st.floats(0.01, 10.0),
+                                        min_size=size, max_size=size)))
+        # a few distinct values make ties; the sign can be forced negative
+        pool = data.draw(st.lists(st.floats(-5.0, 5.0).filter(bool),
+                                  min_size=1, max_size=size))
+        v = np.array([data.draw(st.sampled_from(pool)) for _ in range(size)])
+        if data.draw(st.booleans()):
+            v = -np.abs(v)
+        masks = (np.arange(1, 2 ** size)[:, None] >> np.arange(size)) & 1
+        want = np.max(np.abs(masks @ (w * v)) / (masks @ w) ** x)
+        value, level, mu, count, sign = set_sweep(w, v, x)
+        assert value == pytest.approx(want, rel=1e-12)
+        # the reported set attains the sup, and is {sign v >= level}
+        chosen = np.argsort(-sign * v, kind="stable")[:count]
+        inset = np.zeros(size, bool)
+        inset[chosen] = True
+        np.testing.assert_array_equal(inset, sign * v >= level)
+        assert mu == pytest.approx(w[inset].sum(), rel=1e-12)
+        assert (abs(np.sum(w[inset] * v[inset])) / mu ** x
+                == pytest.approx(want, rel=1e-12))
+
+    def test_superlevel_set_on_toy_grid(self, toy_grid):
+        # masses 0.3 / 0.5 / 1.2 with values 2 / -1 / 1, at x = 1/2: the
+        # set {v >= 1} scores 1.8 / sqrt(1.5) = 1.470, ahead of either
+        # positive node alone (1.095), of all three (0.919) and of {v < 0}
+        value, level, mu, count, sign = set_sweep(
+            toy_grid.weights, np.array([2.0, -1.0, 1.0]), 0.5)
+        assert (count, sign, level) == (2, 1, 1.0)
+        assert mu == pytest.approx(1.5, rel=1e-15)
+        assert value == pytest.approx(1.8 / math.sqrt(1.5), rel=1e-15)
