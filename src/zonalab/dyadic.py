@@ -194,20 +194,20 @@ class EnvelopeConstants:
 
 def envelope_check(sphere, k):
     """Constants of the pointwise kernel envelope at degree k: c_flat exact,
-    as |Z_k| peaks at t = 1, c_osc and c_antipodal sampled on their windows."""
+    as |Z_k| peaks at t = 1, and c_osc sampled on its window.
+
+    The antipodal window [pi/4, pi - 1/lambda] is the mirror image of the
+    oscillatory one [1/lambda, 3 pi/4], and Z_k(-t) = (-1)^k Z_k(t), so
+    c_antipodal, the same sup with pi - theta, equals c_osc by parity."""
     if k < 1:
         raise ValueError("envelope constants need degree k >= 1")
     n = sphere.n
     lam = eigenvalue(n, k)
     half = (n - 1) / 2
     th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, _SAMPLES)
-    th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, _SAMPLES)
-    # one recurrence over both windows and t = 1; it runs elementwise, so
-    # each window and Z_k(1) get the bits of a recurrence over them alone
-    z = zonal_value(n, k, np.append(np.cos(np.concatenate((th_osc, th_anti))),
-                                    1.0))
-    z_osc, z_anti = z[:_SAMPLES], z[_SAMPLES:-1]
+    # one recurrence over the window and t = 1; it runs elementwise, so the
+    # window and Z_k(1) get the bits of a recurrence over them alone
+    z = zonal_value(n, k, np.append(np.cos(th_osc), 1.0))
     c_flat = z[-1] / k ** (n - 1)
-    c_osc = np.abs(z_osc * th_osc ** half).max() / lam ** half
-    c_anti = np.abs(z_anti * (np.pi - th_anti) ** half).max() / lam ** half
-    return EnvelopeConstants(float(c_flat), float(c_osc), float(c_anti))
+    c_osc = np.abs(z[:-1] * th_osc ** half).max() / lam ** half
+    return EnvelopeConstants(float(c_flat), float(c_osc), float(c_osc))

@@ -8,7 +8,9 @@ L^{p,1} norm is that same closed form mu(E)^{1/p} and needs no layer cake.
 
 One kernel, `weighted_lp`, takes every L^p norm: of a vector, of each column
 of a block, and (through the transpose) of each row of a matrix.  It copies
-|v| once and scales and powers that copy in place.
+|v| once and scales and powers that copy in place.  The power ascent also
+needs the duality map of what it measures; `weighted_lp_dual` takes the norm
+and the map from one power.
 """
 
 import math
@@ -30,6 +32,30 @@ def weighted_lp(w, v, p):
         np.power(a, p, out=a)
         peak = peak * (w @ a) ** (1.0 / p)
     return float(peak) if v.ndim == 1 else peak
+
+
+def weighted_lp_dual(w, v, p):
+    """(L^p norm, duality map, power sum) of node values v against node
+    weights w, from one power; 1 <= p < inf.
+
+    v is a vector, or a (nodes, m) block taken column by column.  With
+    a = |v| / max|v| and b = a^{p-1}, the power sum is T = sum_i w_i b_i a_i
+    and the norm max|v| T^{1/p}.  The duality map b sgn(conj v) is
+    |v|^{p-1} sgn(conj v) divided by max|v|^{p-1}, so no exponent overflows;
+    its L^{p'} norm is T^{1/p'}, as b^{p'} = a^p.  A zero column has norm,
+    map and sum 0.
+    """
+    a = np.abs(v)
+    peak = a.max(axis=0)
+    # sgn(conj v), 0 where v = 0; v / |v| is exactly +-1 for real v
+    if np.iscomplexobj(v):
+        sgn = np.divide(np.conj(v), a, out=np.zeros_like(v), where=a > 0)
+    else:
+        sgn = np.sign(v)
+    a /= np.where(peak > 0, peak, 1.0)
+    b = a ** (p - 1.0)
+    total = w @ (b * a)
+    return peak * total ** (1.0 / p), b * sgn, total
 
 
 def lp_norm(f, p):

@@ -18,7 +18,11 @@ azimuthal integrand of each node pair into Gegenbauer polynomials in the
 cosine of the azimuth, from one factor table, and the polynomials'
 derivative identity integrates each of them.  The antiderivative is summed
 by one Gegenbauer recurrence at the azimuths of the window's edges, once
-per distinct edge and only over the pairs that the edge cuts.
+per distinct edge and only over the pairs that the edge cuts.  A
+Gauss-Jacobi grid is symmetric under theta -> pi - theta, and a pair and its
+mirror image (P-1-j, P-1-i) have one antiderivative, so on such a grid the
+spectrum keeps one pair of each image and writes its entry to both places:
+half the pairs, and every window's matrix exactly centrosymmetric.
 
 A is symmetric, so the adjoint of T is T with its input and output
 conjugated, and every representation has one application path, `apply`.
@@ -34,7 +38,9 @@ Norms:
     inputs.  Its first start is that same row witness, the others seeded
     random draws; they run as the columns of one block (apply and the
     norms act column by column) and leave it at their own stops, and the
-    start that reached the largest ratio gives the witness.
+    start that reached the largest ratio gives the witness.  Each half-step
+    takes its norm, its duality map and the next input's L^r norm from one
+    power (`norms.weighted_lp_dual`).
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -62,7 +68,7 @@ from ._core import _rows
 from .errors import CertificateError
 from .exponents import ExponentPoint
 from .grids import ZonalFunction
-from .norms import weighted_lp
+from .norms import weighted_lp, weighted_lp_dual
 from .specfun import addition_factors
 
 _STAGNATION = 1e-9
@@ -70,6 +76,9 @@ _MAX_STEPS = 500
 # node pairs per block of the spectrum's weights, so that the temporaries
 # grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
+# a grid is mirror-symmetric when every theta_i + theta_{P-1-i} is this many
+# ulp(pi) or fewer from pi; every Gauss-Jacobi grid of make_grid is within 1
+_MIRROR_ULPS = 4
 # entries of A per tile (or per block of whole rows) of a factored
 # operator's row norms, so that the temporaries stay bounded whatever the
 # number of points
@@ -238,7 +247,15 @@ def operator_from_kernel(kernel, grid):
 
 class AzimuthalSpectrum:
     """The normalised azimuthal antiderivative of the degree-k zonal kernel
-    Z_k for every node pair i <= j of a grid, in closed form.
+    Z_k for the node pairs i <= j of a grid, in closed form.
+
+    On a mirror-symmetric grid (`mirrored`: every theta_i + theta_{P-1-i}
+    within _MIRROR_ULPS ulp of pi, as on every Gauss-Jacobi grid) only the
+    pairs with i + j <= P - 1 are kept.  A pair and its image
+    (P-1-j, P-1-i) sweep the same range [d, s] of relative angles and, as
+    A_m(pi - theta) = (-1)^{k-m} A_m(theta), have the same weights w_m, so
+    they have one G and every window's matrix is centrosymmetric; `places`
+    lists where each value goes.  Any other node set keeps every pair.
 
     For nodes at polar angles (ti, tj) the relative angle gamma obeys
     cos gamma = cos ti cos tj + sin ti sin tj cos phi as the azimuth phi runs
@@ -273,7 +290,17 @@ class AzimuthalSpectrum:
     def __init__(self, grid, k):
         self.grid = grid
         self.k = k
-        self.pairs = np.triu_indices(grid.points)
+        i, j = np.triu_indices(grid.points)
+        th = grid.nodes
+        self.mirrored = bool(np.all(np.abs(th + th[::-1] - np.pi)
+                                    <= _MIRROR_ULPS * np.spacing(np.pi)))
+        if self.mirrored:
+            # the image (P-1-j, P-1-i) of (i, j) has index sum
+            # 2 (P - 1) - (i + j), so i + j <= P - 1 keeps one pair of each
+            # image (a pair on the antidiagonal is its own image)
+            keep = i + j <= grid.points - 1
+            i, j = i[keep], j[keep]
+        self.pairs = i, j
         self._edges = {}
         n = grid.sphere.n
         a = (n - 2) / 2
@@ -299,10 +326,24 @@ class AzimuthalSpectrum:
         return np.abs(th[i] - th[j]), np.minimum(th[i] + th[j],
                                                  2.0 * np.pi - (th[i] + th[j]))
 
+    def places(self):
+        """The flat indices into a P x P matrix that the values of `edge`
+        fill: (i, j) and (j, i) for the pairs, then on a mirrored grid their
+        images (P-1-j, P-1-i) and (P-1-i, P-1-j)."""
+        P = self.grid.points
+        i, j = self.pairs
+        yield i * P + j
+        yield j * P + i
+        if self.mirrored:
+            # (P-1-a) P + (P-1-b) = P^2 - 1 - (a P + b)
+            last = P * P - 1
+            yield last - (j * P + i)
+            yield last - (i * P + j)
+
     def weight(self, m, i, j):
         """w_m of the node pairs (i, j), given as index arrays."""
-        a = self.factors
-        return self.kappa[m] * a[m, i] * a[m, j]
+        row = self.factors[m]
+        return self.kappa[m] * row.take(i) * row.take(j)
 
     def edge(self, gamma):
         """G, per pair, at the azimuth where the relative angle reaches
@@ -327,35 +368,29 @@ class AzimuthalSpectrum:
             i, j = self.pairs
             G[top] = self.total * self.weight(0, i[top], j[top])
             inside = np.flatnonzero((d < gamma) & (gamma < s))
-            if inside.size:
-                d, s = d[inside], s[inside]
+            for start in range(0, inside.size, _PAIR_BLOCK):
+                rows = inside[start:start + _PAIR_BLOCK]
+                lo, hi = d[rows], s[rows]
                 phi = 2.0 * np.arctan2(
-                    np.sqrt(np.sin(0.5 * (gamma - d))
-                            * np.sin(0.5 * (gamma + d))),
-                    np.sqrt(np.sin(0.5 * (s - gamma))
-                            * np.sin(0.5 * (s + gamma))))
-                G[inside] = self.antiderivative(inside, phi)
+                    np.sqrt(np.sin(0.5 * (gamma - lo))
+                            * np.sin(0.5 * (gamma + lo))),
+                    np.sqrt(np.sin(0.5 * (hi - gamma))
+                            * np.sin(0.5 * (hi + gamma))))
+                G[rows] = self.antiderivative(rows, phi)
             self._edges[gamma] = G
         return G
 
     def antiderivative(self, rows, phi):
-        """G(phi) for the pairs `rows`; phi has shape (..., len(rows)).
-
-        The weights are computed _PAIR_BLOCK pairs at a time, and the series
-        runs through the Gegenbauer recurrence in m at each azimuth.
-        """
+        """G(phi) for the pairs `rows`; phi has shape (..., len(rows)).  The
+        series runs through the Gegenbauer recurrence in m at each azimuth;
+        `edge` passes _PAIR_BLOCK pairs at a time."""
         n, k = self.grid.sphere.n, self.k
-        out = np.empty(np.shape(phi))
-        for start in range(0, rows.size, _PAIR_BLOCK):
-            b = slice(start, start + _PAIR_BLOCK)
-            i, j = self.pairs[0][rows[b]], self.pairs[1][rows[b]]
-            p = phi[..., b]
-            series = np.zeros_like(p)
-            for m, row in zip(range(1, k + 1), _rows(k - 1, n / 2, np.cos(p))):
-                series += self.weight(m, i, j) * row
-            out[..., b] = (self.weight(0, i, j) * _sine_integral(n - 2, p)
-                           + np.sin(p) ** (n - 1) * series)
-        return out
+        i, j = self.pairs[0][rows], self.pairs[1][rows]
+        series = np.zeros_like(phi)
+        for m, row in zip(range(1, k + 1), _rows(k - 1, n / 2, np.cos(phi))):
+            series += self.weight(m, i, j) * row
+        return (self.weight(0, i, j) * _sine_integral(n - 2, phi)
+                + np.sin(phi) ** (n - 1) * series)
 
 
 def _sine_integral(p, phi):
@@ -373,14 +408,17 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     support = (lo, hi] of relative angles: G(hi) - G(lo) per pair, each edge
     clipped to the pair's range (`AzimuthalSpectrum.edge`).  A window that
     misses a pair's range clips both edges to the same end, so the entry is
-    exactly 0.  The matrix is filled from the pairs i <= j, so it is exactly
-    symmetric.  The lower edge is read first: windows walked upwards then
-    find it among the spectrum's two kept edges.
+    exactly 0.  Each pair's entry is written to its `places`, so the matrix
+    is exactly symmetric and, on a mirrored grid, exactly centrosymmetric.
+    The lower edge is read first: windows walked upwards then find it among
+    the spectrum's two kept edges.
     """
-    i, j = spectrum.pairs
     lo = spectrum.edge(support[0])
+    values = spectrum.edge(support[1]) - lo
     A = np.empty((spectrum.grid.points,) * 2)
-    A[i, j] = A[j, i] = spectrum.edge(support[1]) - lo
+    flat = A.reshape(-1)
+    for place in spectrum.places():
+        flat[place] = values
     return A
 
 
@@ -400,16 +438,6 @@ def _conjugate(r):
     if math.isinf(r):
         return 1.0
     return math.inf if r == 1.0 else r / (r - 1.0)
-
-
-def _dual_power(g, p):
-    """|g|^{p-1} sgn(conj g), the duality map used by the ascent, of a vector
-    or of each column of a block, divided by the column's max|g|^{p-1} so
-    that no exponent overflows; only its direction is used."""
-    a = np.abs(g)
-    peak = a.max(axis=0)
-    sgn = np.divide(np.conj(g), a, out=np.zeros_like(g), where=a > 0)
-    return (a / np.where(peak > 0, peak, 1.0)) ** (p - 1.0) * sgn
 
 
 @dataclass
@@ -454,8 +482,7 @@ def _ascent(op, r, s, starts):
             steps[col], stops[col] = step, reason
 
     for step in range(1, _MAX_STEPS + 1):
-        g = op.apply(f)
-        ratio = weighted_lp(w, g, s)
+        ratio, h, _ = weighted_lp_dual(w, op.apply(f), s)
         for j in np.flatnonzero(ratio > best[live]):
             best[live[j]], witness[live[j]] = ratio[j], f[:, j]
         # a zero image is stagnant too, since prev >= 0
@@ -465,13 +492,14 @@ def _ascent(op, r, s, starts):
             stop(live[zero], step, "zero")
             stop(live[stagnant & ~zero], step, "stagnation")
             go = ~stagnant
-            live, ratio, g = live[go], ratio[go], g[:, go]
+            live, ratio, h = live[go], ratio[go], h[:, go]
             if not live.size:
                 break
         prev = ratio
-        # the duality map of T*v = conj(T conj v), v = conj _dual_power(g, s)
-        f = _dual_power(op.apply(_dual_power(g, s)), rp)
-        nrm = weighted_lp(w, f, r)
+        # the duality map of T*v = conj(T conj v), v = conj h the duality
+        # map of the image; its L^r norm is T^{1/r}, as (r' - 1) r = r'
+        _, f, total = weighted_lp_dual(w, op.apply(h), rp)
+        nrm = total ** (1.0 / r)
         if not nrm.all():
             stop(live[nrm == 0], step, "zero")
             go = nrm > 0
@@ -512,9 +540,11 @@ def _exact_witness(op, r, s):
     if r == 1.0:
         f = np.zeros(op.grid.points)
         f[i] = 1.0 / w[i]
+        nrm = weighted_lp(w, f, r)
     else:
-        f = _dual_power(row, p)
-    nrm = weighted_lp(w, f, r)
+        # the duality map's L^r norm is T^{1/r}, as (r' - 1) r = r'
+        _, f, total = weighted_lp_dual(w, row, p)
+        nrm = total ** (1.0 / r)
     return f / nrm if nrm > 0 else f
 
 

@@ -184,7 +184,8 @@ def test_one_spectrum_per_degree(monkeypatch):
     # many pieces there are;
     # built in order, as piece_norm_slopes builds them, each distinct
     # window edge is summed once, only over the pairs whose range it cuts,
-    # so never at phi = 0 or pi; and each piece matrix is exactly symmetric
+    # one pair of each mirror image, so never at phi = 0 or pi; and each
+    # piece matrix is exactly symmetric and centrosymmetric
     tables, summed = [], []
     factors = operators.addition_factors
     antiderivative = zl.AzimuthalSpectrum.antiderivative
@@ -211,16 +212,77 @@ def test_one_spectrum_per_degree(monkeypatch):
         for piece in pieces:
             A = piece.operator().matrix
             assert np.array_equal(A, A.T)
+            assert np.array_equal(A, A[::-1, ::-1])
         assert all(p.spectrum is pieces[0].spectrum for p in pieces)
         assert tables == [(n, k)]
-        # the pairs' ranges [d, s] of relative angles, as the azimuth turns
+        # the pairs' ranges [d, s] of relative angles, as the azimuth turns,
+        # of the pairs i <= j with i + j <= P - 1: (i, j) and its mirror
+        # image (P-1-j, P-1-i) sweep one range
         th = grid.nodes
         i, j = np.triu_indices(grid.points)
+        one = i + j <= grid.points - 1
+        i, j = i[one], j[one]
         d = np.abs(th[i] - th[j])
         s = np.minimum(th[i] + th[j], 2.0 * np.pi - (th[i] + th[j]))
         cut = [np.count_nonzero((d < e) & (e < s))
                for e in {e for p in pieces for e in p.support}]
         assert sorted(summed) == sorted(c for c in cut if c)
+
+
+def _window_matrices(grid, k):
+    """The spectrum of Z_k on the grid and the matrices of its dyadic
+    windows, built in order."""
+    spectrum = zl.AzimuthalSpectrum(grid, k)
+    return spectrum, [zl.azimuthal_matrix(spectrum, piece.support)
+                      for piece in zl.dyadic_decompose(k, grid)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+class TestMirror:
+    """A Gauss-Jacobi grid is symmetric under theta -> pi - theta, so the
+    spectrum keeps one pair of each mirror image and writes it to both."""
+
+    def test_every_grid_is_mirrored(self, n):
+        # within 1 ulp(pi) for every make_grid grid of 12..2064 points;
+        # the spectrum accepts up to _MIRROR_ULPS
+        for points in (12, 13, 80, 144, 513, 2064):
+            th = zl.make_grid(zl.SphereSpec(n), points).nodes
+            assert np.abs(th + th[::-1] - np.pi).max() <= np.spacing(np.pi)
+
+    def test_pieces_are_centrosymmetric(self, n):
+        for points, k in ((12, 5), (41, 16), (144, 32)):
+            grid = zl.make_grid(zl.SphereSpec(n), points)
+            spectrum, matrices = _window_matrices(grid, k)
+            assert spectrum.mirrored
+            # i <= j and i + j <= P - 1
+            P = grid.points
+            assert spectrum.pairs[0].size == (P // 2 + 1) * ((P + 1) // 2)
+            for A in matrices:
+                assert np.array_equal(A, A.T)
+                assert np.array_equal(A, A[::-1, ::-1])
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_matches_all_pairs(self, n, k):
+        # the south half moved by 6 ulp(pi) either way is no longer
+        # mirrored, so those builds keep every pair; the move's first-order
+        # effect cancels in their mean, which stands in for an all-pairs
+        # build on the grid's own nodes
+        grid = zl.make_grid(zl.SphereSpec(n), 4 * k + 16, kexact=k)
+        spectrum, mirrored = _window_matrices(grid, k)
+        assert spectrum.mirrored
+        builds = []
+        for sign in (1, -1):
+            nodes = grid.nodes.copy()
+            nodes[grid.points // 2:] += sign * 6 * np.spacing(np.pi)
+            moved = zl.ZonalGrid(grid.sphere, nodes, grid.weights, "moved", k)
+            spectrum, matrices = _window_matrices(moved, k)
+            assert not spectrum.mirrored
+            assert spectrum.pairs[0].size == moved.points * (
+                moved.points + 1) // 2
+            builds.append(matrices)
+        for j, (A, B, C) in enumerate(zip(mirrored, *builds)):
+            scale = np.abs(A).max()
+            assert np.abs(A - 0.5 * (B + C)).max() <= 1e-13 * scale, j
 
 
 def test_pieces_memory():
@@ -313,7 +375,9 @@ class TestEnvelope:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 64, 1024])
     def test_one_recurrence_keeps_bits(self, n, k):
-        # one recurrence over the three windows against one per window
+        # one recurrence over the window and t = 1 against one per window;
+        # the antipodal window mirrors the oscillatory one, and
+        # Z_k(-t) = (-1)^k Z_k(t), so c_antipodal is c_osc exactly
         env = zl.envelope_check(zl.SphereSpec(n), k)
         lam, half, samples = zl.eigenvalue(n, k), (n - 1) / 2, 4096
 
@@ -322,12 +386,14 @@ class TestEnvelope:
 
         th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
         th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
-        th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
         want = [np.abs(zk(th_flat)).max() / k ** (n - 1),
-                np.abs(zk(th_osc) * th_osc ** half).max() / lam ** half,
-                np.abs(zk(th_anti) * (np.pi - th_anti) ** half).max()
-                / lam ** half]
-        assert np.array_equal([env.c_flat, env.c_osc, env.c_antipodal], want)
+                np.abs(zk(th_osc) * th_osc ** half).max() / lam ** half]
+        assert np.array_equal([env.c_flat, env.c_osc], want)
+        assert env.c_antipodal == env.c_osc
+        # sampled near the far pole, it agrees to rounding
+        th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
+        anti = np.abs(zk(th_anti) * (np.pi - th_anti) ** half).max()
+        assert anti / lam ** half == pytest.approx(env.c_osc, rel=1e-13)
 
     def test_rejects_degree_zero(self, sphere3):
         with pytest.raises(ValueError):
