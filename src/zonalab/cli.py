@@ -310,6 +310,8 @@ class Config:
         self.grid_points = flags.get("grid_points")
         self.restarts = flags.get("restarts")
         self.seed = args.seed
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         self.out = Path(args.out)
         self.cache_dir = flags.get("cache_dir")
         # the SciPy version that built this run's grid; None until one does
@@ -409,7 +411,8 @@ def main(argv=None):
         if cfg.point is not None and len(sink.rows) >= 3:
             slope, _, residual = fit_slope((rec[sink.header[0]], rec["lower"])
                                            for rec in sink.rows)
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
+        # an overflow (say k ** (n - 1) at a huge n) is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

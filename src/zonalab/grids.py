@@ -34,8 +34,11 @@ class ZonalGrid:
         self.kexact = int(kexact)
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be matching 1-D arrays")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
+        # comparisons are False at NaN, so these reject it too
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("quadrature weights must be finite and positive")
+        if not np.all((self.nodes >= 0) & (self.nodes <= np.pi)):
+            raise ValueError("nodes must be polar angles in [0, pi]")
         # shared by every caller, so read-only
         self.cosines = np.cos(self.nodes)
         self.cosines.flags.writeable = False

@@ -33,29 +33,32 @@ Norms:
     discrete operator.  Where s = inf or r = 1, and for a rank-one operator
     m e e^T (e.g. the degree-k projector), one exact route attains the norm
     with the duality map of the row of largest Hoelder norm, a point mass
-    when r = 1; for m e e^T that row is e, so it costs O(points) and no
-    dense matrix.  Everything else runs a nonlinear power ascent over zonal
-    inputs.  Its first start is that same row witness, the others seeded
-    random draws; they run as the columns of one block (apply and the
-    norms act column by column) and leave it at their own stops, and the
-    start that reached the largest ratio gives the witness.  Each half-step
-    takes its norm, its duality map and the next input's L^r norm from one
-    power (`norms.weighted_lp_dual`).
+    when r = 1; for m e e^T that row is a multiple of e, so it costs
+    O(points) and no dense matrix.  Everything else runs a nonlinear power
+    ascent over zonal inputs.  Its first start is that same row witness,
+    the others seeded random draws; they run as the columns of one block
+    (apply and the norms act column by column) and leave it at their own
+    stops, and the start that reached the largest ratio gives the witness.
+    Each half-step takes its norm, its duality map and the next input's L^r
+    norm from one power (`norms.weighted_lp_dual`).
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
     degree-k projector, in O(points)) and wherever r = 1 or s = inf.
 
-Both read the row norms of a factored operator from tiles of A, built from
-the factors and reduced one at a time (`_row_lp`), so the temporaries stay
-bounded whatever the number of points; the operator keeps them by exponent,
-so where 1/r + 1/s = 1 one certificate builds them once.  |A| is symmetric,
+Both read one set of row norms (`_row_lp`), which the operator keeps by
+exponent, so where 1/r + 1/s = 1 one certificate builds them once.  A
+rank-one row m e_i e has the closed-form norm |m| |e_i| ||e||_p.  Every
+other row of A, dense or factored, is read through one accessor
+(`_columns`), a bounded block of rows at a time, so A is never copied and
+the temporaries stay bounded whatever the number of points.  A factored
+operator first sums tiles of A built from its factors: |A| is symmetric,
 so only the tiles on and above the diagonal are built, each scaled by the
 a-priori bound C = max_i sum_k |m_k| e_k(t_i)^2 >= max |A_ij|, and a tile's
 powered entries are summed into the rows on both of its sides.  A row whose
-sum underflows against C, or overflows at a huge exponent, is rebuilt whole
-and scaled by its own max (the fallback rows), so every exponent keeps its
-meaning.
+sum underflows against C, or overflows at a huge exponent, is then read
+whole and scaled by its own max (the fallback rows), so every exponent
+keeps its meaning.
 """
 
 import functools
@@ -104,6 +107,8 @@ class ZonalOperator:
     """
 
     def __init__(self, grid, matrix=None, label="", factors=None):
+        if (matrix is None) == (factors is None):
+            raise ValueError("give either the matrix or the factors")
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
@@ -113,8 +118,7 @@ class ZonalOperator:
 
     @functools.cached_property
     def matrix(self):
-        rows, kept = self.factors
-        return _real_matmul(rows.T, _scale_rows(kept, rows))
+        return _columns(self, slice(None))
 
     @property
     def rank_one(self):
@@ -156,6 +160,16 @@ def _real_matmul(m, v):
     return out.reshape(m.shape[:1] + v.shape[1:])
 
 
+def _columns(op, sel):
+    """A[:, sel], which is A[sel].T as A is symmetric: a slice of a dense
+    operator, and for a factored one a product of rows.T with the small
+    kept * rows[:, sel], so neither A nor a K x points temporary is built."""
+    if op.factors is None:
+        return op.matrix[sel].T
+    rows, kept = op.factors
+    return _real_matmul(rows.T, _scale_rows(kept, rows[:, sel]))
+
+
 def _entry_bound(rows, kept):
     """C = max_i sum_k |m_k| e_k(t_i)^2, which bounds every |A_ij| by
     Cauchy-Schwarz; O(K P), with no K x P temporary."""
@@ -174,27 +188,30 @@ def _row_lp(op, p):
 def _build_row_lp(op, p):
     """The L^p(w) norm of every row of A.
 
-    A factored operator's entries are built from the factors in tiles of at
-    most _ROW_BLOCK entries, each reduced as soon as it is built, so A is
-    never held.  Only the tiles on and above the diagonal are built, against
-    the scale C of `_entry_bound`: a tile |A[c, b]| / C with column block
-    c >= row block b is one real product of rows[:, c].T with the small
+    A rank-one row is m e_i e, so its norm is |m| |e_i| ||e||_p in closed
+    form.  Any other row is read through `_columns` in blocks of at most
+    _ROW_BLOCK entries, each reduced as soon as it is built, so A is never
+    copied.  A factored operator first builds only the tiles on and above
+    the diagonal, against the scale C of `_entry_bound` (a dense one has
+    scale 0 and skips them): a tile |A[c, b]| / C with column block c >= row
+    block b is one real product of rows[:, c].T with the small
     (kept / C) * rows[:, b].  Its entries raised to p are summed with the
     weights into the rows of b and, |A| being symmetric, into the rows of c
     (at p = inf, their maxima).  A row whose sum falls outside
     [_ROW_SUM_MIN, inf) (its entries underflow against C, or one rounds
-    above C at huge p) is built whole and scaled by its own max,
-    _ROW_BLOCK // points rows at a time.
+    above C at huge p) is then read whole and scaled by its own max, like
+    every row of a dense operator.
     """
     w = op.grid.weights
-    if op.factors is None:
-        return weighted_lp(w, op.matrix.T, p)
-    rows, kept = op.factors
+    if op.rank_one:
+        (row,), (m,) = op.factors
+        return abs(m) * np.abs(row) * weighted_lp(w, row, p)
     points = op.grid.points
     out = np.empty(points)
     redo = np.arange(points)
-    scale = _entry_bound(rows, kept)
+    scale = 0.0 if op.factors is None else _entry_bound(*op.factors)
     if scale > 0:
+        rows, kept = op.factors
         side = math.isqrt(_ROW_BLOCK)
         small = kept / scale
         sums = np.zeros(points)
@@ -220,8 +237,7 @@ def _build_row_lp(op, p):
     step = max(1, _ROW_BLOCK // points)
     for i in range(0, redo.size, step):
         sel = redo[i:i + step]
-        out[sel] = weighted_lp(
-            w, _real_matmul(rows.T, _scale_rows(kept, rows[:, sel])), p)
+        out[sel] = weighted_lp(w, _columns(op, sel), p)
     return out
 
 
@@ -281,10 +297,11 @@ class AzimuthalSpectrum:
     kappa_m = 2 (m + a) / (m (m + 2a) vol(S^{n-1}) I(pi)).  The one formula
     holds for every n >= 2: on the circle (a = 0) the m-th term is
     w_m sin(m phi) with kappa_m = 1 / (pi^2 m).  G(0) = 0 and
-    G(pi) = w_0 I(pi).  The spectrum keeps only the factor table A; `edge`
-    computes the weights of just the pairs it cuts and keeps G at the two
-    latest edges, so an edge shared by two consecutive windows is summed
-    once.
+    G(pi) = w_0 I(pi).  The spectrum keeps, for its whole life, the factor
+    table A, the kept pairs (`pairs`) and their angle ranges (`ranges`), two
+    integers and two floats per pair; `edge` computes the weights of just
+    the pairs it cuts and keeps G at the two latest edges, so an edge shared
+    by two consecutive windows is summed once.
     """
 
     def __init__(self, grid, k):
@@ -519,31 +536,20 @@ def _exact_witness(op, r, s):
     at the duality map of the row; when s = inf the norm is the largest such
     row norm.  When r = 1 the norm is the largest L^s column norm, attained
     by a point mass, and |A| is symmetric, so it is the largest L^s row
-    norm.  A rank-one row is m e_i e, largest where |e_i| is, and its
-    duality map is that of e, read from the factors.  Any other factored
-    row is A's column i, |A| being symmetric: one product of rows.T with
-    the K-vector kept * rows[:, i], so neither A nor a K x points temporary
-    is built.
+    norm.  A rank-one row is m e_i e, a multiple of e, so the duality map of
+    the row of largest norm attains its norm at every (r, s).  The row is
+    read through `_columns`, one column of A.
     """
     w = op.grid.weights
     p = s if r == 1.0 else _conjugate(r)
-    if op.rank_one:
-        (row,), _ = op.factors
-        i = int(np.argmax(np.abs(row)))
-    else:
-        i = int(np.argmax(_row_lp(op, p)))
-        if op.factors is None:
-            row = op.matrix[i]
-        else:
-            rows, kept = op.factors
-            row = _real_matmul(rows.T, kept * rows[:, i])
+    i = int(np.argmax(_row_lp(op, p)))
     if r == 1.0:
         f = np.zeros(op.grid.points)
         f[i] = 1.0 / w[i]
         nrm = weighted_lp(w, f, r)
     else:
         # the duality map's L^r norm is T^{1/r}, as (r' - 1) r = r'
-        _, f, total = weighted_lp_dual(w, row, p)
+        _, f, total = weighted_lp_dual(w, _columns(op, i), p)
         nrm = total ** (1.0 / r)
     return f / nrm if nrm > 0 else f
 
@@ -597,18 +603,14 @@ def norm_upper(op, point):
     at the point or its dual, whichever has 1/r + 1/s <= 1: there s >= r',
     and |A| is symmetric, so by Minkowski's integral inequality that
     orientation is the smaller.  It is the exact norm of a rank-one
-    operator, |m| ||e||_{r'} ||e||_s, and of any operator when r = 1 or
-    s = inf.
+    operator, |m| ||e||_{r'} ||e||_s, as its row norms |m| |e_i| ||e||_{r'}
+    are a multiple of |e|, and of any operator when r = 1 or s = inf.
     """
     rp, s = _conjugate(point.r), point.s
     if point.x + point.y > 1.0:
         # the dual point (1/s', 1/r'): its r' is s and its s is r'
         rp, s = s, rp
-    w = op.grid.weights
-    if op.rank_one:
-        (row,), (m,) = op.factors
-        return float(abs(m) * weighted_lp(w, row, rp) * weighted_lp(w, row, s))
-    return weighted_lp(w, _row_lp(op, rp), s)
+    return weighted_lp(op.grid.weights, _row_lp(op, rp), s)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,30 @@ class TestFailureModes:
         assert header[0] == "k" and [row[0] for row in rows] == ["16"]
         assert not js.exists()
 
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # k ** (n - 1) overflows a float at k = 16, n = 260, after the rows
+        # of k = 4 and 8 are written
+        code, out, js = _run(tmp_path, "ovf", "envelope", "--n", "260",
+                             "--k", "4,8,16")
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        header, rows = _read_csv(out)
+        assert header[0] == "k" and [row[0] for row in rows] == ["4", "8"]
+        assert not js.exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_negative_seed_rejected_before_csv(self, tmp_path, capsys,
+                                               command):
+        args = {"sigma": ["--sigma", "3/5"], "k": ["--k", "16"],
+                "lambda": ["--lambda", "8"]}
+        argv = [command, "--seed", "-1"]
+        for flag in cli.COMMANDS[command].needs:
+            argv += args[flag]
+        code, out, js = _run(tmp_path, "seed", *argv)
+        assert code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists() and not js.exists()
+
     @pytest.mark.parametrize("n,sigma,k", [("3", "3/5", "5"),
                                            ("4", "9/20", "4")])
     def test_wrong_sign_slope_is_numerical_failure(self, tmp_path, capsys,

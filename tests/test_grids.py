@@ -165,3 +165,15 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(ValueError, match="bad3.csv"):
             zl.load_grid(path)
+
+    @pytest.mark.parametrize("rows", [
+        "0.5,nan\ninf,1.0\n", "nan,1.0\n", "0.5,inf\n", "0.5,-1.0\n",
+        "-0.25,1.0\n", "3.25,1.0\n"])
+    def test_corrupted_cache_file_named(self, tmp_path, rows):
+        # a NaN or infinite weight, or a node that is not a polar angle in
+        # [0, pi], is refused with the file's name, not loaded
+        path = tmp_path / "bad4.csv"
+        path.write_text("# n=3 rule=custom kexact=0\ntheta,weight\n0.5,1.0\n"
+                        + rows)
+        with pytest.raises(ValueError, match="bad4.csv"):
+            zl.load_grid(path)

@@ -63,6 +63,13 @@ class TestOperatorConstruction:
         # the azimuthal average never exceeds the kernel's sup Z_8(1)
         assert n1inf <= 81 / VOL3
 
+    def test_one_representation(self, h3, grid80):
+        # `matrix` of a factored operator reads its columns, so an operator
+        # needs exactly one of the two
+        for kwargs in ({}, {"matrix": h3.matrix, "factors": h3.factors}):
+            with pytest.raises(ValueError, match="either the matrix or"):
+                ZonalOperator(grid80, **kwargs)
+
     def test_degree_budget_enforced(self, grid80, sphere3):
         with pytest.raises(ValueError):
             operator_from_kernel(zl.projector_kernel(sphere3, 40), grid80)
@@ -214,21 +221,30 @@ class TestFactoredRoute:
         assert peak < 16 * grid.points * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "rank_one", "dense"])
     @pytest.mark.parametrize("p", [1.01, 2.0, 5.0, 1e300, np.inf])
     def test_row_norms_match_dense(self, n, kind, p, monkeypatch):
-        # 64 rows in blocks of 5: twelve full blocks and a partial one; this
-        # test and the two below build their own operators, since an
-        # operator keeps the row norms it has built, whatever the block size
+        # every representation: factored real and complex, rank one (its
+        # closed form, here -2.5 times the degree-7 projector, so that |m|
+        # counts) and dense.  64 rows in blocks of 5: twelve full
+        # blocks and a partial one; this test and the two below build their
+        # own operators, since an operator keeps the row norms it has built,
+        # whatever the block size
         monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * 64 + 7)
         grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
         if kind == "complex":
             op = operator_from_kernel(_kernel(n, "resolvent"), grid)
+        elif kind == "rank_one":
+            rows, _ = operator_from_kernel(_kernel(n, "projector"),
+                                           grid).factors
+            op = ZonalOperator(grid, factors=(rows, np.array([-2.5])))
         else:
             kept = np.random.default_rng(n).standard_normal(25)
             op = ZonalOperator(grid, factors=(grid.basis(range(25)), kept))
+            if kind == "dense":
+                op = ZonalOperator(grid, op.matrix)
         got = operators._row_lp(op, p)
-        assert "matrix" not in op.__dict__
+        assert kind == "dense" or "matrix" not in op.__dict__
         want = weighted_lp(grid.weights, op.matrix.T, p)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
@@ -296,6 +312,21 @@ class TestFactoredRoute:
         tracemalloc.start()
         try:
             zl.norm_certificate(op, point, restarts=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.points ** 2 * 8
+
+    def test_dense_row_norms_copy_no_matrix(self, lam64):
+        # a dense operator's rows are read a bounded block at a time, so
+        # its row norms never copy |A|, which alone takes P^2 * 8 bytes
+        grid, _ = lam64
+        a = np.random.default_rng(2).standard_normal((grid.points,) * 2)
+        op = ZonalOperator(grid, a + a.T)
+        del a
+        tracemalloc.start()
+        try:
+            operators._row_lp(op, 1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
