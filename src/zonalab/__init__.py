@@ -8,9 +8,9 @@ from .grids import ZonalFunction, ZonalGrid, load_grid, make_grid, save_grid
 from .interpolation import (InterpolationData, certify_restricted_weak,
                             interp_from_fit, optimal_split)
 from .norms import lp_norm, weak_lq
-from .operators import (AzimuthalSpectrum, NormCertificate, ZonalOperator,
-                        apply_kernel, azimuthal_matrix, norm_certificate,
-                        norm_lower, norm_upper, operator_from_kernel)
+from .operators import (AzimuthalSpectrum, ZonalOperator, apply_kernel,
+                        azimuthal_matrix, norm_certificate, norm_lower,
+                        norm_upper, operator_from_kernel)
 from .resolvent import (ResolventParams, default_degree_cutoff,
                         helmholtz_kernel, multiplier_from_integral,
                         resolvent_kernel, resolvent_multiplier,

@@ -10,8 +10,9 @@ identical config + seed; timestamps live only in the JSON, which is strict
 (s = inf is null).  Each subcommand takes only the flags it reads (COMMANDS),
 plus --seed and --out; any other flag exits 2.
 
-Exit codes: 0 success, 2 inadmissible exponents or bad arguments,
-3 numerical failure (partial CSV rows are flushed before exiting).
+Exit codes: 0 success, 2 inadmissible exponents, bad arguments or a path
+that cannot be read or written (an --out that cannot be opened writes no
+file), 3 numerical failure (partial CSV rows are flushed before exiting).
 """
 
 import argparse
@@ -142,10 +143,9 @@ def _sweep(cfg, sink, params, build, exponent):
     grid = _grid(cfg)
     for param in sorted(params):
         op, label, extra = build(grid, param)
-        cert = norm_certificate(op, cfg.point, restarts=cfg.restarts,
-                                seed=cfg.seed, label=label)
-        sink.emit({**cert.to_record(), **extra,
-                   "predicted": float(param) ** exponent})
+        sink.emit({**norm_certificate(op, cfg.point, restarts=cfg.restarts,
+                                      seed=cfg.seed, label=label),
+                   **extra, "predicted": float(param) ** exponent})
         # the next build must not run while this operator's rows are held
         del op
 
@@ -403,7 +403,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    sink = _CsvSink(cfg.out, COMMANDS[cfg.command].header)
+    try:
+        sink = _CsvSink(cfg.out, COMMANDS[cfg.command].header)
+    except OSError as exc:
+        # --out in a missing directory, or not writable: no file is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     slope = residual = None
     try:
         COMMANDS[cfg.command].run(cfg, sink)
@@ -415,7 +420,9 @@ def main(argv=None):
         # an overflow (say k ** (n - 1) at a huge n) is a numerical failure
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError names its path: a --cache-dir that is a file, or a
+        # cache entry that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -65,9 +65,8 @@ class DyadicPiece:
         return zk * ((gamma > lo) & (gamma <= hi))
 
     def operator(self):
-        return ZonalOperator(
-            self.grid, azimuthal_matrix(self.spectrum, self.support),
-            label=f"piece k={self.base} j={self.j}")
+        return ZonalOperator(self.grid,
+                             azimuthal_matrix(self.spectrum, self.support))
 
 
 def dyadic_decompose(k, grid):

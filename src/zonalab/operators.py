@@ -59,6 +59,10 @@ powered entries are summed into the rows on both of its sides.  A row whose
 sum underflows against C, or overflows at a huge exponent, is then read
 whole and scaled by its own max (the fallback rows), so every exponent
 keeps its meaning.
+
+norm_certificate pairs the two bounds at one exponent pair and returns the
+certificate as its JSON row, a dict whose keys and their order are fixed;
+its label is the caller's, as no kernel or operator carries one.
 """
 
 import functools
@@ -69,7 +73,6 @@ import numpy as np
 
 from ._core import _rows
 from .errors import CertificateError
-from .exponents import ExponentPoint
 from .grids import ZonalFunction
 from .norms import weighted_lp, weighted_lp_dual
 from .specfun import addition_factors
@@ -106,14 +109,13 @@ class ZonalOperator:
     one pass.
     """
 
-    def __init__(self, grid, matrix=None, label="", factors=None):
+    def __init__(self, grid, matrix=None, factors=None):
         if (matrix is None) == (factors is None):
             raise ValueError("give either the matrix or the factors")
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
         self.factors = factors
-        self.label = label
         self.row_norms = {}
 
     @functools.cached_property
@@ -141,7 +143,7 @@ class ZonalOperator:
         return np.conj(self.apply(np.conj(values)))
 
     def __repr__(self):
-        return f"ZonalOperator({self.label!r}, points={self.grid.points})"
+        return f"ZonalOperator(points={self.grid.points})"
 
 
 def _scale_rows(d, v):
@@ -257,8 +259,7 @@ def operator_from_kernel(kernel, grid):
         raise ValueError(
             f"kernel degree {kmax} exceeds grid exactness {grid.kexact}")
     nz = np.flatnonzero(kernel.coeffs)
-    return ZonalOperator(grid, factors=(grid.basis(nz), kernel.coeffs[nz]),
-                         label=kernel.description or f"multiplier kmax={kmax}")
+    return ZonalOperator(grid, factors=(grid.basis(nz), kernel.coeffs[nz]))
 
 
 class AzimuthalSpectrum:
@@ -300,8 +301,8 @@ class AzimuthalSpectrum:
     G(pi) = w_0 I(pi).  The spectrum keeps, for its whole life, the factor
     table A, the kept pairs (`pairs`) and their angle ranges (`ranges`), two
     integers and two floats per pair; `edge` computes the weights of just
-    the pairs it cuts and keeps G at the two latest edges, so an edge shared
-    by two consecutive windows is summed once.
+    the pairs it cuts and keeps G at the latest edge, so an edge shared by
+    two consecutive windows walked upwards is summed once.
     """
 
     def __init__(self, grid, k):
@@ -318,7 +319,8 @@ class AzimuthalSpectrum:
             keep = i + j <= grid.points - 1
             i, j = i[keep], j[keep]
         self.pairs = i, j
-        self._edges = {}
+        # (gamma, G) of the latest edge
+        self._edge = None, None
         n = grid.sphere.n
         a = (n - 2) / 2
         # I(pi)
@@ -364,8 +366,8 @@ class AzimuthalSpectrum:
 
     def edge(self, gamma):
         """G, per pair, at the azimuth where the relative angle reaches
-        gamma clipped to the pair's range [d, s]; kept for the two latest
-        gamma, the oldest dropped before a new one is summed.
+        gamma clipped to the pair's range [d, s]; kept for the latest gamma
+        alone, so windows walked upwards sum each shared edge once.
 
         Clipped edges take the end values, G(0) = 0 wherever gamma <= d and
         G(pi) = w_0 I(pi) wherever gamma >= s.  Inside the range the edge maps
@@ -375,10 +377,8 @@ class AzimuthalSpectrum:
         `antiderivative`.
         """
         gamma = float(gamma)
-        G = self._edges.get(gamma)
-        if G is None:
-            if len(self._edges) == 2:
-                del self._edges[next(iter(self._edges))]
+        kept, G = self._edge
+        if kept != gamma:
             d, s = self.ranges
             G = np.zeros(d.size)
             top = np.flatnonzero(gamma >= s)
@@ -394,7 +394,7 @@ class AzimuthalSpectrum:
                     np.sqrt(np.sin(0.5 * (hi - gamma))
                             * np.sin(0.5 * (hi + gamma))))
                 G[rows] = self.antiderivative(rows, phi)
-            self._edges[gamma] = G
+            self._edge = gamma, G
         return G
 
     def antiderivative(self, rows, phi):
@@ -427,8 +427,8 @@ def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     misses a pair's range clips both edges to the same end, so the entry is
     exactly 0.  Each pair's entry is written to its `places`, so the matrix
     is exactly symmetric and, on a mirrored grid, exactly centrosymmetric.
-    The lower edge is read first: windows walked upwards then find it among
-    the spectrum's two kept edges.
+    The lower edge is read first and held here: windows walked upwards then
+    find it as the spectrum's kept edge, which the upper edge replaces.
     """
     lo = spectrum.edge(support[0])
     values = spectrum.edge(support[1]) - lo
@@ -616,53 +616,31 @@ def norm_upper(op, point):
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass
-class NormCertificate:
-    """Two-sided norm record for one operator at one exponent pair."""
-
-    n: int
-    label: str                 # degree k or resolvent zeta, as text
-    point: ExponentPoint
-    lower: float
-    upper: float
-    grid_ref: str
-    seed: int
-    iterations: int
-    stops: dict = field(default_factory=dict)   # as in LowerBound
-
-    def __post_init__(self):
-        # lower <= upper holds in exact arithmetic; allow rounding only
-        if self.lower > self.upper * (1.0 + 1e-12):
-            raise CertificateError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper} "
-                f"for {self.label} at ({self.point.x}, {self.point.y})")
-
-    def to_record(self):
-        return {
-            "n": self.n,
-            "label": self.label,
-            "r": self.point.r,
-            "s": self.point.s,
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness_grid": self.grid_ref,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "stops": self.stops,
-            "gap": self.upper / self.lower if self.lower > 0 else None,
-        }
-
-
-def norm_certificate(op, point, restarts=8, seed=1, label=None):
+def norm_certificate(op, point, restarts=8, seed=1, label=""):
+    """The two-sided certificate of one operator at one exponent pair, as
+    its JSON row: n, label, r, s, lower, upper, witness_grid, seed,
+    iterations, stops (as in LowerBound) and gap = upper / lower (None at a
+    zero lower bound), in that order.  The label is the caller's, e.g. the
+    degree k or the resolvent zeta as text.  CertificateError if the lower
+    bound exceeds the upper by more than rounding.
+    """
     low = norm_lower(op, point.r, point.s, restarts=restarts, seed=seed)
-    return NormCertificate(
-        n=op.grid.sphere.n,
-        label=label if label is not None else op.label,
-        point=point,
-        lower=low.value,
-        upper=norm_upper(op, point),
-        grid_ref=f"{op.grid.rule}/kexact={op.grid.kexact}",
-        seed=seed,
-        iterations=low.iterations,
-        stops=low.stops,
-    )
+    upper = norm_upper(op, point)
+    # lower <= upper holds in exact arithmetic; allow rounding only
+    if low.value > upper * (1.0 + 1e-12):
+        raise CertificateError(
+            f"lower bound {low.value} exceeds upper bound {upper} "
+            f"for {label} at ({point.x}, {point.y})")
+    return {
+        "n": op.grid.sphere.n,
+        "label": label,
+        "r": point.r,
+        "s": point.s,
+        "lower": low.value,
+        "upper": upper,
+        "witness_grid": f"{op.grid.rule}/kexact={op.grid.kexact}",
+        "seed": seed,
+        "iterations": low.iterations,
+        "stops": low.stops,
+        "gap": upper / low.value if low.value > 0 else None,
+    }

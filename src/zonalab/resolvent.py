@@ -168,9 +168,7 @@ def resolvent_kernel(sphere, params, kmax=None):
         raise TailDominanceError(
             f"degree cutoff kmax={kmax} too small for lam={params.lam}, "
             f"mu={params.mu}: discarded-tail ratio {tail_ratio:.2e}")
-    kernel = ZonalKernel(sphere, coeffs,
-                         description=f"resolvent zeta={params.zeta:.6g}")
-    return ResolventKernelResult(kernel, kmax, tail_ratio)
+    return ResolventKernelResult(ZonalKernel(sphere, coeffs), kmax, tail_ratio)
 
 
 def helmholtz_kernel(sphere, params, kmax):
@@ -178,5 +176,4 @@ def helmholtz_kernel(sphere, params, kmax):
     composing with the resolvent is the identity on band-limited functions."""
     lam_k = np.arange(kmax + 1) + (sphere.n - 1) / 2.0
     coeffs = params.zeta - lam_k.astype(np.complex128) ** 2
-    return ZonalKernel(sphere, coeffs,
-                       description=f"helmholtz zeta={params.zeta:.6g}")
+    return ZonalKernel(sphere, coeffs)

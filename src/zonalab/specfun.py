@@ -156,7 +156,6 @@ class ZonalKernel:
 
     sphere: SphereSpec
     coeffs: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs))
@@ -178,4 +177,4 @@ def projector_kernel(sphere, k):
     """Kernel of the projector onto degree-k spherical harmonics."""
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
-    return ZonalKernel(sphere, coeffs, description=f"harmonic projector k={k}")
+    return ZonalKernel(sphere, coeffs)

@@ -71,8 +71,8 @@ def test_criterion_2_projector_growth(sphere3, grid144):
             op = operator_from_kernel(zl.projector_kernel(sphere3, k),
                                       grid144)
             cert = zl.norm_certificate(op, pt, label=f"H_{k}")
-            lowers.append(cert.lower)
-            uppers.append(cert.upper)
+            lowers.append(cert["lower"])
+            uppers.append(cert["upper"])
         slope, _, _ = fit_slope(list(zip(ks, lowers)))
         norm_upper = [u / k ** predicted for u, k in zip(uppers, ks)]
         spread = max(norm_upper) / min(norm_upper)

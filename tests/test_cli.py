@@ -394,6 +394,37 @@ class TestFailureModes:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists() and not js.exists()
 
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        # an unwritable --out exits 2 before any file is written
+        out = tmp_path / "missing" / "run.csv"
+        code = main(["envelope", "--k", "4", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_is_a_file(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory\n")
+        code, _, js = _run(tmp_path, "cf", "proj-scaling", "--sigma", "2/3",
+                           "--k", "2,4", "--grid-points", "40",
+                           "--cache-dir", str(cache))
+        assert code == 2 and not js.exists()
+        assert str(cache) in capsys.readouterr().err
+
+    def test_cache_entry_is_a_directory(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        args = ("proj-scaling", "--sigma", "2/3", "--k", "2,4",
+                "--grid-points", "40", "--restarts", "1",
+                "--cache-dir", str(cache))
+        assert _run(tmp_path, "c1", *args)[0] == 0
+        path, = cache.glob("grid_*.csv")
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        code, _, js = _run(tmp_path, "c2", *args)
+        assert code == 2 and not js.exists()
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("n,sigma,k", [("3", "3/5", "5"),
                                            ("4", "9/20", "4")])
     def test_wrong_sign_slope_is_numerical_failure(self, tmp_path, capsys,

@@ -11,8 +11,7 @@ from zonalab.cli import default_r
 from zonalab.errors import CertificateError
 from zonalab.exponents import ExponentPoint
 from zonalab.norms import weighted_lp, weighted_lp_dual
-from zonalab.operators import (NormCertificate, ZonalOperator,
-                               operator_from_kernel)
+from zonalab.operators import ZonalOperator, operator_from_kernel
 from zonalab.specfun import addition_factors
 
 VOL3 = 19.739208802178716
@@ -182,8 +181,9 @@ class TestFactoredRoute:
             cert = zl.norm_certificate(op, point, restarts=2)
             assert "matrix" not in op.__dict__, point
             if point.x == 1.0 or point.y == 0.0:
-                assert cert.iterations == 0
-                assert cert.lower == pytest.approx(cert.upper, rel=1e-12)
+                assert cert["iterations"] == 0
+                assert cert["lower"] == pytest.approx(cert["upper"],
+                                                      rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("degrees", [[0], [1], [17], [24], [3, 11, 20]])
@@ -714,25 +714,36 @@ class TestCertificates:
     def test_two_sided(self, h8):
         cert = zl.norm_certificate(h8, ExponentPoint(1 / 1.2, 1 / 6),
                                    label="H_8")
-        assert cert.lower <= cert.upper * (1 + 1e-12)
-        assert cert.label == "H_8"
-        assert cert.n == 3
+        assert cert["lower"] <= cert["upper"] * (1 + 1e-12)
+        assert cert["label"] == "H_8"
+        assert cert["n"] == 3
 
     def test_record_fields(self, h8):
-        cert = zl.norm_certificate(h8, ExponentPoint(1 / 1.2, 1 / 6))
-        rec = cert.to_record()
-        assert set(rec) == {"n", "label", "r", "s", "lower", "upper",
-                            "witness_grid", "seed", "iterations", "stops",
-                            "gap"}
+        rec = zl.norm_certificate(h8, ExponentPoint(1 / 1.2, 1 / 6))
+        # the key order is the order of the JSON row's bytes
+        assert list(rec) == ["n", "label", "r", "s", "lower", "upper",
+                             "witness_grid", "seed", "iterations", "stops",
+                             "gap"]
+        # the label is the caller's alone
+        assert rec["label"] == ""
         assert rec["r"] == pytest.approx(1.2)
         assert rec["s"] == pytest.approx(6.0)
+        assert rec["witness_grid"] == "gauss-jacobi-144/kexact=32"
         assert rec["gap"] == rec["upper"] / rec["lower"]
 
-    def test_ordering_enforced(self, grid80):
-        with pytest.raises(CertificateError):
-            NormCertificate(n=3, label="broken",
-                            point=ExponentPoint(0.5, 0.5), lower=2.0,
-                            upper=1.0, grid_ref="g", seed=1, iterations=0)
+    def test_ordering_enforced(self, h8, monkeypatch):
+        # an upper bound below the attained lower bound is refused, one
+        # within rounding of it is not
+        point = ExponentPoint(1 / 1.2, 1 / 6)
+        lower = zl.norm_lower(h8, point.r, point.s).value
+        monkeypatch.setattr(operators, "norm_upper",
+                            lambda op, pt: lower / (1 + 1e-13))
+        assert zl.norm_certificate(h8, point)["lower"] == lower
+        monkeypatch.setattr(operators, "norm_upper",
+                            lambda op, pt: lower / (1 + 1e-9))
+        with pytest.raises(CertificateError,
+                           match="exceeds upper bound .* for H_8 at"):
+            zl.norm_certificate(h8, point, label="H_8")
 
 
 def _kernel_values(kernel, t):
@@ -979,7 +990,7 @@ class TestBlockAscent:
                                    kmax=32).kernel
         op = operator_from_kernel(kern, grid144)
         monkeypatch.setattr(operators, "_MAX_STEPS", 2)
-        rec = zl.norm_certificate(op, ExponentPoint(0.8, 0.2)).to_record()
+        rec = zl.norm_certificate(op, ExponentPoint(0.8, 0.2))
         assert rec["stops"]["max_steps"] > 0
         # a run cut short is not reported as converged
         assert rec["stops"]["stagnation"] < 8
