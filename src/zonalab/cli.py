@@ -11,8 +11,10 @@ identical config + seed; timestamps live only in the JSON, which is strict
 plus --seed and --out; any other flag exits 2.
 
 Exit codes: 0 success, 2 inadmissible exponents, bad arguments or a path
-that cannot be read or written (an --out that cannot be opened writes no
-file), 3 numerical failure (partial CSV rows are flushed before exiting).
+that cannot be read or written (an --out that cannot be opened, or a grid
+cache that cannot be read or written or does not match its key, writes no
+file: a sweep's grid is built or read before the CSV opens), 3 numerical
+failure (partial CSV rows are flushed before exiting).
 """
 
 import argparse
@@ -106,7 +108,8 @@ def _null_inf(value):
 
 
 def _grid(cfg):
-    """The grid of cfg.grid_points nodes, exact to degree cfg.band.
+    """The grid of cfg.grid_points nodes, exact to degree cfg.band, which
+    `main` builds or reads before the CSV opens.
 
     A cached grid must match that key; a grid built here records the SciPy
     version that computed it in cfg.scipy.
@@ -140,9 +143,8 @@ def _grid(cfg):
 def _sweep(cfg, sink, params, build, exponent):
     """One certificate at cfg.point per parameter, predicted param**exponent;
     build(grid, param) gives (operator, label, extra JSON fields)."""
-    grid = _grid(cfg)
     for param in sorted(params):
-        op, label, extra = build(grid, param)
+        op, label, extra = build(cfg.grid, param)
         sink.emit({**norm_certificate(op, cfg.point, restarts=cfg.restarts,
                                       seed=cfg.seed, label=label),
                    **extra, "predicted": float(param) ** exponent})
@@ -162,7 +164,7 @@ def _run_proj_scaling(cfg, sink):
 def _run_resolvent_scaling(cfg, sink):
     def build(grid, lam):
         result = resolvent_kernel(cfg.sphere, ResolventParams(lam, cfg.mu),
-                                  default_degree_cutoff(lam))
+                                  default_degree_cutoff(lam, cfg.mu))
         return (operator_from_kernel(result.kernel, grid),
                 f"R_zeta lam={lam} mu={cfg.mu}",
                 {"lambda": lam, "mu": cfg.mu, "kmax": result.kmax,
@@ -173,12 +175,11 @@ def _run_resolvent_scaling(cfg, sink):
 
 
 def _run_dyadic_certify(cfg, sink):
-    grid = _grid(cfg)
     for k in sorted(cfg.ks):
-        fit = piece_norm_slopes(k, cfg.sigma, grid, restarts=cfg.restarts,
+        fit = piece_norm_slopes(k, cfg.sigma, cfg.grid, restarts=cfg.restarts,
                                 seed=cfg.seed)
         data = interp_from_fit(fit)
-        h_k = operator_from_kernel(projector_kernel(cfg.sphere, k), grid)
+        h_k = operator_from_kernel(projector_kernel(cfg.sphere, k), cfg.grid)
         report = certify_restricted_weak(h_k, data)
         sink.emit({
             "k": k, "sigma": cfg.sigma,
@@ -316,6 +317,8 @@ class Config:
         self.cache_dir = flags.get("cache_dir")
         # the SciPy version that built this run's grid; None until one does
         self.scipy = None
+        # a sweep's grid, set by `main` before the CSV opens
+        self.grid = None
         self.sphere = SphereSpec(self.n) if self.n is not None else None
         if self.sigma is not None:
             check_sigma(self.n, self.sigma)
@@ -347,7 +350,7 @@ class Config:
         self.band = None
         if "grid-points" in command.takes:
             self.band = (max(self.ks) if self.ks is not None else
-                         max(default_degree_cutoff(lam)
+                         max(default_degree_cutoff(lam, self.mu)
                              for lam in self.lambdas))
             if self.grid_points is None:
                 self.grid_points = 4 * self.band + 16
@@ -404,9 +407,14 @@ def main(argv=None):
         return 2
     t0 = time.perf_counter()
     try:
+        if cfg.band is not None:
+            cfg.grid = _grid(cfg)
         sink = _CsvSink(cfg.out, COMMANDS[cfg.command].header)
-    except OSError as exc:
-        # --out in a missing directory, or not writable: no file is written
+    except (ValueError, OSError) as exc:
+        # --out in a missing directory, or not writable, and a grid cache
+        # that does not match its key or cannot be read or written (an
+        # OSError names its path: a --cache-dir that is a file, or a cache
+        # entry that is a directory): no file is written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     slope = residual = None
@@ -421,8 +429,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        # an OSError names its path: a --cache-dir that is a file, or a
-        # cache entry that cannot be read or written
+        # a row that cannot be written, or a value the library refuses
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

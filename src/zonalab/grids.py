@@ -7,6 +7,7 @@ exactly for polynomial integrands.  SciPy computes that rule and is imported
 only when make_grid runs, so a process that builds no grid never loads it.
 """
 
+import functools
 import io
 import os
 import tempfile
@@ -16,6 +17,10 @@ import numpy as np
 
 from ._core import _rows
 from .specfun import SphereSpec, sphere_volume
+
+# a grid is mirrored when every theta_i + theta_{P-1-i} is this many ulp(pi)
+# or fewer from pi; every Gauss-Jacobi grid of make_grid is within 1
+_MIRROR_ULPS = 4
 
 
 class ZonalGrid:
@@ -47,31 +52,75 @@ class ZonalGrid:
     def points(self):
         return self.nodes.shape[0]
 
-    def basis(self, degrees):
+    @functools.cached_property
+    def mirrored(self):
+        """Whether the grid is symmetric under theta -> pi - theta: every
+        theta_i + theta_{P-1-i} within _MIRROR_ULPS ulp of pi, and
+        w_{P-1-i} = w_i exactly, as on every Gauss-Jacobi grid."""
+        th, w = self.nodes, self.weights
+        return bool(np.all(np.abs(th + th[::-1] - np.pi)
+                           <= _MIRROR_ULPS * np.spacing(np.pi))
+                    and np.array_equal(w, w[::-1]))
+
+    @property
+    def half(self):
+        """The nodes a basis row is computed on: the first ceil(P/2) of a
+        mirrored grid, whose others are their images, and all P of another."""
+        return (self.points + 1) // 2 if self.mirrored else self.points
+
+    def basis(self, degrees, folded=False):
         """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)) at the increasing
         `degrees`, shape (len(degrees), points).
 
-        One recurrence runs over the cosines with t = 1 appended; each kept
-        row is scaled by c_{n,k} and divided by the root of its own value at
-        t = 1, so it has the bits of row k of `zonal_table` divided by the
-        root of Z_k(1).  The rows are a fresh array; nothing is cached.
+        One recurrence runs over the first `half` cosines with t = 1
+        appended; each kept row is scaled by c_{n,k} and divided by the root
+        of its own value at t = 1, so there it has the bits of row k of
+        `zonal_table` divided by the root of Z_k(1).  On a mirrored grid
+        e_k(-t) = (-1)^k e_k(t) fills the rest: node P-1-i takes (-1)^k
+        times node i, and an odd row is 0 at the middle node of an odd P,
+        so every row is exactly even or odd under the mirror.  The rows are
+        a fresh array; nothing is cached.
+
+        folded=True returns, instead, the blocks of a factored operator,
+        (degrees, rows on the first `half` nodes) for the even and then the
+        odd degrees on a mirrored grid, and one block of every degree on
+        another; no row is written on the other nodes.
         """
         degrees = np.asarray(degrees, dtype=np.intp)
         if np.any(np.diff(degrees, prepend=-1) <= 0):
             raise ValueError("degrees must be >= 0 and strictly increasing, "
                              f"got {degrees.tolist()}")
-        out = np.empty((degrees.size, self.points))
-        if not degrees.size:
-            return out
-        n = self.sphere.n
-        c = (2 * degrees + n - 1) / ((n - 1) * sphere_volume(n))
-        t = np.append(self.cosines, 1.0)
-        i = 0
-        for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
-            if m == degrees[i]:
-                z = row * c[i]
-                np.divide(z[:-1], np.sqrt(z[-1]), out=out[i])
-                i += 1
+        P, h = self.points, self.half
+        odd = degrees % 2 == 1
+        if folded:
+            groups = ([degrees[~odd], degrees[odd]] if self.mirrored
+                      else [degrees])
+            blocks = [(g, np.empty((g.size, h))) for g in groups]
+            targets = [row for _, rows in blocks for row in rows]
+            order = np.concatenate([g for g, _ in blocks])
+        else:
+            out = np.empty((degrees.size, P))
+            targets, order = out[:, :h], degrees
+        if degrees.size:
+            n = self.sphere.n
+            c = (2 * order + n - 1) / ((n - 1) * sphere_volume(n))
+            slot = dict(zip(order.tolist(), zip(c, targets)))
+            t = np.append(self.cosines[:h], 1.0)
+            for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
+                if m in slot:
+                    cm, dst = slot[m]
+                    z = row * cm
+                    np.divide(z[:-1], np.sqrt(z[-1]), out=dst)
+        if folded:
+            if self.mirrored and P % 2:
+                # t = 0 at the middle node, where every odd row vanishes
+                blocks[1][1][:, h - 1] = 0.0
+            return blocks
+        if self.mirrored:
+            if P % 2:
+                out[odd, h - 1] = 0.0
+            out[:, h:] = out[:, :P - h][:, ::-1]
+            out[odd, h:] *= -1.0
         return out
 
     def integrate(self, values):

@@ -110,7 +110,7 @@ def certify_restricted_weak(op, data):
     """
     if not op.rank_one:
         raise ValueError("the replay needs a rank-one operator m e e^T")
-    (e,), (m,) = op.factors
+    (e,), (m,) = op.unfolded()
     w, target, theta = op.grid.weights, data.target, data.theta
     value, level, mu_e, nodes, sign = set_sweep(w, e, target.x)
     image = abs(m) * (value * mu_e ** target.x) * e   # T 1_E up to sign

@@ -11,6 +11,14 @@ keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
 application; no norm bound builds the dense matrix.  The kept rows come
 from one recurrence (`ZonalGrid.basis`), in O(points x kept degrees) memory.
+On a mirrored grid (`ZonalGrid.mirrored`: nodes symmetric under
+theta -> pi - theta to rounding and weights exactly, as on every
+Gauss-Jacobi grid) e_k(t_{P-1-i}) = (-1)^k e_k(t_i), so the rows are kept
+on the first h = ceil(P/2) nodes only, in an even and an odd block: half
+the memory.  `apply` folds its input onto those nodes and takes two
+half-size products per block, and the row norms below build a quarter of
+the products.  Any other node set is one block on every node, the same
+functions with h = P.
 For the degree-k kernel Z_k restricted to a window of relative angles (a
 dyadic piece) the average is integrated into a dense matrix in closed form
 (AzimuthalSpectrum): the Gegenbauer addition theorem separates the
@@ -18,11 +26,11 @@ azimuthal integrand of each node pair into Gegenbauer polynomials in the
 cosine of the azimuth, from one factor table, and the polynomials'
 derivative identity integrates each of them.  The antiderivative is summed
 by one Gegenbauer recurrence at the azimuths of the window's edges, once
-per distinct edge and only over the pairs that the edge cuts.  A
-Gauss-Jacobi grid is symmetric under theta -> pi - theta, and a pair and its
-mirror image (P-1-j, P-1-i) have one antiderivative, so on such a grid the
-spectrum keeps one pair of each image and writes its entry to both places:
-half the pairs, and every window's matrix exactly centrosymmetric.
+per distinct edge and only over the pairs that the edge cuts.  On a
+mirrored grid a pair and its mirror image (P-1-j, P-1-i) have one
+antiderivative, so the spectrum keeps one pair of each image and writes its
+entry to both places: half the pairs, and every window's matrix exactly
+centrosymmetric.
 
 A is symmetric, so the adjoint of T is T with its input and output
 conjugated, and every representation has one application path, `apply`.
@@ -53,9 +61,12 @@ other row of A, dense or factored, is read through one accessor
 (`_columns`), a bounded block of rows at a time, so A is never copied and
 the temporaries stay bounded whatever the number of points.  A factored
 operator first sums tiles of A built from its factors: |A| is symmetric,
-so only the tiles on and above the diagonal are built, each scaled by the
-a-priori bound C = max_i sum_k |m_k| e_k(t_i)^2 >= max |A_ij|, and a tile's
-powered entries are summed into the rows on both of its sides.  A row whose
+so only the tiles on and above the diagonal of its first h nodes are built,
+each scaled by the a-priori bound C = max_i sum_k |m_k| e_k(t_i)^2 >=
+max |A_ij|, and a tile's powered entries are summed into the rows on both
+of its sides.  On a mirrored grid the even and odd tiles E and O give the
+entries A(i, j) = E + O and A(i, P-1-j) = E - O of row i, and row P-1-i,
+its image, has the same norm.  A row whose
 sum underflows against C, or overflows at a huge exponent, is then read
 whole and scaled by its own max (the fallback rows), so every exponent
 keeps its meaning.
@@ -82,9 +93,6 @@ _MAX_STEPS = 500
 # node pairs per block of the spectrum's weights, so that the temporaries
 # grow with the degree but not with the grid
 _PAIR_BLOCK = 4096
-# a grid is mirror-symmetric when every theta_i + theta_{P-1-i} is this many
-# ulp(pi) or fewer from pi; every Gauss-Jacobi grid of make_grid is within 1
-_MIRROR_ULPS = 4
 # entries of A per tile (or per block of whole rows) of a factored
 # operator's row norms, so that the temporaries stay bounded whatever the
 # number of points
@@ -98,15 +106,19 @@ class ZonalOperator:
     """A zonal kernel bound to a grid.
 
     Either the dense reduced matrix is given, for windows of Z_k (dyadic
-    pieces), or the spectral factors (rows, kept) with
-    A = rows.T @ diag(kept) @ rows, the rows orthonormal in L^2(w) and kept
-    the nonzero multipliers (multiplier kernels); the latter apply through
-    the factors, and no norm bound builds `matrix` from them (it is built on
-    first read, for callers that read it).  Every norm bound reads only the
-    matrix or the factors, so it is a bound for this discrete operator.  The
-    row norms that `_row_lp` builds are kept by p, as `matrix` is kept, so
-    the ascent's first start and the upper bound of one certificate share
-    one pass.
+    pieces), or the spectral factors of A = sum_k m_k e_k e_k^T, the rows
+    e_k orthonormal in L^2(w) and m_k the nonzero multipliers (multiplier
+    kernels).  The factors are blocks (rows, kept), whose rows all cover the
+    first h nodes.  On a mirrored grid (`ZonalGrid.mirrored`) h = ceil(P/2)
+    and there are two blocks, the even and the odd degrees: block b's row
+    takes (-1)^b times its value at node i on node P-1-i, so no row is held
+    on the other nodes.  Elsewhere h = P, and a block is any rows with their
+    multipliers.  The factored form applies through the blocks, and no norm
+    bound builds `matrix` from them (it is built on first read, for callers
+    that read it).  Every norm bound reads only the matrix or the factors,
+    so it is a bound for this discrete operator.  The row norms that
+    `_row_lp` builds are kept by p, as `matrix` is kept, so the ascent's
+    first start and the upper bound of one certificate share one pass.
     """
 
     def __init__(self, grid, matrix=None, factors=None):
@@ -115,6 +127,15 @@ class ZonalOperator:
         self.grid = grid
         if matrix is not None:
             self.matrix = matrix
+        else:
+            factors = tuple(factors)
+            h = {rows.shape[1] for rows, _ in factors}
+            if h != {grid.points if len(factors) == 1 else grid.half} or (
+                    len(factors) == 2 and not grid.mirrored):
+                raise ValueError(
+                    "factors are one block of rows on every node, or an "
+                    "even and an odd block on the first half of a mirrored "
+                    "grid")
         self.factors = factors
         self.row_norms = {}
 
@@ -125,16 +146,79 @@ class ZonalOperator:
     @property
     def rank_one(self):
         """Whether the operator is factored as one row, A = m e e^T."""
-        return self.factors is not None and self.factors[1].size == 1
+        return self.factors is not None and sum(
+            kept.size for _, kept in self.factors) == 1
+
+    def unfolded(self):
+        """The factors' rows on every node, block after block, and their
+        multipliers, shapes (K, points) and (K,): a fresh array, for the
+        callers that read a row whole."""
+        points = self.grid.points
+        rows = [_mirror(r.T, points, (-1.0) ** b).T
+                for b, (r, _) in enumerate(self.factors)]
+        return (np.concatenate(rows),
+                np.concatenate([kept for _, kept in self.factors]))
 
     def apply(self, values):
         """T applied to a vector of node values, or to each column of a
-        (points, m) block."""
-        x = _scale_rows(self.grid.weights, values)
+        (points, m) block.
+
+        A factored operator runs on real views, a complex column as its real
+        and imaginary parts side by side, so no row is copied to complex.
+        On a mirrored grid the input is folded onto the first h nodes,
+        w_i (x_i +- x_{P-1-i}) for the even and the odd block (`_images`),
+        each block takes two half-size products, and `_unfold` spreads
+        their sum and difference over the nodes.  Every elementwise step
+        runs on contiguous rows."""
+        w = self.grid.weights
         if self.factors is None:
-            return self.matrix @ x
-        rows, kept = self.factors
-        return _real_matmul(rows.T, _scale_rows(kept, _real_matmul(rows, x)))
+            return self.matrix @ _scale_rows(w, values)
+        cplx = np.iscomplexobj(values)
+        out_cplx = cplx or self._complex
+        x = np.ascontiguousarray(values, np.complex128 if cplx else np.float64)
+        if len(self.factors) == 1:
+            inputs = [_scale_rows(w, x)]
+        else:
+            image, wh = self._images
+            wh = wh.reshape(wh.shape + (1,) * (x.ndim - 1))
+            odd = x.take(image, axis=0)
+            even = x[:image.size] + odd
+            np.subtract(x[:image.size], odd, out=odd)
+            even *= wh
+            odd *= wh
+            inputs = [even, odd]
+        parts = []
+        for (rows, kept), u in zip(self.factors, inputs):
+            if cplx:
+                c = (rows @ u.view(np.float64).reshape(u.shape[0], -1)).view(
+                    np.complex128)
+            else:
+                c = rows @ u
+            c = _scale_rows(kept, c)
+            if out_cplx:
+                c = np.asarray(c if c.ndim == 2 else c[:, None],
+                               np.complex128).view(np.float64)
+            parts.append(rows.T @ c)
+        y = _unfold(parts, self.grid.points)
+        return (y.view(np.complex128) if out_cplx else y).reshape(
+            np.shape(values))
+
+    @functools.cached_property
+    def _complex(self):
+        """Whether a multiplier is complex, and so every image."""
+        return any(np.iscomplexobj(kept) for _, kept in self.factors)
+
+    @functools.cached_property
+    def _images(self):
+        """The mirror of each of the first h nodes i, P-1-i (the middle node
+        of an odd P is its own), and the weights there, halved at that
+        middle node, which a sum over a node and its mirror counts twice."""
+        points = self.grid.points
+        h = self.factors[0][0].shape[1]
+        wh = self.grid.weights[:h].copy()
+        if points % 2:
+            wh[-1] *= 0.5
+        return np.arange(points - 1, points - 1 - h, -1), wh
 
     def apply_adjoint(self, values):
         """The adjoint of T, on a vector or on each column of a block: A is
@@ -158,24 +242,69 @@ def _real_matmul(m, v):
     if not np.iscomplexobj(v):
         return m @ v
     pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
-    out = (m @ pairs.reshape(v.shape[0], -1)).view(np.complex128)
+    out = (m @ pairs.reshape(v.shape[0], 2 * math.prod(v.shape[1:]))
+           ).view(np.complex128)
     return out.reshape(m.shape[:1] + v.shape[1:])
+
+
+def _unfold(parts, points):
+    """Node values from the blocks' parts on their first h nodes: the sum of
+    the parts there and, on the image P-1-i of node i < P-h, the even part
+    minus the odd (written over the even part, a temporary of the caller)."""
+    if len(parts) == 1:
+        return parts[0]
+    even, odd = parts
+    h = even.shape[0]
+    out = np.empty((points,) + even.shape[1:],
+                   dtype=np.result_type(even, odd))
+    np.add(even, odd, out=out[:h])
+    np.subtract(even, odd, out=even)
+    np.take(even, np.arange(points - h - 1, -1, -1), axis=0, out=out[h:],
+            mode="clip")
+    return out
+
+
+def _mirror(half, points, sign=1.0):
+    """Node values (along the first axis) on all `points` nodes from their
+    first h: node P-1-i takes sign times node i for i < P-h.  With h =
+    points that is `half` itself."""
+    h = half.shape[0]
+    if h == points:
+        return half
+    out = np.empty((points,) + half.shape[1:], dtype=half.dtype)
+    out[:h] = half
+    np.multiply(half[:points - h][::-1], sign, out=out[h:])
+    return out
 
 
 def _columns(op, sel):
     """A[:, sel], which is A[sel].T as A is symmetric: a slice of a dense
-    operator, and for a factored one a product of rows.T with the small
-    kept * rows[:, sel], so neither A nor a K x points temporary is built."""
+    operator, and for a factored one a product of each block's rows.T with
+    the small kept * rows[:, sel], so neither A nor a K x points temporary is
+    built.  On a mirrored grid column P-1-j reads column j's factor rows,
+    with the odd block's sign flipped."""
     if op.factors is None:
         return op.matrix[sel].T
-    rows, kept = op.factors
-    return _real_matmul(rows.T, _scale_rows(kept, rows[:, sel]))
+    points = op.grid.points
+    h = op.factors[0][0].shape[1]
+    cols, sign = sel, 1.0
+    if h < points:
+        j = np.arange(points)[sel]
+        cols, sign = np.minimum(j, points - 1 - j), np.where(j < h, 1.0, -1.0)
+    parts = []
+    for b, (rows, kept) in enumerate(op.factors):
+        part = _scale_rows(kept, rows[:, cols])
+        parts.append(_real_matmul(rows.T, part * sign if b else part))
+    return _unfold(parts, points)
 
 
-def _entry_bound(rows, kept):
-    """C = max_i sum_k |m_k| e_k(t_i)^2, which bounds every |A_ij| by
-    Cauchy-Schwarz; O(K P), with no K x P temporary."""
-    return float(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows).max())
+def _entry_bound(op):
+    """C = max_i sum_k |m_k| e_k(t_i)^2 over a factored operator's blocks,
+    which bounds every |A_ij| by Cauchy-Schwarz; O(K h), with no K x P
+    temporary.  A row's square is the same at a node and at its image, so
+    the first h nodes give the max."""
+    return float(sum(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows)
+                     for rows, kept in op.factors).max())
 
 
 def _row_lp(op, p):
@@ -187,6 +316,23 @@ def _row_lp(op, p):
     return out
 
 
+def _abs_tiles(factors, parts, c):
+    """|A[c, b]| / C from each block's rows[:, c] and part = (kept / C) *
+    rows[:, b]: one tile, or on a mirrored grid |E + O| and |E - O| from the
+    even tile E and the odd tile O, which hold A(i, j) and A(i, P-1-j).
+    Each complex temporary is dropped as soon as it is read."""
+    tiles = [_real_matmul(rows[:, c].T, part)
+             for (rows, _), part in zip(factors, parts)]
+    if len(tiles) == 1:
+        return [np.abs(tiles[0])]
+    even, odd = tiles
+    del tiles
+    image = even - odd
+    even += odd
+    del odd
+    return [np.abs(even), np.abs(image)]
+
+
 def _build_row_lp(op, p):
     """The L^p(w) norm of every row of A.
 
@@ -194,62 +340,75 @@ def _build_row_lp(op, p):
     form.  Any other row is read through `_columns` in blocks of at most
     _ROW_BLOCK entries, each reduced as soon as it is built, so A is never
     copied.  A factored operator first builds only the tiles on and above
-    the diagonal, against the scale C of `_entry_bound` (a dense one has
-    scale 0 and skips them): a tile |A[c, b]| / C with column block c >= row
-    block b is one real product of rows[:, c].T with the small
-    (kept / C) * rows[:, b].  Its entries raised to p are summed with the
-    weights into the rows of b and, |A| being symmetric, into the rows of c
-    (at p = inf, their maxima).  A row whose sum falls outside
+    the diagonal of its first h nodes, against the scale C of `_entry_bound`
+    (a dense one has scale 0 and skips them): per block, a tile of
+    A[c, b] / C with column block c >= row block b is one real product of
+    rows[:, c].T with the small (kept / C) * rows[:, b].  On a mirrored grid
+    the even tile E and the odd tile O give A(i, j) = E + O and
+    A(i, P-1-j) = E - O, and the weights are mirrored too, so
+    |E + O|^p + |E - O|^p is summed with the weights (the middle node of an
+    odd P, where O = 0, at half weight) into the rows of b and, |A| being
+    symmetric, into the rows of c (at p = inf, their maxima); row P-1-i,
+    the image of row i, has its norm.  A row whose sum falls outside
     [_ROW_SUM_MIN, inf) (its entries underflow against C, or one rounds
     above C at huge p) is then read whole and scaled by its own max, like
     every row of a dense operator.
     """
     w = op.grid.weights
     if op.rank_one:
-        (row,), (m,) = op.factors
+        (row,), (m,) = op.unfolded()
         return abs(m) * np.abs(row) * weighted_lp(w, row, p)
     points = op.grid.points
-    out = np.empty(points)
-    redo = np.arange(points)
-    scale = 0.0 if op.factors is None else _entry_bound(*op.factors)
+    h = points if op.factors is None else op.factors[0][0].shape[1]
+    out = np.empty(h)
+    redo = np.arange(h)
+    scale = 0.0 if op.factors is None else _entry_bound(op)
     if scale > 0:
-        rows, kept = op.factors
-        side = math.isqrt(_ROW_BLOCK)
-        small = kept / scale
-        sums = np.zeros(points)
-        for b0 in range(0, points, side):
+        # a tile's side; on a mirrored grid each tile leaves three complex
+        # temporaries, and tiles of an eighth of the entries, which stay in
+        # cache, took 0.75 of the time of full ones at P = 1040
+        side = math.isqrt(_ROW_BLOCK // (8 if len(op.factors) == 2 else 1))
+        wh = w if len(op.factors) == 1 else op._images[1]
+        sums = np.zeros(h)
+        for b0 in range(0, h, side):
             b = slice(b0, b0 + side)
-            part = _scale_rows(small, rows[:, b])
-            for c0 in range(b0, points, side):
+            parts = [_scale_rows(kept / scale, rows[:, b])
+                     for rows, kept in op.factors]
+            for c0 in range(b0, h, side):
                 c = slice(c0, c0 + side)
-                a = np.abs(_real_matmul(rows[:, c].T, part))
+                a, *rest = _abs_tiles(op.factors, parts, c)
                 if math.isinf(p):
+                    for other in rest:
+                        np.maximum(a, other, out=a)
                     np.maximum(sums[b], a.max(axis=0), out=sums[b])
                     np.maximum(sums[c], a.max(axis=1), out=sums[c])
                     continue
                 with np.errstate(over="ignore"):
                     np.power(a, p, out=a)
-                sums[b] += w[c] @ a
+                    for other in rest:
+                        a += np.power(other, p, out=other)
+                sums[b] += wh[c] @ a
                 if c0 > b0:
-                    sums[c] += a @ w[b]
+                    sums[c] += a @ wh[b]
         if math.isinf(p):
-            return scale * sums
+            return _mirror(scale * sums, points)
         out = scale * sums ** (1.0 / p)
         redo = np.flatnonzero(~((sums >= _ROW_SUM_MIN) & (sums < np.inf)))
     step = max(1, _ROW_BLOCK // points)
     for i in range(0, redo.size, step):
         sel = redo[i:i + step]
         out[sel] = weighted_lp(w, _columns(op, sel), p)
-    return out
+    return _mirror(out, points)
 
 
 def operator_from_kernel(kernel, grid):
     """Spectral factors of a multiplier kernel, A = sum_k m_k e_k e_k^T over
     the degrees with m_k != 0; the kernel and grid share one sphere.
 
-    The kept rows come from one recurrence (`ZonalGrid.basis`), so the
-    operator holds O(points x kept degrees): a projector one row, a
-    resolvent a row per degree.
+    The kept rows come from one recurrence (`ZonalGrid.basis`), on the
+    first half of a mirrored grid's nodes, grouped by the parity of the
+    degree, so the operator holds O(points x kept degrees) / 2 on such a
+    grid: a projector one row, a resolvent a row per degree.
     """
     if kernel.sphere != grid.sphere:
         raise ValueError(f"kernel on S^{kernel.sphere.n} against a grid on "
@@ -259,16 +418,17 @@ def operator_from_kernel(kernel, grid):
         raise ValueError(
             f"kernel degree {kmax} exceeds grid exactness {grid.kexact}")
     nz = np.flatnonzero(kernel.coeffs)
-    return ZonalOperator(grid, factors=(grid.basis(nz), kernel.coeffs[nz]))
+    return ZonalOperator(grid, factors=[
+        (rows, kernel.coeffs[degrees])
+        for degrees, rows in grid.basis(nz, folded=True)])
 
 
 class AzimuthalSpectrum:
     """The normalised azimuthal antiderivative of the degree-k zonal kernel
     Z_k for the node pairs i <= j of a grid, in closed form.
 
-    On a mirror-symmetric grid (`mirrored`: every theta_i + theta_{P-1-i}
-    within _MIRROR_ULPS ulp of pi, as on every Gauss-Jacobi grid) only the
-    pairs with i + j <= P - 1 are kept.  A pair and its image
+    On a mirrored grid (`ZonalGrid.mirrored`, as every Gauss-Jacobi grid
+    is) only the pairs with i + j <= P - 1 are kept.  A pair and its image
     (P-1-j, P-1-i) sweep the same range [d, s] of relative angles and, as
     A_m(pi - theta) = (-1)^{k-m} A_m(theta), have the same weights w_m, so
     they have one G and every window's matrix is centrosymmetric; `places`
@@ -309,9 +469,7 @@ class AzimuthalSpectrum:
         self.grid = grid
         self.k = k
         i, j = np.triu_indices(grid.points)
-        th = grid.nodes
-        self.mirrored = bool(np.all(np.abs(th + th[::-1] - np.pi)
-                                    <= _MIRROR_ULPS * np.spacing(np.pi)))
+        self.mirrored = grid.mirrored
         if self.mirrored:
             # the image (P-1-j, P-1-i) of (i, j) has index sum
             # 2 (P - 1) - (i + j), so i + j <= P - 1 keeps one pair of each

@@ -135,8 +135,15 @@ def tail_multiplier(params, tau):
 # ---------------------------------------------------------------------------
 # truncated spectral kernel
 
-def default_degree_cutoff(lam):
-    return max(math.ceil(4.0 * lam), math.ceil(lam) + 40)
+def default_degree_cutoff(lam, mu=1.0):
+    """The larger of max(ceil(4 lam), ceil(lam) + 40) and a cutoff that
+    grows with lam |mu|.  Beyond the cutoff the multipliers are at most
+    about 1 / (kmax^2 - lam^2), and the peak is about 1 / (2 lam |mu|), so
+    kmax >= sqrt(lam^2 + 200 lam |mu|) keeps the discarded sup near 1e-2 of
+    the peak.  At mu = 1 the second never exceeds the first, so the cutoff
+    is the same as with no mu."""
+    return max(math.ceil(4.0 * lam), math.ceil(lam) + 40,
+               math.ceil(math.sqrt(lam * lam + 200.0 * lam * abs(mu))))
 
 
 @dataclass

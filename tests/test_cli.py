@@ -201,17 +201,16 @@ class TestProjScaling:
             lines[0] = lines[0].replace("kexact=4", "kexact=3")
         path.write_text("".join(lines))
         capsys.readouterr()
-        code, _, js = _run(tmp_path, "c2", *args)
-        assert code == 2 and not js.exists()
+        # the grid is read before the CSV opens, so no file is written
+        code, out, js = _run(tmp_path, "c2", *args)
+        assert code == 2 and not out.exists() and not js.exists()
         assert str(path) in capsys.readouterr().err
 
-    def test_sweep_releases_each_operator(self, grid80, sphere3,
-                                          monkeypatch):
+    def test_sweep_releases_each_operator(self, grid80, sphere3):
         # the previous operator's rows are gone before the next one is built
         cfg = SimpleNamespace(point=ExponentPoint(0.8, 0.2), restarts=1,
-                              seed=1)
+                              seed=1, grid=grid80)
         sink = SimpleNamespace(emit=lambda record: None)
-        monkeypatch.setattr(cli, "_grid", lambda cfg: grid80)
         built = []
 
         def build(grid, k):
@@ -405,10 +404,10 @@ class TestFailureModes:
     def test_cache_dir_is_a_file(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.write_text("not a directory\n")
-        code, _, js = _run(tmp_path, "cf", "proj-scaling", "--sigma", "2/3",
-                           "--k", "2,4", "--grid-points", "40",
-                           "--cache-dir", str(cache))
-        assert code == 2 and not js.exists()
+        code, out, js = _run(tmp_path, "cf", "proj-scaling", "--sigma",
+                             "2/3", "--k", "2,4", "--grid-points", "40",
+                             "--cache-dir", str(cache))
+        assert code == 2 and not out.exists() and not js.exists()
         assert str(cache) in capsys.readouterr().err
 
     def test_cache_entry_is_a_directory(self, tmp_path, capsys):
@@ -421,8 +420,9 @@ class TestFailureModes:
         path.unlink()
         path.mkdir()
         capsys.readouterr()
-        code, _, js = _run(tmp_path, "c2", *args)
-        assert code == 2 and not js.exists()
+        # the grid is read before the CSV opens, so no file is written
+        code, out, js = _run(tmp_path, "c2", *args)
+        assert code == 2 and not out.exists() and not js.exists()
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,sigma,k", [("3", "3/5", "5"),
@@ -630,6 +630,21 @@ class TestRejectedBeforeCsv:
         assert "cannot carry degree 48; need at least 97" in (
             capsys.readouterr().err)
         assert not out.exists() and not js.exists()
+
+    @pytest.mark.parametrize("mu", [1.5, 4.0])
+    def test_cutoff_grows_with_mu(self, tmp_path, mu):
+        # at lambda = 16 the mu = 1 cutoff, 64, leaves a discarded sup above
+        # 1e-2 of the peak for these mu; the cutoff of lambda |mu| does not
+        kmax = zl.default_degree_cutoff(16, mu)
+        assert kmax > zl.default_degree_cutoff(16) == 64
+        code, out, js = _run(tmp_path, "mu", "resolvent-scaling", "--sigma",
+                             "3/5", "--lambda", "16", "--mu", str(mu),
+                             "--restarts", "2")
+        assert code == 0
+        summary = json.loads(js.read_text())
+        row, = summary["rows"]
+        assert row["kmax"] == kmax and row["tail_ratio"] <= 1e-2
+        assert summary["config"]["grid_points"] == 4 * kmax + 16
 
 
 # every command's flags besides --seed and --out, as the README lists them:

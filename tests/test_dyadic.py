@@ -243,11 +243,15 @@ class TestMirror:
     spectrum keeps one pair of each mirror image and writes it to both."""
 
     def test_every_grid_is_mirrored(self, n):
-        # within 1 ulp(pi) for every make_grid grid of 12..2064 points;
-        # the spectrum accepts up to _MIRROR_ULPS
+        # within 1 ulp(pi) for every make_grid grid of 12..2064 points, and
+        # with exactly mirrored weights; the grid accepts up to _MIRROR_ULPS
         for points in (12, 13, 80, 144, 513, 2064):
-            th = zl.make_grid(zl.SphereSpec(n), points).nodes
+            grid = zl.make_grid(zl.SphereSpec(n), points)
+            th = grid.nodes
             assert np.abs(th + th[::-1] - np.pi).max() <= np.spacing(np.pi)
+            assert np.array_equal(grid.weights, grid.weights[::-1])
+            assert grid.mirrored
+            assert zl.AzimuthalSpectrum(grid, 2).mirrored
 
     def test_pieces_are_centrosymmetric(self, n):
         for points, k in ((12, 5), (41, 16), (144, 32)):

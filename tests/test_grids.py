@@ -33,6 +33,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             zl.make_grid(sphere3, 0)
 
+    def test_mirrored_needs_mirrored_weights(self, grid80):
+        # nodes mirrored to rounding and weights exactly: a factored
+        # operator then keeps its rows on the first half of the nodes
+        assert grid80.mirrored and grid80.half == 40
+        weights = grid80.weights.copy()
+        weights[0] = np.nextafter(weights[0], 1.0)
+        moved = zl.ZonalGrid(grid80.sphere, grid80.nodes, weights, "w", 16)
+        assert not moved.mirrored and moved.half == 80
+
     def test_mismatched_arrays_rejected(self, sphere3):
         with pytest.raises(ValueError):
             zl.ZonalGrid(sphere3, np.ones(4), np.ones(3), "custom", 0)
@@ -61,17 +70,25 @@ class TestQuadratureExactness:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_basis_slices_one_table(self, n):
-        # bit for bit the rows of one zonal_table, each divided by the root
-        # of its value at t = 1, whichever degrees are asked for
+        # on the first half of the nodes, bit for bit the rows of one
+        # zonal_table, each divided by the root of its value at t = 1,
+        # whichever degrees are asked for; on the mirror half exactly
+        # (-1)^k times the first, which is the table to rounding
         grid = zl.make_grid(zl.SphereSpec(n), 130, kexact=64)
+        assert grid.mirrored and grid.half == 65
         tab = zl.zonal_table(n, 80, grid.cosines)
         z1 = zl.zonal_table(n, 80, np.ones(1))[:, 0]
         want = tab / np.sqrt(z1)[:, None]
         for degrees in (range(6), range(65), [0], [64], [65, 80],
                         [3, 17, 40]):
             B = grid.basis(degrees)
+            rows = want[list(degrees)]
+            sign = (-1.0) ** np.asarray(degrees)[:, None]
             assert B.shape == (len(degrees), grid.points)
-            assert np.array_equal(B, want[list(degrees)])
+            assert np.array_equal(B[:, :65], rows[:, :65])
+            assert np.array_equal(B[:, 65:], sign * B[:, 64::-1])
+            assert (np.abs(B - rows).max(axis=1)
+                    <= 1e-14 * np.abs(rows).max(axis=1)).all()
         assert grid.basis([]).shape == (0, grid.points)
 
     @pytest.mark.parametrize("degrees", [[3, 3], [5, 3], [-1]])
@@ -89,12 +106,14 @@ class TestQuadratureExactness:
         kern = zl.resolvent_kernel(sphere3, zl.ResolventParams(64, 1)).kernel
         tracemalloc.start()
         try:
-            rows, _ = zl.operator_from_kernel(kern, grid).factors
+            blocks = zl.operator_from_kernel(kern, grid).factors
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape == (kern.coeffs.size, grid.points)
-        assert peak < 1.25 * rows.nbytes
+        # the even and the odd degrees, on the first half of the nodes
+        assert kern.coeffs.size == 257
+        assert [rows.shape for rows, _ in blocks] == [(129, 520), (128, 520)]
+        assert peak < 1.25 * sum(rows.nbytes for rows, _ in blocks)
 
     def test_refinement_stable(self, sphere3, grid80, grid144):
         # doubling the rule does not move an exactly integrable product

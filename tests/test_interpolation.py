@@ -121,7 +121,7 @@ def h16(grid144):
 def _attaining_set(op, report):
     """Indicator of the report's set: the first `nodes` nodes of sign * e
     in a stable descending sort."""
-    e = op.factors[0][0]
+    e = op.unfolded()[0][0]
     ind = np.zeros(op.grid.points)
     ind[np.argsort(-report["sign"] * e, kind="stable")[:report["nodes"]]] = 1
     return ind
@@ -179,8 +179,8 @@ class TestCertify:
         p_pt, q_pt = zl.stein_point(3, 0.6)
         data = zl.InterpolationData(q_pt, p_pt, 1.0, 1.0, 0.2, 0.2)
         piece = zl.dyadic_decompose(16, grid144)[5].operator()
-        two = ZonalOperator(grid144, factors=(grid144.basis([2, 3]),
-                                              np.ones(2)))
+        two = ZonalOperator(grid144, factors=[(grid144.basis([2, 3]),
+                                               np.ones(2))])
         for op in (piece, two):
             with pytest.raises(ValueError, match="rank-one"):
                 zl.certify_restricted_weak(op, data)
@@ -206,7 +206,7 @@ class TestCertify:
         w = grid144.weights
         entry = zl.certify_restricted_weak(h16, data)
         ind = _attaining_set(h16, entry)
-        e = h16.factors[0][0]
+        e = h16.unfolded()[0][0]
         np.testing.assert_array_equal(ind > 0, entry["sign"] * e
                                       >= entry["level"])
         assert entry["mu_e"] == pytest.approx(w @ ind, rel=1e-13)

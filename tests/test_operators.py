@@ -195,15 +195,23 @@ class TestFactoredRoute:
         coeffs = np.zeros(degrees[-1] + 1)
         coeffs[degrees] = np.arange(1.0, len(degrees) + 1.0)
         op = operator_from_kernel(zl.ZonalKernel(grid.sphere, coeffs), grid)
-        rows, kept = op.factors
-        np.testing.assert_array_equal(kept, coeffs[degrees])
+        # the even degrees, then the odd, on the first 32 nodes, and
+        # unfolded to all 64 the rows of grid.basis
+        parity = np.asarray(degrees) % 2
+        order = np.concatenate([np.flatnonzero(parity == b) for b in (0, 1)])
+        assert [rows.shape for rows, _ in op.factors] == [
+            (np.count_nonzero(parity == b), 32) for b in (0, 1)]
+        rows, kept = op.unfolded()
+        np.testing.assert_array_equal(kept, coeffs[degrees][order])
         tab = zl.zonal_table(n, degrees[-1], grid.cosines)[degrees]
         z1 = zl.zonal_table(n, degrees[-1], np.ones(1))[degrees, 0]
-        assert np.array_equal(rows, tab / np.sqrt(z1)[:, None])
+        want = (tab / np.sqrt(z1)[:, None])[order]
+        assert np.array_equal(rows[:, :32], want[:, :32])
+        assert np.array_equal(rows, grid.basis(degrees)[order])
 
     def test_zero_kernel_keeps_no_row(self, grid80, sphere3):
         op = operator_from_kernel(zl.ZonalKernel(sphere3, np.zeros(5)), grid80)
-        assert op.factors[0].shape == (0, grid80.points)
+        assert [rows.shape for rows, _ in op.factors] == [(0, 40)] * 2
         assert not op.apply(np.ones(grid80.points)).any()
 
     def test_sparse_kernel_never_builds_grid_table(self, sphere3):
@@ -217,7 +225,9 @@ class TestFactoredRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.factors[0].shape == (1, grid.points)
+        # the even block holds the one row, on half the nodes
+        assert [rows.shape for rows, _ in op.factors] == [(1, 1032),
+                                                         (0, 1032)]
         assert peak < 16 * grid.points * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -236,11 +246,11 @@ class TestFactoredRoute:
             op = operator_from_kernel(_kernel(n, "resolvent"), grid)
         elif kind == "rank_one":
             rows, _ = operator_from_kernel(_kernel(n, "projector"),
-                                           grid).factors
-            op = ZonalOperator(grid, factors=(rows, np.array([-2.5])))
+                                           grid).unfolded()
+            op = ZonalOperator(grid, factors=[(rows, np.array([-2.5]))])
         else:
             kept = np.random.default_rng(n).standard_normal(25)
-            op = ZonalOperator(grid, factors=(grid.basis(range(25)), kept))
+            op = ZonalOperator(grid, factors=[(grid.basis(range(25)), kept)])
             if kind == "dense":
                 op = ZonalOperator(grid, op.matrix)
         got = operators._row_lp(op, p)
@@ -262,9 +272,9 @@ class TestFactoredRoute:
         rows = q.T / np.sqrt(grid.weights)
         kept = np.concatenate([np.logspace(0, -1, 32),
                                np.logspace(-199, -200, 32)])
-        op = ZonalOperator(grid, factors=(rows, kept))
+        op = ZonalOperator(grid, factors=[(rows, kept)])
         got = operators._row_lp(op, p)
-        scale = operators._entry_bound(rows, kept)
+        scale = operators._entry_bound(op)
         assert ((got[32:] / scale) ** p < operators._ROW_SUM_MIN).all()
         want = weighted_lp(grid.weights, op.matrix.T, p)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -277,11 +287,11 @@ class TestFactoredRoute:
         grid = zl.make_grid(zl.SphereSpec(3), 64, kexact=24)
         kept = np.random.default_rng(5).uniform(0.5, 2.0, 25)
         rows = grid.basis(range(25))
-        op = ZonalOperator(grid, factors=(rows, kept))
+        op = ZonalOperator(grid, factors=[(rows, kept)])
         got = operators._row_lp(op, 1e300)
         want = weighted_lp(grid.weights, op.matrix.T, 1e300)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-        assert got.max() == pytest.approx(operators._entry_bound(rows, kept),
+        assert got.max() == pytest.approx(operators._entry_bound(op),
                                           rel=1e-15)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans())
@@ -296,8 +306,8 @@ class TestFactoredRoute:
         kept = rng.standard_normal(rank) * 10.0 ** rng.uniform(-5, 5, rank)
         if complex_:
             kept = kept + 1j * rng.standard_normal(rank)
-        op = ZonalOperator(grid, factors=(rows, kept))
-        bound = operators._entry_bound(rows, kept)
+        op = ZonalOperator(grid, factors=[(rows, kept)])
+        bound = operators._entry_bound(op)
         assert np.abs(op.matrix).max() <= bound * (1.0 + 1e-14)
 
     def test_upper_memory_stays_below_dense_matrix(self, lam64):
@@ -339,7 +349,7 @@ class TestFactoredRoute:
         # norms' tiles stay below it
         grid, kern = lam64
         op = operator_from_kernel(kern, grid)
-        rows, _ = op.factors
+        rows, _ = op.unfolded()
         r = default_r(3, 0.6)
         tracemalloc.start()
         try:
@@ -381,6 +391,207 @@ class TestFactoredRoute:
         exact = weighted_lp(w, e, r / (r - 1.0)) * weighted_lp(w, e, s)
         assert zl.norm_lower(op, r, s).value == pytest.approx(exact,
                                                               rel=1e-12)
+
+
+def _parity_kernel(n, complex_):
+    """Degrees 0..24 on S^n: the resolvent at lambda = 3 (complex), or
+    seeded real multipliers of both signs."""
+    if complex_:
+        return _kernel(n, "resolvent")
+    rng = np.random.default_rng(n)
+    return zl.ZonalKernel(zl.SphereSpec(n), rng.standard_normal(25))
+
+
+def _unfolded_reference(op):
+    """The full-node operator of the same rows: one block on every node."""
+    return ZonalOperator(op.grid, factors=[op.unfolded()])
+
+
+def _moved_grid(n, points):
+    """A make_grid grid whose south half is moved by 6 ulp(pi), so that it
+    is no longer mirrored."""
+    grid = zl.make_grid(zl.SphereSpec(n), points, kexact=24)
+    nodes = grid.nodes.copy()
+    nodes[points // 2:] += 6 * np.spacing(np.pi)
+    return zl.ZonalGrid(grid.sphere, nodes, grid.weights, "moved", 24)
+
+
+def _row_lp_as_before(op, p):
+    """The row norms of a one-block operator as the full-node route takes
+    them: tiles of side isqrt(_ROW_BLOCK) over all nodes, then the rows
+    whose sums left [_ROW_SUM_MIN, inf) read whole, _ROW_BLOCK // P at a
+    time."""
+    (rows, kept), = op.factors
+    w, points = op.grid.weights, op.grid.points
+    scale = float(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows).max())
+    side = math.isqrt(operators._ROW_BLOCK)
+    small = kept / scale
+    sums = np.zeros(points)
+    for b0 in range(0, points, side):
+        b = slice(b0, b0 + side)
+        part = operators._scale_rows(small, rows[:, b])
+        for c0 in range(b0, points, side):
+            c = slice(c0, c0 + side)
+            a = np.abs(operators._real_matmul(rows[:, c].T, part))
+            if math.isinf(p):
+                np.maximum(sums[b], a.max(axis=0), out=sums[b])
+                np.maximum(sums[c], a.max(axis=1), out=sums[c])
+                continue
+            with np.errstate(over="ignore"):
+                np.power(a, p, out=a)
+            sums[b] += w[c] @ a
+            if c0 > b0:
+                sums[c] += a @ w[b]
+    if math.isinf(p):
+        return scale * sums
+    out = scale * sums ** (1.0 / p)
+    redo = np.flatnonzero(~((sums >= operators._ROW_SUM_MIN)
+                            & (sums < np.inf)))
+    step = max(1, operators._ROW_BLOCK // points)
+    for i in range(0, redo.size, step):
+        sel = redo[i:i + step]
+        out[sel] = weighted_lp(w, operators._columns(op, sel), p)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("points", [64, 65])
+class TestMirrorParity:
+    """On a mirrored grid a factored operator keeps each row on the first
+    ceil(P/2) nodes, an even and an odd block; the full-node operator of the
+    same rows, unfolded, is the reference."""
+
+    def test_basis_rows_are_mirrored(self, n, points):
+        grid = zl.make_grid(zl.SphereSpec(n), points, kexact=24)
+        h = (points + 1) // 2
+        assert grid.mirrored and grid.half == h
+        degrees = np.arange(25)
+        B = grid.basis(degrees)
+        sign = (-1.0) ** degrees[:, None]
+        assert np.array_equal(B[:, ::-1], sign * B)
+        if points % 2:
+            # every odd row is exactly 0 at the middle node, t = 0
+            assert not B[1::2, h - 1].any()
+        blocks = grid.basis(degrees, folded=True)
+        assert [d.tolist() for d, _ in blocks] == [
+            degrees[::2].tolist(), degrees[1::2].tolist()]
+        for d, rows in blocks:
+            assert np.array_equal(rows, B[d, :h])
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_full_node_reference(self, n, points, complex_,
+                                         monkeypatch):
+        # 5 * P + 7 entries per block: several tiles on each side
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * points + 7)
+        grid = zl.make_grid(zl.SphereSpec(n), points, kexact=24)
+        op = operator_from_kernel(_parity_kernel(n, complex_), grid)
+        ref = _unfolded_reference(op)
+        h = (points + 1) // 2
+        assert [rows.shape[1] for rows, _ in op.factors] == [h, h]
+        rng = np.random.default_rng(points)
+        X = rng.standard_normal((points, 3)) + 1j * rng.standard_normal(
+            (points, 3))
+        for x in (X, X.real.copy(), np.ascontiguousarray(X[:, 0]),
+                  X[:, 1].real.copy()):
+            want = ref.apply(x)
+            assert np.abs(op.apply(x) - want).max() <= (
+                1e-13 * np.abs(want).max())
+        A = ref.matrix
+        scale = np.abs(A).max()
+        for sel in (0, h - 1, points - 1, [1, points - 2, h, 3],
+                    slice(None)):
+            got = operators._columns(op, sel)
+            assert got.shape == A[:, sel].shape
+            assert np.abs(got - A[:, sel]).max() <= 1e-13 * scale
+        # exactly centrosymmetric: A(P-1-i, P-1-j) = A(i, j)
+        assert np.array_equal(op.matrix, op.matrix[::-1, ::-1])
+        assert operators._entry_bound(op) == pytest.approx(
+            operators._entry_bound(ref), rel=1e-14)
+        for p in (1.01, 2.0, 5.0, 1e300, np.inf):
+            got = operators._row_lp(op, p)
+            np.testing.assert_allclose(got, operators._row_lp(ref, p),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(
+                got, weighted_lp(grid.weights, A.T, p), rtol=1e-13, atol=0)
+            assert np.array_equal(got, got[::-1])
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_fallback_rows(self, n, points, complex_, monkeypatch):
+        # at p = 1e300 every entry below C underflows, so all rows but the
+        # largest are read whole through `_columns`, and on the first half
+        # only
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * points + 7)
+        grid = zl.make_grid(zl.SphereSpec(n), points, kexact=24)
+        op = operator_from_kernel(_parity_kernel(n, complex_), grid)
+        read = []
+        columns = operators._columns
+
+        def counted(op, sel):
+            read.append(np.atleast_1d(np.arange(points)[sel]))
+            return columns(op, sel)
+
+        monkeypatch.setattr(operators, "_columns", counted)
+        got = operators._row_lp(op, 1e300)
+        read = np.concatenate(read)
+        assert read.size >= (points + 1) // 2 - 1
+        assert read.max() < (points + 1) // 2
+        monkeypatch.setattr(operators, "_columns", columns)
+        want = weighted_lp(grid.weights, _unfolded_reference(op).matrix.T,
+                           1e300)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_not_mirrored_is_the_full_node_route(self, n, points, complex_,
+                                                 monkeypatch):
+        # a node set that is not mirrored is one block on every node: its
+        # rows, products and row norms are the full-node route's, bit for
+        # bit
+        monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * points + 7)
+        grid = _moved_grid(n, points)
+        assert not grid.mirrored and grid.half == points
+        kern = _parity_kernel(n, complex_)
+        op = operator_from_kernel(kern, grid)
+        (rows, kept), = op.factors
+        tab = zl.zonal_table(n, 24, grid.cosines)
+        z1 = zl.zonal_table(n, 24, np.ones(1))[:, 0]
+        assert np.array_equal(rows, tab / np.sqrt(z1)[:, None])
+        w = grid.weights
+        rng = np.random.default_rng(points)
+        X = rng.standard_normal((points, 3)) + 1j * rng.standard_normal(
+            (points, 3))
+        for x in (X, X.real.copy(), np.ascontiguousarray(X[:, 0]),
+                  X[:, 1].real.copy()):
+            want = operators._real_matmul(rows.T, operators._scale_rows(
+                kept, operators._real_matmul(rows, operators._scale_rows(
+                    w, x))))
+            assert np.array_equal(op.apply(x), want)
+        for p in (2.0, 5.0, 1e300, np.inf):
+            assert np.array_equal(operators._row_lp(op, p),
+                                  _row_lp_as_before(op, p))
+
+
+def test_certificate_holds_no_full_node_rows():
+    # the lambda = 64 resolvent operator of `resolvent-scaling --lambda
+    # 8,16,32,64`, K = 257 rows on P = 1040 nodes: the build holds half of
+    # a K x P rows array, and the certificate's temporaries stay below one
+    sphere = zl.SphereSpec(3)
+    kern = zl.resolvent_kernel(sphere, zl.ResolventParams(64, 1)).kernel
+    grid = zl.make_grid(sphere, 1040, kexact=256)
+    full = kern.coeffs.size * grid.points * 8
+    assert kern.coeffs.size == 257
+    r = default_r(3, 0.6)
+    tracemalloc.start()
+    try:
+        op = operator_from_kernel(kern, grid)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        zl.norm_certificate(op, ExponentPoint(1 / r, 1 / r - 0.6))
+        certify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows.nbytes for rows, _ in op.factors) == full // 2
+    assert build_peak < 0.6 * full
+    assert certify_peak - held < full
 
 
 # the endpoints (1, inf), (1, 2.5) and (5/3, inf), the diagonal (2, 2), and
@@ -625,7 +836,7 @@ class TestNormUpper:
             kept = rng.standard_normal(rank)
             if complex_:
                 kept = kept + 1j * rng.standard_normal(rank)
-            op = ZonalOperator(grid, factors=(q.T / np.sqrt(w), kept))
+            op = ZonalOperator(grid, factors=[(q.T / np.sqrt(w), kept)])
         else:
             A = rng.standard_normal((P, P))
             if complex_:

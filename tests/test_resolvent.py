@@ -228,6 +228,34 @@ def test_default_degree_cutoff():
     assert zl.default_degree_cutoff(32.0) == 128
 
 
+def test_default_cutoff_unchanged_at_mu_one():
+    # sqrt(lam^2 + 200 lam) <= max(4 lam, lam + 40), with equality only at
+    # lam = 40/3, so every mu = 1 grid and CSV stays as it was
+    lams = np.concatenate([np.linspace(1.0, 100.0, 19801),
+                           np.geomspace(1.0, 1e6, 2001),
+                           [40 / 3, math.nextafter(40 / 3, 0.0),
+                            math.nextafter(40 / 3, 20.0)]])
+    for lam in lams:
+        for mu in (1.0, -1.0):
+            assert zl.default_degree_cutoff(lam, mu) == max(
+                math.ceil(4.0 * lam), math.ceil(lam) + 40), lam
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_default_cutoff_passes_the_gate_with_mu(n):
+    # where |mu| <= lam the peak multiplier is about 1 / (2 lam |mu|), and
+    # the cutoff sqrt(lam^2 + 200 lam |mu|) keeps the discarded sup within
+    # 1e-2 of it
+    sphere = zl.SphereSpec(n)
+    for lam in (4.0, 8.0, 16.0, 64.0, 256.0):
+        for mu in (1.25, 1.5, -2.0, 4.0, lam / 2, -lam):
+            if abs(mu) > lam:
+                continue
+            result = zl.resolvent_kernel(sphere, zl.ResolventParams(lam, mu),
+                                         zl.default_degree_cutoff(lam, mu))
+            assert result.tail_ratio <= 1e-2, (lam, mu)
+
+
 class TestSpectralKernel:
     def test_single_mode_modulus(self, sphere3):
         """R applied to Z_8 scales it by 1/(zeta - 81)."""
