@@ -163,8 +163,7 @@ def _run_proj_scaling(cfg, sink):
 
 def _run_resolvent_scaling(cfg, sink):
     def build(grid, lam):
-        result = resolvent_kernel(cfg.sphere, ResolventParams(lam, cfg.mu),
-                                  default_degree_cutoff(lam, cfg.mu))
+        result = resolvent_kernel(cfg.sphere, ResolventParams(lam, cfg.mu))
         return (operator_from_kernel(result.kernel, grid),
                 f"R_zeta lam={lam} mu={cfg.mu}",
                 {"lambda": lam, "mu": cfg.mu, "kmax": result.kmax,
@@ -350,7 +349,7 @@ class Config:
         self.band = None
         if "grid-points" in command.takes:
             self.band = (max(self.ks) if self.ks is not None else
-                         max(default_degree_cutoff(lam, self.mu)
+                         max(default_degree_cutoff(lam, self.mu, self.n)
                              for lam in self.lambdas))
             if self.grid_points is None:
                 self.grid_points = 4 * self.band + 16

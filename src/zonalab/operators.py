@@ -15,9 +15,10 @@ On a mirrored grid (`ZonalGrid.mirrored`: nodes symmetric under
 theta -> pi - theta to rounding and weights exactly, as on every
 Gauss-Jacobi grid) e_k(t_{P-1-i}) = (-1)^k e_k(t_i), so the rows are kept
 on the first h = ceil(P/2) nodes only, in an even and an odd block: half
-the memory.  `apply` folds its input onto those nodes and takes two
-half-size products per block, and the row norms below build a quarter of
-the products.  Any other node set is one block on every node, the same
+the memory.  `apply` folds its input onto those nodes with a reversed
+slice and takes each block's two half-size products through the module's
+one real product (`_real_matmul`), and the row norms below build a quarter
+of the products.  Any other node set is one block on every node, the same
 functions with h = P.
 For the degree-k kernel Z_k restricted to a window of relative angles (a
 dyadic piece) the average is integrated into a dense matrix in closed form
@@ -59,17 +60,17 @@ exponent, so where 1/r + 1/s = 1 one certificate builds them once.  A
 rank-one row m e_i e has the closed-form norm |m| |e_i| ||e||_p.  Every
 other row of A, dense or factored, is read through one accessor
 (`_columns`), a bounded block of rows at a time, so A is never copied and
-the temporaries stay bounded whatever the number of points.  A factored
+the temporaries stay bounded whatever the number of points.  At p = inf
+every row is read whole, its norm being its max.  At finite p a factored
 operator first sums tiles of A built from its factors: |A| is symmetric,
 so only the tiles on and above the diagonal of its first h nodes are built,
 each scaled by the a-priori bound C = max_i sum_k |m_k| e_k(t_i)^2 >=
 max |A_ij|, and a tile's powered entries are summed into the rows on both
 of its sides.  On a mirrored grid the even and odd tiles E and O give the
 entries A(i, j) = E + O and A(i, P-1-j) = E - O of row i, and row P-1-i,
-its image, has the same norm.  A row whose
-sum underflows against C, or overflows at a huge exponent, is then read
-whole and scaled by its own max (the fallback rows), so every exponent
-keeps its meaning.
+its image, has the same norm.  A row whose sum underflows against C, or
+overflows at a huge exponent, is then read whole and scaled by its own max
+(the fallback rows), so every exponent keeps its meaning.
 
 norm_certificate pairs the two bounds at one exponent pair and returns the
 certificate as its JSON row, a dict whose keys and their order are fixed;
@@ -163,62 +164,37 @@ class ZonalOperator:
         """T applied to a vector of node values, or to each column of a
         (points, m) block.
 
-        A factored operator runs on real views, a complex column as its real
-        and imaginary parts side by side, so no row is copied to complex.
         On a mirrored grid the input is folded onto the first h nodes,
-        w_i (x_i +- x_{P-1-i}) for the even and the odd block (`_images`),
-        each block takes two half-size products, and `_unfold` spreads
-        their sum and difference over the nodes.  Every elementwise step
-        runs on contiguous rows."""
+        w_i (x_i +- x_{P-1-i}) for the even and the odd block, with the
+        middle node of an odd P at half weight (`_half_weights`); each block
+        takes rows.T (kept * rows u) through `_real_matmul`, and `_unfold`
+        spreads the blocks' sum and difference over the nodes."""
         w = self.grid.weights
         if self.factors is None:
             return self.matrix @ _scale_rows(w, values)
-        cplx = np.iscomplexobj(values)
-        out_cplx = cplx or self._complex
-        x = np.ascontiguousarray(values, np.complex128 if cplx else np.float64)
         if len(self.factors) == 1:
-            inputs = [_scale_rows(w, x)]
+            inputs = [_scale_rows(w, values)]
         else:
-            image, wh = self._images
-            wh = wh.reshape(wh.shape + (1,) * (x.ndim - 1))
-            odd = x.take(image, axis=0)
-            even = x[:image.size] + odd
-            np.subtract(x[:image.size], odd, out=odd)
-            even *= wh
-            odd *= wh
-            inputs = [even, odd]
-        parts = []
-        for (rows, kept), u in zip(self.factors, inputs):
-            if cplx:
-                c = (rows @ u.view(np.float64).reshape(u.shape[0], -1)).view(
-                    np.complex128)
-            else:
-                c = rows @ u
-            c = _scale_rows(kept, c)
-            if out_cplx:
-                c = np.asarray(c if c.ndim == 2 else c[:, None],
-                               np.complex128).view(np.float64)
-            parts.append(rows.T @ c)
-        y = _unfold(parts, self.grid.points)
-        return (y.view(np.complex128) if out_cplx else y).reshape(
-            np.shape(values))
+            # the mirror half copied first: sums of a reversed and a forward
+            # block take a slower loop than contiguous ones
+            wh = self._half_weights
+            x, image = values[:wh.size], values[::-1][:wh.size].copy()
+            inputs = [_scale_rows(wh, x + image), _scale_rows(wh, x - image)]
+        return _unfold([
+            _real_matmul(rows.T, _scale_rows(kept, _real_matmul(rows, u)))
+            for (rows, kept), u in zip(self.factors, inputs)],
+            self.grid.points)
 
     @functools.cached_property
-    def _complex(self):
-        """Whether a multiplier is complex, and so every image."""
-        return any(np.iscomplexobj(kept) for _, kept in self.factors)
-
-    @functools.cached_property
-    def _images(self):
-        """The mirror of each of the first h nodes i, P-1-i (the middle node
-        of an odd P is its own), and the weights there, halved at that
-        middle node, which a sum over a node and its mirror counts twice."""
-        points = self.grid.points
-        h = self.factors[0][0].shape[1]
+    def _half_weights(self):
+        """The weights on the first h nodes of a mirrored grid, halved at the
+        middle node of an odd P, which a sum over a node and its mirror
+        counts twice."""
+        h = self.grid.half
         wh = self.grid.weights[:h].copy()
-        if points % 2:
+        if self.grid.points % 2:
             wh[-1] *= 0.5
-        return np.arange(points - 1, points - 1 - h, -1), wh
+        return wh
 
     def apply_adjoint(self, values):
         """The adjoint of T, on a vector or on each column of a block: A is
@@ -259,8 +235,7 @@ def _unfold(parts, points):
                    dtype=np.result_type(even, odd))
     np.add(even, odd, out=out[:h])
     np.subtract(even, odd, out=even)
-    np.take(even, np.arange(points - h - 1, -1, -1), axis=0, out=out[h:],
-            mode="clip")
+    out[h:] = even[:points - h][::-1]
     return out
 
 
@@ -339,20 +314,20 @@ def _build_row_lp(op, p):
     A rank-one row is m e_i e, so its norm is |m| |e_i| ||e||_p in closed
     form.  Any other row is read through `_columns` in blocks of at most
     _ROW_BLOCK entries, each reduced as soon as it is built, so A is never
-    copied.  A factored operator first builds only the tiles on and above
-    the diagonal of its first h nodes, against the scale C of `_entry_bound`
-    (a dense one has scale 0 and skips them): per block, a tile of
-    A[c, b] / C with column block c >= row block b is one real product of
-    rows[:, c].T with the small (kept / C) * rows[:, b].  On a mirrored grid
-    the even tile E and the odd tile O give A(i, j) = E + O and
-    A(i, P-1-j) = E - O, and the weights are mirrored too, so
-    |E + O|^p + |E - O|^p is summed with the weights (the middle node of an
-    odd P, where O = 0, at half weight) into the rows of b and, |A| being
-    symmetric, into the rows of c (at p = inf, their maxima); row P-1-i,
-    the image of row i, has its norm.  A row whose sum falls outside
-    [_ROW_SUM_MIN, inf) (its entries underflow against C, or one rounds
-    above C at huge p) is then read whole and scaled by its own max, like
-    every row of a dense operator.
+    copied.  At finite p a factored operator first builds only the tiles on
+    and above the diagonal of its first h nodes, against the scale C of
+    `_entry_bound` (a dense one, or p = inf, has scale 0 and skips them):
+    per block, a tile of A[c, b] / C with column block c >= row block b is
+    one real product of rows[:, c].T with the small (kept / C) * rows[:, b].
+    On a mirrored grid the even tile E and the odd tile O give
+    A(i, j) = E + O and A(i, P-1-j) = E - O, and the weights are mirrored
+    too, so |E + O|^p + |E - O|^p is summed with the weights (the middle
+    node of an odd P, where O = 0, at half weight) into the rows of b and,
+    |A| being symmetric, into the rows of c; row P-1-i, the image of row i,
+    has its norm.  A row whose sum falls outside [_ROW_SUM_MIN, inf) (its
+    entries underflow against C, or one rounds above C at huge p) is then
+    read whole and scaled by its own max, like every row of a dense
+    operator.
     """
     w = op.grid.weights
     if op.rank_one:
@@ -362,13 +337,13 @@ def _build_row_lp(op, p):
     h = points if op.factors is None else op.factors[0][0].shape[1]
     out = np.empty(h)
     redo = np.arange(h)
-    scale = 0.0 if op.factors is None else _entry_bound(op)
+    scale = 0.0 if op.factors is None or math.isinf(p) else _entry_bound(op)
     if scale > 0:
         # a tile's side; on a mirrored grid each tile leaves three complex
         # temporaries, and tiles of an eighth of the entries, which stay in
         # cache, took 0.75 of the time of full ones at P = 1040
         side = math.isqrt(_ROW_BLOCK // (8 if len(op.factors) == 2 else 1))
-        wh = w if len(op.factors) == 1 else op._images[1]
+        wh = w if len(op.factors) == 1 else op._half_weights
         sums = np.zeros(h)
         for b0 in range(0, h, side):
             b = slice(b0, b0 + side)
@@ -377,12 +352,6 @@ def _build_row_lp(op, p):
             for c0 in range(b0, h, side):
                 c = slice(c0, c0 + side)
                 a, *rest = _abs_tiles(op.factors, parts, c)
-                if math.isinf(p):
-                    for other in rest:
-                        np.maximum(a, other, out=a)
-                    np.maximum(sums[b], a.max(axis=0), out=sums[b])
-                    np.maximum(sums[c], a.max(axis=1), out=sums[c])
-                    continue
                 with np.errstate(over="ignore"):
                     np.power(a, p, out=a)
                     for other in rest:
@@ -390,8 +359,6 @@ def _build_row_lp(op, p):
                 sums[b] += wh[c] @ a
                 if c0 > b0:
                     sums[c] += a @ wh[b]
-        if math.isinf(p):
-            return _mirror(scale * sums, points)
         out = scale * sums ** (1.0 / p)
         redo = np.flatnonzero(~((sums >= _ROW_SUM_MIN) & (sums < np.inf)))
     step = max(1, _ROW_BLOCK // points)

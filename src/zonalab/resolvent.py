@@ -135,15 +135,31 @@ def tail_multiplier(params, tau):
 # ---------------------------------------------------------------------------
 # truncated spectral kernel
 
-def default_degree_cutoff(lam, mu=1.0):
-    """The larger of max(ceil(4 lam), ceil(lam) + 40) and a cutoff that
-    grows with lam |mu|.  Beyond the cutoff the multipliers are at most
-    about 1 / (kmax^2 - lam^2), and the peak is about 1 / (2 lam |mu|), so
-    kmax >= sqrt(lam^2 + 200 lam |mu|) keeps the discarded sup near 1e-2 of
-    the peak.  At mu = 1 the second never exceeds the first, so the cutoff
-    is the same as with no mu."""
+def default_degree_cutoff(lam, mu=1.0, n=3):
+    """The larger of max(ceil(4 lam), ceil(lam) + 40) and the least cutoff
+    K that `resolvent_kernel`'s gate accepts on S^n, in closed form.
+
+    With lambda_k = k + (n-1)/2, |zeta - lambda_k^2| is least at the degrees
+    next to sqrt(Re zeta) - (n-1)/2, or at degree 0 where that is negative,
+    so the peak kept |m| is 1 / d with d the lesser of those distances.  The
+    discarded sup is at K + 1, as K >= 4 lam puts it beyond sqrt(Re zeta),
+    so the gate needs |zeta - lambda_{K+1}^2| >= 100 d, that is
+
+        lambda_{K+1}^2 >= Re zeta + sqrt((100 d)^2 - (Im zeta)^2).
+
+    At mu = +-1 the first rule passes the gate except near lam = 13, so the
+    cutoff, the grid and the CSV of such a run are what that rule gave.
+    """
+    zeta = complex(lam, mu) ** 2
+    half = (n - 1) / 2.0
+    k0 = math.sqrt(max(zeta.real, 0.0)) - half
+    d = min(abs(zeta - (max(k, 0) + half) ** 2)
+            for k in (math.floor(k0), math.ceil(k0)))
+    # a gate so loose that no degree fails it leaves these at 0
+    gap = math.sqrt(max((d / _TAIL_RATIO_MAX) ** 2 - zeta.imag ** 2, 0.0))
+    reach = math.sqrt(max(zeta.real + gap, 0.0))
     return max(math.ceil(4.0 * lam), math.ceil(lam) + 40,
-               math.ceil(math.sqrt(lam * lam + 200.0 * lam * abs(mu))))
+               math.ceil(reach - half - 1.0))
 
 
 @dataclass
@@ -158,10 +174,10 @@ def resolvent_kernel(sphere, params, kmax=None):
 
     The discarded multipliers decay like lambda_k^{-2}; the gate requires
     their sup to sit below 1e-2 of the peak kept multiplier, which the
-    default cutoff satisfies for lam up to the hundreds.
+    default cutoff, `default_degree_cutoff` at this lam, mu and n, does.
     """
     if kmax is None:
-        kmax = default_degree_cutoff(params.lam)
+        kmax = default_degree_cutoff(params.lam, params.mu, sphere.n)
     half = (sphere.n - 1) / 2.0
     coeffs = resolvent_multiplier(params, np.arange(kmax + 1) + half)
     peak = float(np.abs(coeffs).max())

@@ -634,7 +634,7 @@ class TestRejectedBeforeCsv:
     @pytest.mark.parametrize("mu", [1.5, 4.0])
     def test_cutoff_grows_with_mu(self, tmp_path, mu):
         # at lambda = 16 the mu = 1 cutoff, 64, leaves a discarded sup above
-        # 1e-2 of the peak for these mu; the cutoff of lambda |mu| does not
+        # 1e-2 of the peak for these mu; the cutoff at this mu does not
         kmax = zl.default_degree_cutoff(16, mu)
         assert kmax > zl.default_degree_cutoff(16) == 64
         code, out, js = _run(tmp_path, "mu", "resolvent-scaling", "--sigma",
@@ -645,6 +645,21 @@ class TestRejectedBeforeCsv:
         row, = summary["rows"]
         assert row["kmax"] == kmax and row["tail_ratio"] <= 1e-2
         assert summary["config"]["grid_points"] == 4 * kmax + 16
+
+
+@pytest.mark.parametrize("argv", [
+    ("--sigma", "3/5", "--lambda", "13.5"),
+    ("--n", "2", "--sigma", "3/4", "--lambda", "13"),
+    ("--sigma", "3/5", "--lambda", "8", "--mu", "12", "--restarts", "2"),
+], ids=["lam-13.5", "n2-lam-13", "mu-above-lam"])
+def test_default_cutoff_passes_the_gate(tmp_path, argv):
+    # each exited 3 at the tail gate while the cutoff was
+    # max(ceil(4 lam), ceil(lam) + 40) or sqrt(lam^2 + 200 lam |mu|),
+    # whichever was larger
+    code, out, js = _run(tmp_path, "gate", "resolvent-scaling", *argv)
+    assert code == 0
+    row, = json.loads(js.read_text())["rows"]
+    assert row["tail_ratio"] <= 1e-2
 
 
 # every command's flags besides --seed and --out, as the README lists them:

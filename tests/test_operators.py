@@ -418,35 +418,31 @@ def _moved_grid(n, points):
 
 def _row_lp_as_before(op, p):
     """The row norms of a one-block operator as the full-node route takes
-    them: tiles of side isqrt(_ROW_BLOCK) over all nodes, then the rows
-    whose sums left [_ROW_SUM_MIN, inf) read whole, _ROW_BLOCK // P at a
-    time."""
+    them: at finite p tiles of side isqrt(_ROW_BLOCK) over all nodes, then
+    the rows whose sums left [_ROW_SUM_MIN, inf), and at p = inf every row,
+    read whole, _ROW_BLOCK // P at a time."""
     (rows, kept), = op.factors
     w, points = op.grid.weights, op.grid.points
-    scale = float(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows).max())
-    side = math.isqrt(operators._ROW_BLOCK)
-    small = kept / scale
-    sums = np.zeros(points)
-    for b0 in range(0, points, side):
-        b = slice(b0, b0 + side)
-        part = operators._scale_rows(small, rows[:, b])
-        for c0 in range(b0, points, side):
-            c = slice(c0, c0 + side)
-            a = np.abs(operators._real_matmul(rows[:, c].T, part))
-            if math.isinf(p):
-                np.maximum(sums[b], a.max(axis=0), out=sums[b])
-                np.maximum(sums[c], a.max(axis=1), out=sums[c])
-                continue
-            with np.errstate(over="ignore"):
-                np.power(a, p, out=a)
-            sums[b] += w[c] @ a
-            if c0 > b0:
-                sums[c] += a @ w[b]
-    if math.isinf(p):
-        return scale * sums
-    out = scale * sums ** (1.0 / p)
-    redo = np.flatnonzero(~((sums >= operators._ROW_SUM_MIN)
-                            & (sums < np.inf)))
+    out, redo = np.empty(points), np.arange(points)
+    if not math.isinf(p):
+        scale = float(np.einsum("k,ki,ki->i", np.abs(kept), rows, rows).max())
+        side = math.isqrt(operators._ROW_BLOCK)
+        small = kept / scale
+        sums = np.zeros(points)
+        for b0 in range(0, points, side):
+            b = slice(b0, b0 + side)
+            part = operators._scale_rows(small, rows[:, b])
+            for c0 in range(b0, points, side):
+                c = slice(c0, c0 + side)
+                a = np.abs(operators._real_matmul(rows[:, c].T, part))
+                with np.errstate(over="ignore"):
+                    np.power(a, p, out=a)
+                sums[b] += w[c] @ a
+                if c0 > b0:
+                    sums[c] += a @ w[b]
+        out = scale * sums ** (1.0 / p)
+        redo = np.flatnonzero(~((sums >= operators._ROW_SUM_MIN)
+                                & (sums < np.inf)))
     step = max(1, operators._ROW_BLOCK // points)
     for i in range(0, redo.size, step):
         sel = redo[i:i + step]

@@ -229,30 +229,55 @@ def test_default_degree_cutoff():
 
 
 def test_default_cutoff_unchanged_at_mu_one():
-    # sqrt(lam^2 + 200 lam) <= max(4 lam, lam + 40), with equality only at
-    # lam = 40/3, so every mu = 1 grid and CSV stays as it was
+    # at mu = +-1 the cutoff is max(ceil(4 lam), ceil(lam) + 40) wherever
+    # that passes the gate, so those mu = 1 grids and CSVs stay as they
+    # were; on these lam it fails the gate only near lam = 13 (13.495 and
+    # 13.5 at n = 3), where the cutoff is the least one that passes
     lams = np.concatenate([np.linspace(1.0, 100.0, 19801),
                            np.geomspace(1.0, 1e6, 2001),
                            [40 / 3, math.nextafter(40 / 3, 0.0),
                             math.nextafter(40 / 3, 20.0)]])
-    for lam in lams:
-        for mu in (1.0, -1.0):
-            assert zl.default_degree_cutoff(lam, mu) == max(
-                math.ceil(4.0 * lam), math.ceil(lam) + 40), lam
+    for n in (2, 3, 4, 5):
+        sphere = zl.SphereSpec(n)
+        for lam in lams:
+            old = max(math.ceil(4.0 * lam), math.ceil(lam) + 40)
+            for mu in (1.0, -1.0):
+                kmax = zl.default_degree_cutoff(lam, mu, n)
+                if kmax != old:
+                    params = zl.ResolventParams(lam, mu)
+                    assert 12.5 < lam < 14.0 and kmax > old, (n, lam)
+                    with pytest.raises(TailDominanceError):
+                        zl.resolvent_kernel(sphere, params, old)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_default_cutoff_passes_the_gate_with_mu(n):
-    # where |mu| <= lam the peak multiplier is about 1 / (2 lam |mu|), and
-    # the cutoff sqrt(lam^2 + 200 lam |mu|) keeps the discarded sup within
-    # 1e-2 of it
+    # the cutoff at this mu and n passes the gate, and where the closed form
+    # sets it, one degree less does not
     sphere = zl.SphereSpec(n)
-    for lam in (4.0, 8.0, 16.0, 64.0, 256.0):
-        for mu in (1.25, 1.5, -2.0, 4.0, lam / 2, -lam):
-            if abs(mu) > lam:
-                continue
-            result = zl.resolvent_kernel(sphere, zl.ResolventParams(lam, mu),
-                                         zl.default_degree_cutoff(lam, mu))
+    for lam in (4.0, 8.0, 13.5, 16.0, 64.0, 256.0):
+        for mu in (1.25, 1.5, -2.0, 4.0, lam / 2, -lam, 2 * lam):
+            params = zl.ResolventParams(lam, mu)
+            kmax = zl.default_degree_cutoff(lam, mu, n)
+            result = zl.resolvent_kernel(sphere, params, kmax)
+            assert result.tail_ratio <= 1e-2, (lam, mu)
+            if kmax > max(math.ceil(4.0 * lam), math.ceil(lam) + 40):
+                with pytest.raises(TailDominanceError):
+                    zl.resolvent_kernel(sphere, params, kmax - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_default_kernel_passes_the_gate(n):
+    # resolvent_kernel's own cutoff, at this mu and n, on exact decimals
+    # lam = i / 20: at mu = 1 the rule max(ceil(4 lam), ceil(lam) + 40)
+    # alone fails at lam = 13.5 (n = 3) and 13, 13.05 (n = 2), and a cutoff
+    # that ignores mu fails at larger |mu|
+    sphere = zl.SphereSpec(n)
+    for i in range(20, 1201):
+        lam = i / 20
+        for mu in (1.0, -1.0, 1.5, 4.0, lam, 2 * lam):
+            result = zl.resolvent_kernel(sphere, zl.ResolventParams(lam, mu))
+            assert result.kmax == zl.default_degree_cutoff(lam, mu, n)
             assert result.tail_ratio <= 1e-2, (lam, mu)
 
 
