@@ -9,8 +9,9 @@ from .interpolation import (InterpolationData, certify_restricted_weak,
                             interp_from_fit, optimal_split)
 from .norms import lp_norm, weak_lq
 from .operators import (AzimuthalSpectrum, ZonalOperator, apply_kernel,
-                        azimuthal_matrix, norm_certificate, norm_lower,
-                        norm_upper, operator_from_kernel)
+                        azimuthal_matrix, azimuthal_matrix_s3,
+                        norm_certificate, norm_lower, norm_upper,
+                        operator_from_kernel)
 from .resolvent import (ResolventParams, default_degree_cutoff,
                         helmholtz_kernel, multiplier_from_integral,
                         resolvent_kernel, resolvent_multiplier,

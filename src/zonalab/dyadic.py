@@ -10,14 +10,16 @@ satisfies the support and partition requirements simultaneously.)  The flat
 piece j = 0 keeps everything at theta <= 1/lambda_k.  The grid decides the
 dimension: the pieces cut Z_k on the grid's sphere.
 
-Piece operators integrate the azimuthal average only over the annulus.  All
-pieces of one degree share one azimuthal spectrum of Z_k, built on first use
-from the addition theorem; each piece integrates it exactly between the
-azimuths of its annulus edges, so the piece matrices sum to the spectral
-e_k e_k^T up to rounding.  `piece_norm_slopes` builds each piece once, in
-order of j, so an edge shared by two annuli is summed once, and at most one
-piece matrix and two edges are held at a time; as the pieces sum to the
-rank-one H_k, the restricted weak-type image is taken from H_k itself.
+Piece operators integrate the azimuthal average only over the annulus, so
+the piece matrices sum to the spectral e_k e_k^T up to rounding.  On S^3
+every entry is in closed form (`azimuthal_matrix_s3`), a product of two
+sines, and no spectrum is built.  On every other sphere all pieces of one
+degree share one azimuthal spectrum of Z_k, built on first use from the
+addition theorem; each piece integrates it exactly between the azimuths of
+its annulus edges.  `piece_norm_slopes` builds each piece once, in order of
+j, so an edge shared by two annuli is summed once, and at most one piece
+matrix and two edges are held at a time; as the pieces sum to the rank-one
+H_k, the restricted weak-type image is taken from H_k itself.
 
 The fit (`PieceNormFit`) carries the Stein points it was measured at and
 screens its pieces against its own lines; `least_fit_degree` is the one rule
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import NumericalError
 from .exponents import ExponentPoint, stein_point
 from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
-                        norm_lower)
+                        azimuthal_matrix_s3, norm_lower)
 from .specfun import eigenvalue, zonal_value
 
 # points per window of envelope_check
@@ -55,7 +57,9 @@ class DyadicPiece:
     j: int
     support: tuple            # (lo, hi]; the piece vanishes outside
     grid: object
-    spectrum: AzimuthalSpectrum   # of Z_k on the grid, shared by all pieces
+    # of Z_k on the grid, shared by all pieces; None on S^3, where the
+    # entries are in closed form
+    spectrum: AzimuthalSpectrum = None
 
     def profile(self, gamma, cos_gamma):
         """The piece's kernel at relative angles gamma.  No library code
@@ -65,6 +69,9 @@ class DyadicPiece:
         return zk * ((gamma > lo) & (gamma <= hi))
 
     def operator(self):
+        if self.spectrum is None:
+            return ZonalOperator(self.grid, azimuthal_matrix_s3(
+                self.grid, self.base, self.support))
         return ZonalOperator(self.grid,
                              azimuthal_matrix(self.spectrum, self.support))
 
@@ -76,7 +83,7 @@ def dyadic_decompose(k, grid):
             f"degree {k} exceeds grid exactness {grid.kexact}")
     lam = eigenvalue(grid.sphere.n, k)
     J = piece_count(grid.sphere.n, k)
-    spectrum = AzimuthalSpectrum(grid, k)
+    spectrum = None if grid.sphere.n == 3 else AzimuthalSpectrum(grid, k)
     pieces = []
     for j in range(J + 1):
         if j == 0:

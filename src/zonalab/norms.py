@@ -10,7 +10,8 @@ One kernel, `weighted_lp`, takes every L^p norm: of a vector, of each column
 of a block, and (through the transpose) of each row of a matrix.  It copies
 |v| once and scales and powers that copy in place.  The power ascent also
 needs the duality map of what it measures; `weighted_lp_dual` takes the norm
-and the map from one power.
+and the map from one power, along the last axis, so that the ascent's
+(starts, points) rows are read as contiguous memory.
 """
 
 import math
@@ -38,24 +39,29 @@ def weighted_lp_dual(w, v, p):
     """(L^p norm, duality map, power sum) of node values v against node
     weights w, from one power; 1 <= p < inf.
 
-    v is a vector, or a (nodes, m) block taken column by column.  With
+    v is a vector, or an (m, nodes) block taken row by row.  With
     a = |v| / max|v| and b = a^{p-1}, the power sum is T = sum_i w_i b_i a_i
     and the norm max|v| T^{1/p}.  The duality map b sgn(conj v) is
     |v|^{p-1} sgn(conj v) divided by max|v|^{p-1}, so no exponent overflows;
-    its L^{p'} norm is T^{1/p'}, as b^{p'} = a^p.  A zero column has norm,
-    map and sum 0.
+    its L^{p'} norm is T^{1/p'}, as b^{p'} = a^p.  The map is 0 where v is,
+    at p = 1 too, and a zero row has norm, map and sum 0.
     """
     a = np.abs(v)
-    peak = a.max(axis=0)
-    # sgn(conj v), 0 where v = 0; v / |v| is exactly +-1 for real v
     if np.iscomplexobj(v):
+        # sgn(conj v) = conj v / |v|, 0 where v = 0
         sgn = np.divide(np.conj(v), a, out=np.zeros_like(v), where=a > 0)
+    peak = a.max(axis=-1)
+    a /= np.where(peak > 0, peak, 1.0)[..., None]
+    # a^0 is 1 at a = 0, where the map must vanish
+    b = a ** (p - 1.0) if p > 1.0 else (a > 0) * 1.0
+    a *= b
+    total = a @ w
+    if np.iscomplexobj(v):
+        b = b * sgn
     else:
-        sgn = np.sign(v)
-    a /= np.where(peak > 0, peak, 1.0)
-    b = a ** (p - 1.0)
-    total = w @ (b * a)
-    return peak * total ** (1.0 / p), b * sgn, total
+        # b sgn(v) exactly, as b >= 0 and b = 0 where v = 0
+        np.copysign(b, v, out=b)
+    return peak * total ** (1.0 / p), b, total
 
 
 def lp_norm(f, p):

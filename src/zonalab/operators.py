@@ -31,10 +31,16 @@ per distinct edge and only over the pairs that the edge cuts.  On a
 mirrored grid a pair and its mirror image (P-1-j, P-1-i) have one
 antiderivative, so the spectrum keeps one pair of each image and writes its
 entry to both places: half the pairs, and every window's matrix exactly
-centrosymmetric.
+centrosymmetric.  On S^3 the window's entries have a closed form, a product
+of two sines (`azimuthal_matrix_s3`), evaluated on the same kept pairs a
+block of rows at a time and written to the same places, with no spectrum:
+O(1) per entry instead of a sum over the degree.
 
 A is symmetric, so the adjoint of T is T with its input and output
 conjugated, and every representation has one application path, `apply`.
+A dense A is applied as (w x)^T A, which is (A (w x))^T for symmetric A
+(a window matrix is symmetric exactly, being written pair by pair): a block
+of rows, transposed, then meets A in one C-ordered product.
 
 Norms:
   * norm_lower reports the ratio ||Tf||_s / ||f||_r that its witness f
@@ -45,11 +51,13 @@ Norms:
     when r = 1; for m e e^T that row is a multiple of e, so it costs
     O(points) and no dense matrix.  Everything else runs a nonlinear power
     ascent over zonal inputs.  Its first start is that same row witness,
-    the others seeded random draws; they run as the columns of one block
-    (apply and the norms act column by column) and leave it at their own
-    stops, and the start that reached the largest ratio gives the witness.
-    Each half-step takes its norm, its duality map and the next input's L^r
-    norm from one power (`norms.weighted_lp_dual`).
+    the others seeded random draws; they run as the rows of one block
+    (`apply` takes its transpose, and the duality kernel reads each row as
+    contiguous memory) and leave it at their own stops, where each records
+    its best ratio and the input attaining it, and the start that reached
+    the largest ratio gives the witness.  Each half-step takes its norm,
+    its duality map and the next input's L^r norm from one power
+    (`norms.weighted_lp_dual`).
   * norm_upper is Hoelder's inequality row by row (the Hille-Tamarkin
     bound) on |A|, taken in whichever of the point and its dual is the
     smaller by Minkowski's inequality; it is exact for rank one (the
@@ -164,14 +172,16 @@ class ZonalOperator:
         """T applied to a vector of node values, or to each column of a
         (points, m) block.
 
-        On a mirrored grid the input is folded onto the first h nodes,
+        A dense A, being symmetric, takes (w x)^T A, transposed back, so the
+        transpose of C-ordered rows comes back as one.  On a mirrored grid
+        the input of a factored operator is folded onto the first h nodes,
         w_i (x_i +- x_{P-1-i}) for the even and the odd block, with the
         middle node of an odd P at half weight (`_half_weights`); each block
         takes rows.T (kept * rows u) through `_real_matmul`, and `_unfold`
         spreads the blocks' sum and difference over the nodes."""
         w = self.grid.weights
         if self.factors is None:
-            return self.matrix @ _scale_rows(w, values)
+            return (_scale_rows(w, values).T @ self.matrix).T
         if len(self.factors) == 1:
             inputs = [_scale_rows(w, values)]
         else:
@@ -398,8 +408,9 @@ class AzimuthalSpectrum:
     is) only the pairs with i + j <= P - 1 are kept.  A pair and its image
     (P-1-j, P-1-i) sweep the same range [d, s] of relative angles and, as
     A_m(pi - theta) = (-1)^{k-m} A_m(theta), have the same weights w_m, so
-    they have one G and every window's matrix is centrosymmetric; `places`
-    lists where each value goes.  Any other node set keeps every pair.
+    they have one G and every window's matrix is centrosymmetric;
+    `_write_pairs` puts each value in its places.  Any other node set keeps
+    every pair.
 
     For nodes at polar angles (ti, tj) the relative angle gamma obeys
     cos gamma = cos ti cos tj + sin ti sin tj cos phi as the azimuth phi runs
@@ -435,15 +446,8 @@ class AzimuthalSpectrum:
     def __init__(self, grid, k):
         self.grid = grid
         self.k = k
-        i, j = np.triu_indices(grid.points)
         self.mirrored = grid.mirrored
-        if self.mirrored:
-            # the image (P-1-j, P-1-i) of (i, j) has index sum
-            # 2 (P - 1) - (i + j), so i + j <= P - 1 keeps one pair of each
-            # image (a pair on the antidiagonal is its own image)
-            keep = i + j <= grid.points - 1
-            i, j = i[keep], j[keep]
-        self.pairs = i, j
+        self.pairs = tuple(map(np.concatenate, zip(*_kept_pairs(grid))))
         # (gamma, G) of the latest edge
         self._edge = None, None
         n = grid.sphere.n
@@ -469,20 +473,6 @@ class AzimuthalSpectrum:
         i, j = self.pairs
         return np.abs(th[i] - th[j]), np.minimum(th[i] + th[j],
                                                  2.0 * np.pi - (th[i] + th[j]))
-
-    def places(self):
-        """The flat indices into a P x P matrix that the values of `edge`
-        fill: (i, j) and (j, i) for the pairs, then on a mirrored grid their
-        images (P-1-j, P-1-i) and (P-1-i, P-1-j)."""
-        P = self.grid.points
-        i, j = self.pairs
-        yield i * P + j
-        yield j * P + i
-        if self.mirrored:
-            # (P-1-a) P + (P-1-b) = P^2 - 1 - (a P + b)
-            last = P * P - 1
-            yield last - (j * P + i)
-            yield last - (i * P + j)
 
     def weight(self, m, i, j):
         """w_m of the node pairs (i, j), given as index arrays."""
@@ -545,22 +535,94 @@ def _sine_integral(p, phi):
     return out
 
 
+def _kept_pairs(grid):
+    """The node pairs (i, j) whose values fill a symmetric window matrix, in
+    blocks of whole rows of at most about _ROW_BLOCK pairs, in row-major
+    order: i <= j, and on a mirrored grid also i + j <= P - 1.  The image
+    (P-1-j, P-1-i) of (i, j) has index sum 2 (P - 1) - (i + j), so that
+    keeps one pair of each image (a pair on the antidiagonal is its own
+    image), and every kept row is one of the first `grid.half`."""
+    P, h, mirrored = grid.points, grid.half, grid.mirrored
+    step = max(1, _ROW_BLOCK // P)
+    j = np.arange(P)
+    for i0 in range(0, h, step):
+        i = np.arange(i0, min(i0 + step, h))[:, None]
+        keep = (j >= i) & (i + j <= P - 1) if mirrored else j >= i
+        rows, cols = np.nonzero(keep)
+        yield rows + i0, cols
+
+
+def _write_pairs(A, i, j, values, mirrored):
+    """Write the values of the pairs (i, j) to their places in the P x P
+    matrix A: (i, j) and (j, i), and on a mirrored grid their images
+    (P-1-j, P-1-i) and (P-1-i, P-1-j), so A is exactly symmetric and, when
+    mirrored, exactly centrosymmetric."""
+    P = A.shape[0]
+    flat = A.reshape(-1)
+    flat[i * P + j] = values
+    flat[j * P + i] = values
+    if mirrored:
+        # (P-1-a) P + (P-1-b) = P^2 - 1 - (a P + b)
+        last = P * P - 1
+        flat[last - (j * P + i)] = values
+        flat[last - (i * P + j)] = values
+
+
 def azimuthal_matrix(spectrum, support=(0.0, np.pi)):
     """Reduced matrix of the spectrum's Z_k restricted to the window
     support = (lo, hi] of relative angles: G(hi) - G(lo) per pair, each edge
     clipped to the pair's range (`AzimuthalSpectrum.edge`).  A window that
     misses a pair's range clips both edges to the same end, so the entry is
-    exactly 0.  Each pair's entry is written to its `places`, so the matrix
-    is exactly symmetric and, on a mirrored grid, exactly centrosymmetric.
-    The lower edge is read first and held here: windows walked upwards then
-    find it as the spectrum's kept edge, which the upper edge replaces.
+    exactly 0.  Each pair's entry is written to its places (`_write_pairs`),
+    so the matrix is exactly symmetric and, on a mirrored grid, exactly
+    centrosymmetric.  The lower edge is read first and held here: windows
+    walked upwards then find it as the spectrum's kept edge, which the upper
+    edge replaces.
     """
     lo = spectrum.edge(support[0])
     values = spectrum.edge(support[1]) - lo
     A = np.empty((spectrum.grid.points,) * 2)
-    flat = A.reshape(-1)
-    for place in spectrum.places():
-        flat[place] = values
+    _write_pairs(A, *spectrum.pairs, values, spectrum.mirrored)
+    return A
+
+
+def azimuthal_matrix_s3(grid, k, support=(0.0, np.pi)):
+    """The reduced matrix of `azimuthal_matrix` on a grid of S^3, from its
+    closed form, with no spectrum.
+
+    On S^3 the azimuth runs over S^2 with density sin phi, the cosine t of
+    the relative angle is affine in cos phi, and Z_k(cos g) sin g =
+    m sin(m g) / (2 pi^2) with m = k + 1, so a pair's azimuthal average over
+    the window (lo, hi] integrates in closed form:
+
+        A_ij = 2 sin(m (a + b)/2) sin(m (b - a)/2) / (4 pi^2 sin ti sin tj)
+
+    with a = max(lo, |ti - tj|) and b = min(hi, ti + tj, 2 pi - ti - tj),
+    and A_ij = 0 where a >= b.  The full window gives e_k(ti) e_k(tj).  The
+    product of sines avoids the cancellation in cos(m a) - cos(m b).  Only
+    the kept pairs are evaluated, a block of rows at a time (`_kept_pairs`),
+    and each value is written to its places (`_write_pairs`).
+    """
+    if grid.sphere.n != 3:
+        raise ValueError(
+            f"the closed form holds on S^3, not S^{grid.sphere.n}")
+    th = grid.nodes
+    sines = np.sin(th)
+    m = k + 1
+    lo, hi = support
+    mirrored = grid.mirrored
+    A = np.empty((grid.points,) * 2)
+    for i, j in _kept_pairs(grid):
+        ti, tj = th[i], th[j]
+        plus = ti + tj
+        a = np.maximum(lo, np.abs(ti - tj))
+        b = np.minimum(np.minimum(hi, plus), 2.0 * np.pi - plus)
+        # b is raised to a where the window misses the pair's range, so
+        # the entry is 0 there
+        np.maximum(b, a, out=b)
+        values = (np.sin(0.5 * m * (a + b)) * np.sin(0.5 * m * (b - a))
+                  / ((2.0 * np.pi ** 2) * sines[i] * sines[j]))
+        _write_pairs(A, i, j, values, mirrored)
     return A
 
 
@@ -600,56 +662,70 @@ _STOPS = ("stagnation", "zero", "max_steps")
 def _ascent(op, r, s, starts):
     """Boyd-style alternating dual ascent from every start at once.
 
-    The starts run as the columns of one (points, restarts) block.  Each
-    column follows the trajectory of an ascent from its start alone and
-    leaves the block at its own stop (`_STOPS`).  Returns, per start, the
-    best ratio, the input attaining it, the steps taken and the stop reason.
+    The starts run as the rows of one (restarts, points) block, which `apply`
+    takes as its transpose.  Each row follows the trajectory of an ascent
+    from its start alone and leaves the block at its own stop (`_STOPS`).
+    A row goes on only while its ratio rises by more than _STAGNATION, so
+    its best ratio is its latest one, or at a stagnation stop the larger of
+    the latest two; it is recorded, with the input attaining it, when the
+    row stops.  Returns, per start, the best ratio, the input attaining it,
+    the steps taken and the stop reason.
     """
     w = op.grid.weights
     rp = _conjugate(r)
-    f = np.stack(starts, axis=1)
-    nrm = weighted_lp(w, f, r)
+    f = np.stack(starts)
+    nrm = weighted_lp(w, f.T, r)
     best = np.zeros(len(starts))
-    witness = list(f.T)
+    witness = list(f)
     steps = [0] * len(starts)
     stops = ["zero"] * len(starts)
     live = np.flatnonzero(nrm > 0)
-    f = f[:, live] / nrm[live]
-    for j, col in enumerate(live):
-        witness[col] = f[:, j]
-    prev = np.zeros(live.size)
+    f = f[live] / nrm[live, None]
+    # the previous step's input and ratio; the first step's ratio is above
+    # prev unless it is 0, so its own input stands in as its previous one
+    prev_f, prev = f, np.zeros(live.size)
 
-    def stop(cols, step, reason):
-        for col in cols:
-            steps[col], stops[col] = step, reason
+    def image(x):
+        # T on each row of x, as C-ordered rows: a dense product already is,
+        # a factored one is copied once
+        return np.ascontiguousarray(op.apply(x.T).T)
+
+    def stop(row, step, reason, value, x):
+        col = live[row]
+        steps[col], stops[col] = step, reason
+        best[col], witness[col] = value, x
 
     for step in range(1, _MAX_STEPS + 1):
-        ratio, h, _ = weighted_lp_dual(w, op.apply(f), s)
-        for j in np.flatnonzero(ratio > best[live]):
-            best[live[j]], witness[live[j]] = ratio[j], f[:, j]
+        ratio, h, _ = weighted_lp_dual(w, image(f), s)
         # a zero image is stagnant too, since prev >= 0
         stagnant = ratio <= prev * (1.0 + _STAGNATION)
         if stagnant.any():
-            zero = ratio == 0.0
-            stop(live[zero], step, "zero")
-            stop(live[stagnant & ~zero], step, "stagnation")
+            for row in np.flatnonzero(stagnant):
+                reason = "stagnation" if ratio[row] else "zero"
+                if ratio[row] > prev[row]:
+                    stop(row, step, reason, ratio[row], f[row])
+                else:
+                    stop(row, step, reason, prev[row], prev_f[row])
             go = ~stagnant
-            live, ratio, h = live[go], ratio[go], h[:, go]
+            live, ratio, f, h = live[go], ratio[go], f[go], h[go]
             if not live.size:
                 break
-        prev = ratio
+        prev_f, prev = f, ratio
         # the duality map of T*v = conj(T conj v), v = conj h the duality
         # map of the image; its L^r norm is T^{1/r}, as (r' - 1) r = r'
-        _, f, total = weighted_lp_dual(w, op.apply(h), rp)
+        _, f, total = weighted_lp_dual(w, image(h), rp)
         nrm = total ** (1.0 / r)
         if not nrm.all():
-            stop(live[nrm == 0], step, "zero")
+            for row in np.flatnonzero(nrm == 0):
+                stop(row, step, "zero", prev[row], prev_f[row])
             go = nrm > 0
-            live, prev, f, nrm = live[go], prev[go], f[:, go], nrm[go]
+            live, prev_f, prev, f, nrm = (live[go], prev_f[go], prev[go],
+                                          f[go], nrm[go])
             if not live.size:
                 break
-        f = f / nrm
-    stop(live, _MAX_STEPS, "max_steps")
+        f = f / nrm[:, None]
+    for row in range(live.size):
+        stop(row, _MAX_STEPS, "max_steps", prev[row], prev_f[row])
     return best, witness, steps, stops
 
 

@@ -14,6 +14,7 @@ Gauss-Legendre rule on equal panels, refined once by doubling the panels as a
 check, and beyond t = 1, where the weight is 1, the integral in closed form.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,8 +25,6 @@ from .specfun import ZonalKernel
 
 _TAIL_RATIO_MAX = 1e-2
 _REL_TOL = 1e-8
-# nodes and weights of the Gauss-Legendre rule on [-1, 1] used per panel
-_PANEL_RULE = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,17 @@ def smooth_cutoff(t):
     return hx / (hx + h1)
 
 
+@functools.cache
+def _panel_rule():
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] used per
+    panel, built on first use: only the wave integrals read it, so no other
+    command loads numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(12)
+
+
 def _panel_integral(fn, a, b, panels):
     """The 12-point Gauss-Legendre rule on each of `panels` equal panels."""
-    x, u = _PANEL_RULE
+    x, u = _panel_rule()
     edges = np.linspace(a, b, panels + 1)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1] - edges[0])
     t = (mid[:, None] + half * x[None, :]).ravel()

@@ -795,3 +795,28 @@ def test_scipy_loads_only_to_build_a_grid(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0, 0, 0, 2, 0] False",
                                         "[0] True"]
+
+
+# a fresh interpreter reports whether numpy.polynomial has been imported
+# after the CLI's import, after an envelope run and after the wave integrals
+_POLYNOMIAL_PROBE = """
+import sys
+import zonalab.cli
+out = sys.argv[1]
+seen = ["numpy.polynomial" in sys.modules]
+for argv in (["envelope", "--k", "4,8"], ["multiplier-check", "--lambda",
+                                          "8"]):
+    assert zonalab.cli.main(argv + ["--out", out]) == 0
+    seen.append("numpy.polynomial" in sys.modules)
+print(seen)
+"""
+
+
+def test_polynomial_loads_only_for_wave_integrals(tmp_path):
+    # the panel rule of the wave integrals is built on first use, so the
+    # CLI's import and every other command leave numpy.polynomial unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c", _POLYNOMIAL_PROBE, str(tmp_path / "p.csv")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[False, False, True]"]

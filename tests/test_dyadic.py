@@ -139,6 +139,63 @@ class TestPieceExactness:
                 assert abs(A[a, b] - ref) <= 1e-12 * scale, (piece.j, a, b)
 
 
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+@pytest.mark.parametrize("grid_kind", ["default", "odd", "unmirrored"])
+def test_closed_form_pieces_match_spectrum(k, grid_kind):
+    # on S^3 every entry of every piece, from its closed form, is the
+    # addition-theorem spectrum's: on the CLI's default grid 4k + 16, on an
+    # odd grid, and on the default grid with its south half moved by 6
+    # ulp(pi), which is no longer mirrored, so that the pairs near theta =
+    # pi are evaluated, not written as images of pairs near 0; there the
+    # bound 2 pi - ti - tj on the relative angle decides.  The entries
+    # within three nodes of either pole and the diagonal are among them
+    sphere = zl.SphereSpec(3)
+    grid = zl.make_grid(sphere, 145 if grid_kind == "odd" else 4 * k + 16,
+                        kexact=k)
+    if grid_kind == "unmirrored":
+        nodes = grid.nodes.copy()
+        nodes[grid.points // 2:] += 6 * np.spacing(np.pi)
+        grid = zl.ZonalGrid(sphere, nodes, grid.weights, "moved", k)
+        assert not grid.mirrored
+    P = grid.points
+    pieces = zl.dyadic_decompose(k, grid)
+    assert all(piece.spectrum is None for piece in pieces)
+    spectrum = zl.AzimuthalSpectrum(grid, k)
+    scale = np.abs(grid.basis([k])[0]).max() ** 2
+    poles = np.r_[0:3, P - 3:P]
+    for piece in pieces:
+        A = piece.operator().matrix
+        assert np.array_equal(A, A.T)
+        if grid.mirrored:
+            assert np.array_equal(A, A[::-1, ::-1])
+        B = zl.azimuthal_matrix(spectrum, piece.support)
+        assert np.abs(A - B).max() <= 1e-12 * scale, piece.j
+        for near in (A[poles], np.diag(A)):
+            assert near.any(), piece.j
+
+
+def test_closed_form_is_s3_only():
+    grid = zl.make_grid(zl.SphereSpec(4), 24)
+    with pytest.raises(ValueError, match="S\\^3, not S\\^4"):
+        zl.azimuthal_matrix_s3(grid, 4)
+
+
+def test_closed_form_pieces_memory():
+    # a closed-form piece holds its matrix and the temporaries of one block
+    # of rows; the kept pairs and their ranges of a spectrum would hold
+    # 8.3 MiB more here, and a P x P index array 8.3 MiB per index
+    grid = zl.make_grid(zl.SphereSpec(3), 1040)
+    pieces = zl.dyadic_decompose(256, grid)
+    tracemalloc.start()
+    try:
+        for piece in pieces:
+            piece.operator()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.points ** 2 + 7 * 2 ** 20
+
+
 class TestFitWindow:
     def test_middle_range_for_k32(self):
         assert list(fit_range(3, 32)) == [3, 4, 5, 6]
@@ -185,7 +242,8 @@ def test_one_spectrum_per_degree(monkeypatch):
     # built in order, as piece_norm_slopes builds them, each distinct
     # window edge is summed once, only over the pairs whose range it cuts,
     # one pair of each mirror image, so never at phi = 0 or pi; and each
-    # piece matrix is exactly symmetric and centrosymmetric
+    # piece matrix is exactly symmetric and centrosymmetric.  On S^3 the
+    # pieces are in closed form: no spectrum, no factor table, no edge sum
     tables, summed = [], []
     factors = operators.addition_factors
     antiderivative = zl.AzimuthalSpectrum.antiderivative
@@ -213,6 +271,10 @@ def test_one_spectrum_per_degree(monkeypatch):
             A = piece.operator().matrix
             assert np.array_equal(A, A.T)
             assert np.array_equal(A, A[::-1, ::-1])
+        if n == 3:
+            assert all(p.spectrum is None for p in pieces)
+            assert tables == [] and summed == []
+            continue
         assert all(p.spectrum is pieces[0].spectrum for p in pieces)
         assert tables == [(n, k)]
         # the pairs' ranges [d, s] of relative angles, as the azimuth turns,
@@ -290,28 +352,27 @@ class TestMirror:
 
 
 def test_pieces_memory():
-    # the spectrum keeps one factor table and the values of G at each
-    # edge, and sums an edge over blocks of the pairs it cuts, so the
-    # piece matrices are most of the peak; a table of per-pair coefficients
-    # alone would be 19 MiB here
-    sphere = zl.SphereSpec(3)
-    grid = zl.make_grid(sphere, 272)
-    tracemalloc.start()
-    try:
-        pieces = zl.dyadic_decompose(64, grid)
-        matrices = [p.operator().matrix for p in pieces]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(matrices) == 9
-    assert peak <= 16 * 2 ** 20
+    # on S^3 a piece is written from its closed form a block of rows at a
+    # time; on S^4 the spectrum keeps one factor table and the values of G
+    # at each edge, and sums an edge over blocks of the pairs it cuts; so
+    # on both the nine piece matrices (5.1 MiB) are most of the peak
+    for n in (3, 4):
+        grid = zl.make_grid(zl.SphereSpec(n), 272)
+        tracemalloc.start()
+        try:
+            pieces = zl.dyadic_decompose(64, grid)
+            matrices = [p.operator().matrix for p in pieces]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrices) == 9
+        assert peak <= 16 * 2 ** 20, n
 
 
 def test_piece_norm_slopes_memory():
     # one pass over the pieces holds one piece matrix (0.6 MiB here), not
-    # all nine, and the spectrum G at two window edges, not at all ten,
-    # through the fit and the restricted weak-type image of the rank-one
-    # H_k, as dyadic-certify runs them
+    # all nine, through the fit and the restricted weak-type image of the
+    # rank-one H_k, as dyadic-certify runs them
     sphere = zl.SphereSpec(3)
     grid = zl.make_grid(sphere, 272)
     tracemalloc.start()

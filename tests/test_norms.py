@@ -89,12 +89,12 @@ class TestWeightedLp:
 
 
 def _old_duality_map(v, p):
-    """|v|^{p-1} sgn(conj v) over each column's max|v|^{p-1}, as two powers
+    """|v|^{p-1} sgn(conj v) over each row's max|v|^{p-1}, as two powers
     took it before the one-power helper: the reference."""
     a = np.abs(v)
-    peak = a.max(axis=0)
+    peak = a.max(axis=-1)
     sgn = np.divide(np.conj(v), a, out=np.zeros_like(v), where=a > 0)
-    return (a / np.where(peak > 0, peak, 1.0)) ** (p - 1.0) * sgn
+    return (a / np.where(peak > 0, peak, 1.0)[..., None]) ** (p - 1.0) * sgn
 
 
 # p next to 1, where the map's exponent p - 1 is tiny, up to where it is large
@@ -103,51 +103,61 @@ _DUAL_EXPONENTS = (1.0 + 2.0 ** -20, 1.5, 2.0, 6.0, 30.0)
 
 class TestWeightedLpDual:
     """The norm, duality map and power sum of `weighted_lp_dual`, from one
-    power, against `weighted_lp` and the two-power duality map."""
+    power, against `weighted_lp` and the two-power duality map; a block is
+    taken row by row."""
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("p", _DUAL_EXPONENTS)
     def test_matches_two_powers(self, complex_, p):
         A, w = _matrix(complex_)
-        # columns spread over the float range, and a zero column (row 4 of
-        # _matrix, transposed)
-        A = A.T * np.logspace(-300, 300, A.shape[0])[None, :]
+        # rows spread over the float range, and a zero row (row 4 of
+        # _matrix)
+        A = A * np.logspace(-300, 300, A.shape[0])[:, None]
         before = A.copy()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for v in (A, A[:, 7], A[:, 4]):
+            for v in (A, A[7], A[4]):
                 norm, dual, total = weighted_lp_dual(w, v, p)
-                want = weighted_lp(w, v, p)
+                want = weighted_lp(w, v.T, p)
                 np.testing.assert_allclose(norm, want, rtol=1e-14, atol=0)
                 old = _old_duality_map(v, p)
                 assert np.all(np.abs(dual - old) <= 1e-14 * np.abs(old))
                 # the map's L^{p'} norm is T^{1/p'}
                 q = p / (p - 1.0)
                 np.testing.assert_allclose(total ** (1.0 / q),
-                                           weighted_lp(w, dual, q),
+                                           weighted_lp(w, dual.T, q),
                                            rtol=1e-14, atol=0)
         assert np.array_equal(A, before)
         norm, dual, total = weighted_lp_dual(w, A, p)
-        assert norm[4] == 0.0 and total[4] == 0.0 and not dual[:, 4].any()
+        assert norm[4] == 0.0 and total[4] == 0.0 and not dual[4].any()
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_columns_are_vectors(self, complex_):
+        # the columns of A, taken as the rows of A.T
         A, w = _matrix(complex_)
         for p in _DUAL_EXPONENTS:
-            norms, duals, totals = weighted_lp_dual(w, A, p)
+            norms, duals, totals = weighted_lp_dual(w, A.T, p)
             for j in range(A.shape[1]):
                 norm, dual, total = weighted_lp_dual(w, A[:, j], p)
-                assert np.array_equal(duals[:, j], dual)
+                assert np.array_equal(duals[j], dual)
                 # only the BLAS order of the weighted sum may differ
                 assert totals[j] == pytest.approx(total, rel=1e-14, abs=0)
                 assert norms[j] == pytest.approx(norm, rel=1e-14, abs=0)
 
     def test_at_one(self):
-        # p = 1: the map is sgn(conj v), the sum the weighted mean of |v|
-        # over its max
-        A, w = _matrix(True)
-        norm, dual, total = weighted_lp_dual(w, A, 1.0)
-        np.testing.assert_allclose(norm, weighted_lp(w, A, 1.0), rtol=1e-14)
-        assert np.array_equal(dual, _old_duality_map(A, 1.0))
+        # p = 1: the map is sgn(conj v), 0 where v = 0 although a^0 = 1
+        # there, and the sum the weighted mean of |v| over its max
+        for complex_ in (False, True):
+            A, w = _matrix(complex_)
+            A[7, 3] = 0.0
+            norm, dual, total = weighted_lp_dual(w, A, 1.0)
+            np.testing.assert_allclose(norm, weighted_lp(w, A.T, 1.0),
+                                       rtol=1e-14)
+            assert np.array_equal(dual, _old_duality_map(A, 1.0))
+            assert dual[7, 3] == 0.0 and not dual[4].any()
+            np.testing.assert_allclose(np.abs(np.delete(dual[7], 3)), 1.0,
+                                       rtol=1e-15)
+            assert np.array_equal(weighted_lp_dual(w, A[7], 1.0)[1],
+                                  dual[7])
 
 
 class TestWeak:

@@ -9,7 +9,7 @@ import zonalab as zl
 from zonalab import operators
 from zonalab.cli import default_r
 from zonalab.errors import CertificateError
-from zonalab.exponents import ExponentPoint
+from zonalab.exponents import ExponentPoint, stein_point
 from zonalab.norms import weighted_lp, weighted_lp_dual
 from zonalab.operators import ZonalOperator, operator_from_kernel
 from zonalab.specfun import addition_factors
@@ -110,10 +110,10 @@ class TestOperatorConstruction:
         rhs = np.sum(w * f * np.conj(op.apply_adjoint(g)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
         # on a dense operator, conjugating the product instead of the matrix
-        # changes no bit
+        # changes no bit; the dense product is (w g)^T A
         dense = ZonalOperator(grid144, op.matrix)
         assert np.array_equal(dense.apply_adjoint(g),
-                              np.conj(op.matrix) @ (w * g))
+                              (w * g) @ np.conj(op.matrix))
 
 
 def _kernel(n, kind):
@@ -1204,6 +1204,68 @@ class TestBlockAscent:
         assert rec["iterations"] <= 2 * 8
 
 
+def _bookkeeping_cases():
+    """(label, operator, r, s): a real dense dyadic piece on S^3 at the P-side
+    Stein point of sigma = 3/5, and a factored complex resolvent operator."""
+    grid = zl.make_grid(zl.SphereSpec(3), 80, kexact=16)
+    piece = zl.dyadic_decompose(16, grid)[4].operator()
+    p_pt = stein_point(3, 0.6)[0]
+    yield "dense piece", piece, p_pt.r, p_pt.s
+    sphere = zl.SphereSpec(3)
+    kern = zl.resolvent_kernel(sphere, zl.ResolventParams(3, 1),
+                               kmax=24).kernel
+    yield "resolvent", operator_from_kernel(
+        kern, zl.make_grid(sphere, 64, kexact=24)), 1.25, 5.0
+
+
+_BOOKKEEPING = list(_bookkeeping_cases())
+
+
+@pytest.mark.parametrize("case", _BOOKKEEPING,
+                         ids=[label for label, *_ in _BOOKKEEPING])
+@pytest.mark.parametrize("max_steps", [None, 3])
+def test_ascent_bookkeeping(case, max_steps, monkeypatch):
+    # the ascent records each start's best ratio and witness only when the
+    # start stops; what it reports is still the largest ratio of every
+    # iterate of every start, attained by the reported witness
+    _, op, r, s = case
+    if max_steps is not None:
+        monkeypatch.setattr(operators, "_MAX_STEPS", max_steps)
+    w = op.grid.weights
+    blocks = []
+    apply = op.apply
+
+    def recorded(values):
+        out = apply(values)
+        if values.ndim == 2:
+            blocks.append((values.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(op, "apply", recorded)
+    low = zl.norm_lower(op, r, s, restarts=6, seed=3)
+    # the ascent's calls alternate, from the iterates f: T f, then T
+    # applied to the duality map of T f; norm_lower's re-evaluation of the
+    # witness is a vector
+    iterates = blocks[::2]
+    ratios = [weighted_lp(w, g, s) / weighted_lp(w, f, r)
+              for f, g in iterates]
+    top, call, col = max((x[c], i, c) for i, x in enumerate(ratios)
+                         for c in range(x.size))
+    assert low.value == pytest.approx(top, rel=1e-13, abs=0)
+    f = low.witness.values
+    assert np.abs(f - iterates[call][0][:, col]).max() <= 1e-15 * np.abs(
+        f).max()
+    assert low.value == pytest.approx(
+        weighted_lp(w, apply(f), s) / weighted_lp(w, f, r), rel=1e-15, abs=0)
+    # every start stops once, for a known reason, and the steps are the
+    # iterates' columns
+    assert set(low.stops) == set(operators._STOPS)
+    assert sum(low.stops.values()) == 6
+    assert low.iterations == sum(f.shape[1] for f, _ in iterates)
+    if max_steps is not None:
+        assert low.stops["max_steps"] > 0
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), r=st.floats(1.05, 8.0),
        ds=st.floats(0.0, 12.0))
 @settings(max_examples=100, deadline=None)
@@ -1273,7 +1335,8 @@ class TestBlockApply:
             for j in range(X.shape[1]):
                 assert norms[j] == pytest.approx(weighted_lp(w, X[:, j], p),
                                                  rel=1e-14, abs=0)
-        dual = weighted_lp_dual(w, X, 3.0)[1]
+        # the duality kernel takes the columns of X as the rows of X.T
+        dual = weighted_lp_dual(w, X.T, 3.0)[1]
         for j in range(X.shape[1]):
-            assert np.array_equal(dual[:, j],
+            assert np.array_equal(dual[j],
                                   weighted_lp_dual(w, X[:, j], 3.0)[1])

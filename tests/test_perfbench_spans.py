@@ -34,19 +34,23 @@ def test_span_resolves(span, module, attr):
     assert tracing._bindings(module, attr), f"{span}: nothing to patch"
 
 
-def test_traced_pieces_count_every_layer(grid80):
-    # the spans the dyadic workload reads see one build and one azimuthal
-    # matrix per piece; a build reads the kernel only through the spectrum,
-    # so it samples no profile points
+def test_traced_pieces_count_every_layer():
+    # the spans the dyadic workload reads see one build per piece, and on
+    # S^4 one azimuthal matrix per piece; a piece on S^3 is in closed form
+    # and calls none; a build reads the kernel only through the spectrum or
+    # the closed form, so it samples no profile points
     build = zl.DyadicPiece.operator
-    tracer = tracing.Tracer()
-    with tracing.patched(tracer.wrap):
-        pieces = zl.dyadic_decompose(8, grid80)
-        for piece in pieces:
-            piece.operator()
-    metrics = tracer.metrics()
-    assert metrics["dyadic.piece_operator.builds"] == len(pieces)
-    assert metrics["dyadic.piece_operator.reuse_ratio"] == 1.0
-    assert metrics["operators.azimuthal_matrix.calls"] == len(pieces)
-    assert metrics["dyadic.profile.points"] == 0
+    for n in (3, 4):
+        grid = zl.make_grid(zl.SphereSpec(n), 80, kexact=16)
+        tracer = tracing.Tracer()
+        with tracing.patched(tracer.wrap):
+            pieces = zl.dyadic_decompose(8, grid)
+            for piece in pieces:
+                piece.operator()
+        metrics = tracer.metrics()
+        assert metrics["dyadic.piece_operator.builds"] == len(pieces)
+        assert metrics["dyadic.piece_operator.reuse_ratio"] == 1.0
+        assert metrics["operators.azimuthal_matrix.calls"] == (
+            0 if n == 3 else len(pieces))
+        assert metrics["dyadic.profile.points"] == 0
     assert zl.DyadicPiece.operator is build
