@@ -4,8 +4,8 @@ Forward three-term recurrence
     m C_m = 2 (m + a - 1) t C_{m-1} - (m + 2a - 2) C_{m-2},
 C_0 = 1, C_1 = 2 a t.  One generator, _rows, runs it in place over three
 buffers, so no step allocates; geg_eval keeps its last row, geg_table
-(1-D points) copies every row, `grids.ZonalGrid.basis` scales the rows of
-the degrees it is asked for, and the azimuthal antiderivative of
+(1-D points) copies every row, `specfun.zonal_rows` scales the rows of
+the degrees it is asked for off S^3, and the azimuthal antiderivative of
 `operators.AzimuthalSpectrum` sums the rows as they come.  geg_eval and
 geg_table therefore run the same operations in the same order, and
 geg_eval(k, a, t) equals row k of geg_table(kmax, a, t) bit for bit.

@@ -200,8 +200,7 @@ def _run_dyadic_certify(cfg, sink):
 def _run_envelope(cfg, sink):
     for k in sorted(cfg.ks):
         env = envelope_check(cfg.sphere, k)
-        sink.emit({"k": k, "c_flat": env.c_flat, "c_osc": env.c_osc,
-                   "c_antipodal": env.c_antipodal})
+        sink.emit({"k": k, "c_flat": env.c_flat, "c_osc": env.c_osc})
 
 
 def _run_multiplier_check(cfg, sink):
@@ -280,7 +279,7 @@ COMMANDS = {
                                 "m1", "m2", "c_obs"),
                                ("sigma", "k"), _SWEEP),
     "envelope": _Command(_run_envelope,
-                         ("k", "c_flat", "c_osc", "c_antipodal"),
+                         ("k", "c_flat", "c_osc"),
                          ("k",), ("n",)),
     "multiplier-check": _Command(_run_multiplier_check,
                                  ("lambda", "mu", "tau", "abs_closed",

@@ -36,7 +36,7 @@ from .errors import NumericalError
 from .exponents import ExponentPoint, stein_point
 from .operators import (AzimuthalSpectrum, ZonalOperator, azimuthal_matrix,
                         azimuthal_matrix_s3, norm_lower)
-from .specfun import eigenvalue, zonal_value
+from .specfun import eigenvalue, zonal_rows, zonal_value
 
 # points per window of envelope_check
 _SAMPLES = 4096
@@ -195,25 +195,25 @@ def piece_norm_slopes(k, sigma, grid, restarts=8, seed=1):
 class EnvelopeConstants:
     c_flat: float       # sup |Z_k| / k^{n-1} = Z_k(1) / k^{n-1}
     c_osc: float        # sup |Z_k| theta^{(n-1)/2} / lambda^{(n-1)/2} mid-range
-    c_antipodal: float  # same with pi - theta near the far pole
 
 
 def envelope_check(sphere, k):
     """Constants of the pointwise kernel envelope at degree k: c_flat exact,
-    as |Z_k| peaks at t = 1, and c_osc sampled on its window.
+    as |Z_k| peaks at t = 1, and c_osc sampled on its window
+    [1/lambda, 3 pi/4].  Both come from one `zonal_rows` step over the
+    window, which gives Z_k(1) too: on S^3 a sine per sample and
+    c_flat = (k+1)^2 / (2 pi^2 k^2), elsewhere one recurrence over the
+    window and t = 1.
 
-    The antipodal window [pi/4, pi - 1/lambda] is the mirror image of the
-    oscillatory one [1/lambda, 3 pi/4], and Z_k(-t) = (-1)^k Z_k(t), so
-    c_antipodal, the same sup with pi - theta, equals c_osc by parity."""
+    Z_k(-t) = (-1)^k Z_k(t), so the same sup with pi - theta over the
+    mirror window [pi/4, pi - 1/lambda] near the far pole is c_osc too."""
     if k < 1:
         raise ValueError("envelope constants need degree k >= 1")
     n = sphere.n
     lam = eigenvalue(n, k)
     half = (n - 1) / 2
     th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, _SAMPLES)
-    # one recurrence over the window and t = 1; it runs elementwise, so the
-    # window and Z_k(1) get the bits of a recurrence over them alone
-    z = zonal_value(n, k, np.append(np.cos(th_osc), 1.0))
-    c_flat = z[-1] / k ** (n - 1)
-    c_osc = np.abs(z[:-1] * th_osc ** half).max() / lam ** half
-    return EnvelopeConstants(float(c_flat), float(c_osc), float(c_osc))
+    (_, z, z1), = zonal_rows(n, [k], th_osc)
+    c_flat = z1 / k ** (n - 1)
+    c_osc = np.abs(z * th_osc ** half).max() / lam ** half
+    return EnvelopeConstants(float(c_flat), float(c_osc))

@@ -5,6 +5,8 @@ reduces to vol(S^{n-1}) * int_0^pi f(theta) sin^{n-1}(theta) dtheta, which a
 Gauss-Jacobi rule in t = cos(theta) with weight (1-t^2)^{(n-2)/2} evaluates
 exactly for polynomial integrands.  SciPy computes that rule and is imported
 only when make_grid runs, so a process that builds no grid never loads it.
+The orthonormal zonal rows of `ZonalGrid.basis` come from
+`specfun.zonal_rows`: in closed form on S^3, from one recurrence elsewhere.
 """
 
 import functools
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import _rows
-from .specfun import SphereSpec, sphere_volume
+from .specfun import SphereSpec, zonal_rows
 
 # a grid is mirrored when every theta_i + theta_{P-1-i} is this many ulp(pi)
 # or fewer from pi; every Gauss-Jacobi grid of make_grid is within 1
@@ -72,10 +73,10 @@ class ZonalGrid:
         """Orthonormal zonal rows e_k = Z_k / sqrt(Z_k(1)) at the increasing
         `degrees`, shape (len(degrees), points).
 
-        One recurrence runs over the first `half` cosines with t = 1
-        appended; each kept row is scaled by c_{n,k} and divided by the root
-        of its own value at t = 1, so there it has the bits of row k of
-        `zonal_table` divided by the root of Z_k(1).  On a mirrored grid
+        `specfun.zonal_rows` gives each Z_k on the first `half` nodes with
+        Z_k(1), and the row is Z_k divided by the root of Z_k(1): on S^3
+        the closed form, one sine per node, and on every other sphere the
+        bits of row k of `zonal_table` so divided.  On a mirrored grid
         e_k(-t) = (-1)^k e_k(t) fills the rest: node P-1-i takes (-1)^k
         times node i, and an odd row is 0 at the middle node of an odd P,
         so every row is exactly even or odd under the mirror.  The rows are
@@ -101,16 +102,9 @@ class ZonalGrid:
         else:
             out = np.empty((degrees.size, P))
             targets, order = out[:, :h], degrees
-        if degrees.size:
-            n = self.sphere.n
-            c = (2 * order + n - 1) / ((n - 1) * sphere_volume(n))
-            slot = dict(zip(order.tolist(), zip(c, targets)))
-            t = np.append(self.cosines[:h], 1.0)
-            for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
-                if m in slot:
-                    cm, dst = slot[m]
-                    z = row * cm
-                    np.divide(z[:-1], np.sqrt(z[-1]), out=dst)
+        slot = dict(zip(order.tolist(), targets))
+        for k, z, z1 in zonal_rows(self.sphere.n, degrees, self.nodes[:h]):
+            np.divide(z, np.sqrt(z1), out=slot[k])
         if folded:
             if self.mirrored and P % 2:
                 # t = 0 at the middle node, where every odd row vanishes

@@ -10,7 +10,8 @@ A = sum_k m_k e_k e_k^T with e_k the orthonormal zonal rows.  The operator
 keeps only the rows with m_k != 0 and their multipliers and applies them
 spectrally, so the degree-k projector (rank one) costs O(points) per
 application; no norm bound builds the dense matrix.  The kept rows come
-from one recurrence (`ZonalGrid.basis`), in O(points x kept degrees) memory.
+from `ZonalGrid.basis`, in closed form on S^3 and from one recurrence
+elsewhere, in O(points x kept degrees) memory.
 On a mirrored grid (`ZonalGrid.mirrored`: nodes symmetric under
 theta -> pi - theta to rounding and weights exactly, as on every
 Gauss-Jacobi grid) e_k(t_{P-1-i}) = (-1)^k e_k(t_i), so the rows are kept
@@ -382,7 +383,8 @@ def operator_from_kernel(kernel, grid):
     """Spectral factors of a multiplier kernel, A = sum_k m_k e_k e_k^T over
     the degrees with m_k != 0; the kernel and grid share one sphere.
 
-    The kept rows come from one recurrence (`ZonalGrid.basis`), on the
+    The kept rows come from `ZonalGrid.basis` (a sine per node and degree
+    on S^3, one recurrence elsewhere), on the
     first half of a mirrored grid's nodes, grouped by the parity of the
     degree, so the operator holds O(points x kept degrees) / 2 on such a
     grid: a projector one row, a resolvent a row per degree.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import geg_eval, geg_table
+from ._core import _rows, geg_eval, geg_table
 
 
 def gegenbauer(k, alpha, t):
@@ -65,6 +65,68 @@ def zonal_table(n, kmax, t):
     c = (2 * ks + n - 1) / ((n - 1) * sphere_volume(n))
     tab *= c[:, None]
     return tab
+
+
+# pi - fl(pi), the part of pi that np.pi drops
+_PI_TAIL = 1.2246467991473532e-16
+# values per block of closed-form rows that zonal_rows computes at once
+_ROWS_BLOCK = 2 ** 12
+
+
+def zonal_rows(n, degrees, theta):
+    """Yield (k, Z_k(cos theta), Z_k(1)) for each of the increasing
+    `degrees`, at the polar angles theta in [0, pi].  A yielded row is a
+    buffer that later steps may overwrite.
+
+    On S^3 the rows are in closed form (DLMF 18.5, C_k^1 = U_k):
+
+        Z_k(cos theta) = (k+1) sin((k+1) theta) / (2 pi^2 sin theta),
+        Z_k(1) = (k+1)^2 / (2 pi^2),
+
+    one sine per node and degree over a divisor taken once per call, for a
+    block of degrees at a time (at most _ROWS_BLOCK values).  A node past
+    pi/2 is taken at phi = pi - theta, to double precision, and its value
+    times (-1)^k, so the sine's argument is rounded relative to the node's
+    distance from its nearer pole.  On every other sphere one Gegenbauer
+    recurrence runs over cos theta with t = 1 appended; its kept rows are
+    scaled by c_{n,k}, the bits of the rows of `zonal_table`.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    degrees = np.asarray(degrees, dtype=np.intp)
+    if not degrees.size:
+        return
+    if n != 3:
+        t = np.append(np.cos(theta), 1.0)
+        c = (2 * degrees + n - 1) / ((n - 1) * sphere_volume(n))
+        scale = dict(zip(degrees.tolist(), c))
+        for m, row in enumerate(_rows(int(degrees[-1]), (n - 1) / 2, t)):
+            if m in scale:
+                z = row * scale[m]
+                yield m, z[:-1], z[-1]
+        return
+    far = theta > np.pi / 2
+    # pi - theta is exact there; adding the tail keeps it exact to rounding
+    phi = np.where(far, (np.pi - theta) + _PI_TAIL, theta)
+    sign = np.where(far, -1.0, 1.0) if far.any() else None
+    pole = np.flatnonzero(phi == 0.0)
+    with np.errstate(divide="ignore"):
+        divisor = 1.0 / (2.0 * math.pi ** 2 * np.sin(phi))
+    # theta = 0, where each row is set to Z_k(1)
+    divisor[pole] = 0.0
+    step = min(degrees.size, max(1, _ROWS_BLOCK // max(1, phi.size)))
+    buf = np.empty((step, phi.size))
+    for start in range(0, degrees.size, step):
+        ks = degrees[start:start + step]
+        m = ks + 1.0
+        z1 = m * m / (2.0 * math.pi ** 2)
+        block = np.multiply.outer(m, phi, out=buf[:ks.size])
+        np.sin(block, out=block)
+        block *= divisor
+        block *= m[:, None]
+        if sign is not None:
+            block[ks % 2 == 1] *= sign
+        block[:, pole] = z1[:, None]
+        yield from zip(ks.tolist(), block, z1.tolist())
 
 
 # factor by which addition_factors rescales a column whose recurrence grows

@@ -126,7 +126,7 @@ class TestEnvelopeCommand:
         code, out, _ = _run(tmp_path, "env", "envelope", "--k", "8,16")
         assert code == 0
         header, rows = _read_csv(out)
-        assert header == ["k", "c_flat", "c_osc", "c_antipodal"]
+        assert header == ["k", "c_flat", "c_osc"]
         for row in rows:
             env = zl.envelope_check(sphere3, int(row[0]))
             assert float(row[1]) == pytest.approx(env.c_flat, rel=1e-12)

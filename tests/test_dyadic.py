@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -427,10 +428,17 @@ def test_one_degree_rule(n, text, sigma, tmp_path):
 
 
 class TestEnvelope:
-    def test_antipodal_mirrors_oscillatory(self, sphere3):
-        for k in (8, 13, 32):
-            env = zl.envelope_check(sphere3, k)
-            assert env.c_antipodal == pytest.approx(env.c_osc, rel=1e-9)
+    def test_antipodal_mirrors_oscillatory(self):
+        # the same sup with pi - theta over the window near the far pole,
+        # [pi/4, pi - 1/lambda], is c_osc to rounding, as
+        # Z_k(-t) = (-1)^k Z_k(t)
+        for n, k in itertools.product((2, 3, 4, 5), (8, 13, 32, 1024)):
+            env = zl.envelope_check(zl.SphereSpec(n), k)
+            lam, half = zl.eigenvalue(n, k), (n - 1) / 2
+            th = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, 4096)
+            (_, z, _), = zl.zonal_rows(n, [k], th)
+            anti = np.abs(z * (np.pi - th) ** half).max() / lam ** half
+            assert anti == pytest.approx(env.c_osc, rel=1e-13)
 
     def test_constants_positive_and_ordered(self, sphere3):
         env = zl.envelope_check(sphere3, 16)
@@ -439,26 +447,37 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("k", [1, 64, 1024])
-    def test_one_recurrence_keeps_bits(self, n, k):
-        # one recurrence over the window and t = 1 against one per window;
-        # the antipodal window mirrors the oscillatory one, and
-        # Z_k(-t) = (-1)^k Z_k(t), so c_antipodal is c_osc exactly
+    def test_one_recurrence_keeps_bits(self, n, k, zonal_s3_mp):
+        # off S^3, one recurrence over the window and t = 1 against one per
+        # window, bit for bit; on S^3 the closed form, c_osc to 1e-13 of
+        # the 30-digit sup over the same samples
         env = zl.envelope_check(zl.SphereSpec(n), k)
         lam, half, samples = zl.eigenvalue(n, k), (n - 1) / 2, 4096
+        th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
+        if n == 3:
+            osc = np.abs(zonal_s3_mp(k, th_osc) * th_osc).max() / lam
+            assert env.c_osc == pytest.approx(osc, rel=1e-13)
+            assert env.c_flat == pytest.approx(
+                (k + 1) ** 2 / (2 * math.pi ** 2 * k ** 2), rel=1e-15)
+            return
 
         def zk(theta):
             return zl.zonal_value(n, k, np.cos(theta))
 
         th_flat = np.linspace(1e-9, 1.0 / lam, samples // 4)
-        th_osc = np.linspace(1.0 / lam, 0.75 * np.pi, samples)
         want = [np.abs(zk(th_flat)).max() / k ** (n - 1),
                 np.abs(zk(th_osc) * th_osc ** half).max() / lam ** half]
         assert np.array_equal([env.c_flat, env.c_osc], want)
-        assert env.c_antipodal == env.c_osc
-        # sampled near the far pole, it agrees to rounding
-        th_anti = np.linspace(0.25 * np.pi, np.pi - 1.0 / lam, samples)
-        anti = np.abs(zk(th_anti) * (np.pi - th_anti) ** half).max()
-        assert anti / lam ** half == pytest.approx(env.c_osc, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 64, 1024])
+    def test_c_flat_is_the_gate_oracle(self, n, k):
+        # Z_k(1) / k^{n-1} = N(n,k) / (vol(S^n) k^{n-1}), N the exact
+        # dimension of the degree-k harmonics
+        dim = math.comb(k + n, n) - math.comb(k + n - 2, n)
+        want = dim / (zl.sphere_volume(n) * k ** (n - 1))
+        env = zl.envelope_check(zl.SphereSpec(n), k)
+        assert env.c_flat == pytest.approx(want, rel=1e-12)
 
     def test_rejects_degree_zero(self, sphere3):
         with pytest.raises(ValueError):

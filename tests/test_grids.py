@@ -69,11 +69,13 @@ class TestQuadratureExactness:
         np.testing.assert_allclose(gram, np.eye(17), atol=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_basis_slices_one_table(self, n):
-        # on the first half of the nodes, bit for bit the rows of one
-        # zonal_table, each divided by the root of its value at t = 1,
+    def test_basis_slices_one_table(self, n, zonal_s3_mp):
+        # on the first half of the nodes, off S^3 bit for bit the rows of
+        # one zonal_table, each divided by the root of its value at t = 1,
         # whichever degrees are asked for; on the mirror half exactly
-        # (-1)^k times the first, which is the table to rounding
+        # (-1)^k times the first, which is the table to rounding.  On S^3
+        # the rows are the closed form, and every node is within 1e-13 of
+        # each row's max of the exact row
         grid = zl.make_grid(zl.SphereSpec(n), 130, kexact=64)
         assert grid.mirrored and grid.half == 65
         tab = zl.zonal_table(n, 80, grid.cosines)
@@ -85,11 +87,33 @@ class TestQuadratureExactness:
             rows = want[list(degrees)]
             sign = (-1.0) ** np.asarray(degrees)[:, None]
             assert B.shape == (len(degrees), grid.points)
-            assert np.array_equal(B[:, :65], rows[:, :65])
             assert np.array_equal(B[:, 65:], sign * B[:, 64::-1])
+            if n == 3:
+                for k, row in zip(degrees, B):
+                    exact = zonal_s3_mp(k, grid.nodes) * (
+                        math.sqrt(2.0) * math.pi / (k + 1))
+                    assert (np.abs(row - exact).max()
+                            <= 1e-13 * np.abs(exact).max())
+                continue
+            assert np.array_equal(B[:, :65], rows[:, :65])
             assert (np.abs(B - rows).max(axis=1)
                     <= 1e-14 * np.abs(rows).max(axis=1)).all()
         assert grid.basis([]).shape == (0, grid.points)
+
+    def test_basis_near_both_poles_s3(self, zonal_s3_mp):
+        # a node set that is not mirrored has every row computed on every
+        # node: within 1e-13 of each row's max at degrees up to 1024, with
+        # 40 nodes near each pole
+        near = np.geomspace(1e-7, 2e-2, 40)
+        nodes = np.concatenate([near, np.linspace(0.03, math.pi - 0.05, 120),
+                                math.pi - near[::-1]])
+        grid = zl.ZonalGrid(zl.SphereSpec(3), nodes, np.ones(nodes.size),
+                            "poles", 1024)
+        assert not grid.mirrored
+        degrees = [1, 2, 255, 512, 1023, 1024]
+        for k, row in zip(degrees, grid.basis(degrees)):
+            exact = zonal_s3_mp(k, nodes) * math.sqrt(2.0) * math.pi / (k + 1)
+            assert np.abs(row - exact).max() <= 1e-13 * np.abs(exact).max()
 
     @pytest.mark.parametrize("degrees", [[3, 3], [5, 3], [-1]])
     def test_basis_rejects_bad_degrees(self, sphere3, degrees):

@@ -187,9 +187,10 @@ class TestFactoredRoute:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("degrees", [[0], [1], [17], [24], [3, 11, 20]])
-    def test_kept_rows_match_grid_table(self, n, degrees):
-        # the factors are the rows of the degrees with m_k != 0, bit for bit
-        # those of a zonal table on the grid's cosines; [24] is the grid's
+    def test_kept_rows_match_grid_table(self, n, degrees, zonal_s3_mp):
+        # the factors are the rows of the degrees with m_k != 0, off S^3 bit
+        # for bit those of a zonal table on the grid's cosines, and on S^3
+        # the closed form to 1e-13 of each row's max; [24] is the grid's
         # kexact, and [0] keeps every degree of its kernel
         grid = zl.make_grid(zl.SphereSpec(n), 64, kexact=24)
         coeffs = np.zeros(degrees[-1] + 1)
@@ -203,11 +204,18 @@ class TestFactoredRoute:
             (np.count_nonzero(parity == b), 32) for b in (0, 1)]
         rows, kept = op.unfolded()
         np.testing.assert_array_equal(kept, coeffs[degrees][order])
+        assert np.array_equal(rows, grid.basis(degrees)[order])
+        if n == 3:
+            for k, row in zip(np.asarray(degrees)[order], rows[:, :32]):
+                exact = zonal_s3_mp(k, grid.nodes[:32]) * (
+                    math.sqrt(2.0) * math.pi / (k + 1))
+                assert np.abs(row - exact).max() <= 1e-13 * np.abs(
+                    exact).max()
+            return
         tab = zl.zonal_table(n, degrees[-1], grid.cosines)[degrees]
         z1 = zl.zonal_table(n, degrees[-1], np.ones(1))[degrees, 0]
         want = (tab / np.sqrt(z1)[:, None])[order]
         assert np.array_equal(rows[:, :32], want[:, :32])
-        assert np.array_equal(rows, grid.basis(degrees)[order])
 
     def test_zero_kernel_keeps_no_row(self, grid80, sphere3):
         op = operator_from_kernel(zl.ZonalKernel(sphere3, np.zeros(5)), grid80)
@@ -538,19 +546,27 @@ class TestMirrorParity:
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_not_mirrored_is_the_full_node_route(self, n, points, complex_,
-                                                 monkeypatch):
+                                                 monkeypatch, zonal_s3_mp):
         # a node set that is not mirrored is one block on every node: its
         # rows, products and row norms are the full-node route's, bit for
-        # bit
+        # bit; its rows are, off S^3, a zonal table's bit for bit, and on
+        # S^3 the closed form to 1e-13 of each row's max
         monkeypatch.setattr(operators, "_ROW_BLOCK", 5 * points + 7)
         grid = _moved_grid(n, points)
         assert not grid.mirrored and grid.half == points
         kern = _parity_kernel(n, complex_)
         op = operator_from_kernel(kern, grid)
         (rows, kept), = op.factors
-        tab = zl.zonal_table(n, 24, grid.cosines)
-        z1 = zl.zonal_table(n, 24, np.ones(1))[:, 0]
-        assert np.array_equal(rows, tab / np.sqrt(z1)[:, None])
+        if n == 3:
+            for k, row in enumerate(rows):
+                exact = zonal_s3_mp(k, grid.nodes) * (
+                    math.sqrt(2.0) * math.pi / (k + 1))
+                assert np.abs(row - exact).max() <= 1e-13 * np.abs(
+                    exact).max()
+        else:
+            tab = zl.zonal_table(n, 24, grid.cosines)
+            z1 = zl.zonal_table(n, 24, np.ones(1))[:, 0]
+            assert np.array_equal(rows, tab / np.sqrt(z1)[:, None])
         w = grid.weights
         rng = np.random.default_rng(points)
         X = rng.standard_normal((points, 3)) + 1j * rng.standard_normal(

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer
 
 import zonalab as zl
+from zonalab import _core, specfun
 from zonalab._core import geg_eval, geg_table
 from zonalab.specfun import SphereSpec, ZonalKernel
 
@@ -141,6 +142,62 @@ class TestZonalValue:
         assert long[0] == -1.0 and long[-1] == 1.0
         assert np.array_equal(zl.zonal_table(n, k, long)[k],
                               zl.zonal_value(n, k, long))
+
+
+# 40 angles within 1e-2 of each pole, both poles themselves and the float
+# next to pi, and 100 between
+_POLAR = np.concatenate([
+    [0.0, math.pi, np.nextafter(math.pi, 0.0)],
+    np.geomspace(1e-9, 1e-2, 40), math.pi - np.geomspace(1e-9, 1e-2, 40),
+    np.linspace(0.01, math.pi - 0.01, 100)])
+
+
+class TestZonalRows:
+    def test_s3_closed_form_matches_mpmath(self, zonal_s3_mp):
+        # one sine per node, within 1e-13 of each row's max at degrees up
+        # to 1024 and near both poles, where the recurrence is off by
+        # 1.4e-12 at k = 1024
+        degrees = [0, 1, 2, 7, 64, 512, 1024]
+        # each row is copied before the next step reuses its buffer
+        got = [(k, row.copy(), z1)
+               for k, row, z1 in zl.zonal_rows(3, degrees, _POLAR)]
+        assert [k for k, _, _ in got] == degrees
+        for k, row, z1 in got:
+            want = zonal_s3_mp(k, _POLAR)
+            assert z1 == pytest.approx(want[0], rel=1e-15)
+            assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max(), k
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_off_s3_is_the_table(self, n):
+        # one recurrence over cos theta and t = 1: the bits of zonal_table
+        degrees = [0, 3, 17, 64]
+        tab = zl.zonal_table(n, 64, np.cos(_POLAR))
+        z1 = zl.zonal_table(n, 64, np.ones(1))[:, 0]
+        for k, row, one in zl.zonal_rows(n, degrees, _POLAR):
+            assert np.array_equal(row, tab[k]) and one == z1[k]
+
+    def test_closed_form_takes_no_recurrence_step(self, monkeypatch):
+        # on S^3 neither the grid's rows nor the envelope run a recurrence
+        # step; on S^4 each runs one pass of k + 1 steps
+        steps = []
+        rows = _core._rows
+
+        def counted(kmax, alpha, t):
+            for row in rows(kmax, alpha, t):
+                steps.append(kmax)
+                yield row
+
+        monkeypatch.setattr(_core, "_rows", counted)
+        monkeypatch.setattr(specfun, "_rows", counted)
+        k = 40
+        for n, want in ((3, 0), (4, k + 1)):
+            grid = zl.make_grid(SphereSpec(n), 2 * k + 2)
+            for work in (lambda: grid.basis([k]),
+                         lambda: grid.basis([k], folded=True),
+                         lambda: zl.envelope_check(SphereSpec(n), k)):
+                steps.clear()
+                work()
+                assert len(steps) == want, n
 
 
 def test_sphere_spec():
